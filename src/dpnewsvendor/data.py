@@ -223,8 +223,9 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """
     rng = np.random.default_rng(spec.seed)
     chol = np.linalg.cholesky(spec.covariance)
-    z = rng.standard_normal((spec.n, spec.p - 1)) @ chol.T
-    x = np.column_stack([np.ones(spec.n), z])
+    x = np.empty((spec.n, spec.p))
+    x[:, 0] = 1.0
+    x[:, 1:] = rng.standard_normal((spec.n, spec.p - 1)) @ chol.T
     eps = sample_errors(spec.error_dist, spec.n, rng)
     d = x @ np.asarray(spec.theta_star) + eps
     return Dataset(demands=d, features=x)
@@ -246,7 +247,8 @@ def load_csv(path, demand_column: str) -> Dataset:
 
     The demand column is removed from the features, an intercept column
     is prepended, and remaining columns keep their file order.  Every
-    cell must parse as a finite number.
+    row must have exactly one cell per header column, and every cell
+    must parse as a finite number.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -263,6 +265,8 @@ def load_csv(path, demand_column: str) -> Dataset:
         demands = []
         rows = []
         for i, row in enumerate(reader, start=1):
+            if len(row) != len(header):
+                raise ValueError(f"{path}: row {i} has {len(row)} cells, expected {len(header)}")
             parsed = []
             for name, cell in zip(header, row):
                 try:
@@ -272,8 +276,6 @@ def load_csv(path, demand_column: str) -> Dataset:
                 if not math.isfinite(v):
                     raise NonNumericCell(i, name, cell)
                 parsed.append(v)
-            if len(parsed) != len(header):
-                raise ValueError(f"{path}: row {i} has {len(parsed)} cells, expected {len(header)}")
             demands.append(parsed[d_idx])
             rows.append([v for j, v in enumerate(parsed) if j != d_idx])
     n = len(demands)

@@ -1,9 +1,12 @@
 """Estimation-error metrics, Monte-Carlo regret, and the replication harness.
 
-``run_replications`` repeats a generate -> fit -> evaluate cycle with
-independent seeds and reports, per estimator, the L2 and whitened
-estimation errors, the regret against the clairvoyant policy on a large
-held-out evaluation set, and the out-of-sample cost.
+``run_replications`` repeats a generate -> fit cycle with independent
+seeds and reports, per estimator, the L2 and whitened estimation errors,
+the regret against the clairvoyant policy on a large held-out evaluation
+set, and the out-of-sample cost.  Fitting comes first; the evaluation
+set is then generated once and every policy of the run, the clairvoyant
+one included, is scored in one blocked pass over it by
+``out_of_sample_cost``.
 
 Seeding is splittable and documented: replication ``r`` derives its
 streams from ``SeedSequence((base_seed, r, k))`` where ``k = 0`` is the
@@ -31,7 +34,7 @@ from .data import (
     whitener_from,
 )
 from .errors import DimensionMismatch
-from .model import Dataset, Problem, coefficients, newsvendor_cost
+from .model import Dataset, LinearPolicy, Problem, coefficients
 from .optimizer import HyperParams, default_bandwidth
 from .privacy import calibrate_sigma
 
@@ -68,22 +71,63 @@ def estimation_error(beta, beta_star, whitener: Whitener | None = None) -> float
     return float(np.sqrt(delta @ whitener.sigma_matrix @ delta))
 
 
-def out_of_sample_cost(problem: Problem, policy, test_data: Dataset) -> float:
-    """Average newsvendor cost of the policy on held-out data."""
-    beta = coefficients(policy)
-    if len(beta) != test_data.p:
+# Layout of the blocked cost pass.  BLAS rounding depends on operand
+# shape, so every product has the same shape whatever the number of
+# policies: a policy's cost is then bitwise the same whichever policies
+# share the pass and wherever it sits among them.
+_BLOCK_ROWS = 4096
+_GROUP_POLICIES = 16
+
+
+def out_of_sample_cost(problem: Problem, policy, test_data: Dataset):
+    """Average newsvendor cost of one or several policies on held-out data.
+
+    ``policy`` is a LinearPolicy or coefficient vector, which gives a
+    float, or a ``(p, K)`` matrix with one policy per column, which gives
+    the K costs as an array from a single pass over the data.  The pass
+    takes rows in blocks of ``_BLOCK_ROWS`` and policies in zero-padded
+    groups of ``_GROUP_POLICIES`` and sums the cost
+    ``b * (d - q) + (b + h) * (q - d)^+`` block by block.
+    """
+    single = isinstance(policy, LinearPolicy) or np.ndim(policy) == 1
+    betas = coefficients(policy)[:, None] if single else np.asarray(policy, dtype=float)
+    if betas.ndim != 2:
+        raise ValueError("policies must form a coefficient vector or a (p, K) matrix")
+    if betas.shape[0] != test_data.p:
         raise DimensionMismatch(
-            f"policy has {len(beta)} coefficients but data has {test_data.p} features"
+            f"policy has {betas.shape[0]} coefficients but data has {test_data.p} features"
         )
-    orders = test_data.features @ beta
-    return float(np.mean(newsvendor_cost(problem, orders, test_data.demands)))
+    k, p, n = betas.shape[1], test_data.p, test_data.n
+    width = -(-k // _GROUP_POLICIES) * _GROUP_POLICIES
+    # The demand rides along as a last feature with coefficient -1, so
+    # one product gives the overage q - d of every policy in a group.
+    groups = np.zeros((width, p + 1))
+    groups[:k, :p] = betas.T
+    groups[:, p] = -1.0
+    block = np.empty((p + 1, _BLOCK_ROWS))
+    over = np.empty((_GROUP_POLICIES, _BLOCK_ROWS))
+    over_sum = np.zeros(width)  # sum of q - d
+    excess_sum = np.zeros(width)  # sum of (q - d)^+
+    for start in range(0, n, _BLOCK_ROWS):
+        m = min(_BLOCK_ROWS, n - start)
+        block[:p, :m] = test_data.features[start : start + m].T
+        block[p, :m] = test_data.demands[start : start + m]
+        for g in range(0, width, _GROUP_POLICIES):
+            o = np.matmul(groups[g : g + _GROUP_POLICIES], block[:, :m], out=over[:, :m])
+            over_sum[g : g + _GROUP_POLICIES] += o.sum(axis=1)
+            np.maximum(o, 0.0, out=o)
+            excess_sum[g : g + _GROUP_POLICIES] += o.sum(axis=1)
+    total = (problem.b + problem.h) * excess_sum - problem.b * over_sum
+    costs = total[:k] / n
+    return float(costs[0]) if single else costs
 
 
 def regret(problem: Problem, policy, beta_star, eval_data: Dataset) -> float:
     """Mean cost of the policy minus mean cost of the clairvoyant policy."""
-    return out_of_sample_cost(problem, policy, eval_data) - out_of_sample_cost(
-        problem, beta_star, eval_data
+    cost, clairvoyant_cost = out_of_sample_cost(
+        problem, np.column_stack([coefficients(policy), coefficients(beta_star)]), eval_data
     )
+    return float(cost - clairvoyant_cost)
 
 
 @dataclass(frozen=True)
@@ -177,20 +221,16 @@ def _synthetic_spec(config: ReplicationConfig, n: int, seed: int) -> SyntheticSp
 
 
 def _one_replication(
-    config: ReplicationConfig,
-    rep_id: int,
-    eval_data: Dataset,
-    beta_star: np.ndarray,
-    whitener: Whitener,
-    clairvoyant_cost: float,
-) -> list[ReplicationRow]:
+    config: ReplicationConfig, rep_id: int, whitener: Whitener
+) -> list[np.ndarray]:
+    """Fit every estimator of the privacy grid on one replication's data."""
     problem = config.problem
     bandwidth = config.resolved_bandwidth()
     tau_bar = max(problem.tau, 1.0 - problem.tau)
     spec = _synthetic_spec(config, config.n, derive_seed(config.base_seed, rep_id, 0))
     train = generate_synthetic(spec)
 
-    rows = []
+    betas = []
     for j, mu in enumerate(config.mu_grid):
         if mu is None:
             beta = optimizer.smoothed_erm(train, problem, config.kernel, bandwidth)
@@ -215,21 +255,8 @@ def _one_replication(
             )
             w = whitener if config.mode == "known_sigma_matrix" else None
             beta = optimizer.fit(train, problem, hp, whitener=w).beta_final
-        oos = out_of_sample_cost(problem, beta, eval_data)
-        rows.append(
-            ReplicationRow(
-                rep_id=rep_id,
-                n=config.n,
-                mu_label=config.mu_label(mu),
-                tau=problem.tau,
-                dist_label=config.error_dist.label,
-                l2_error=estimation_error(beta, beta_star),
-                sigma_error=estimation_error(beta, beta_star, whitener),
-                regret=oos - clairvoyant_cost,
-                oos_cost=oos,
-            )
-        )
-    return rows
+        betas.append(beta)
+    return betas
 
 
 def aggregate_rows(rows) -> tuple[AggregateCell, ...]:
@@ -274,16 +301,11 @@ def run_replications(config: ReplicationConfig, R: int, jobs: int = 1) -> Replic
     if not R >= 1:
         raise ValueError(f"R must be >= 1, got {R}")
     eval_spec = _synthetic_spec(config, config.eval_n, derive_seed(config.base_seed, 0, 0))
-    eval_data = generate_synthetic(eval_spec)
-    beta_star = true_beta_star(eval_spec, config.problem.tau)
     whitener = whitener_from(eval_spec)
-    clairvoyant_cost = out_of_sample_cost(config.problem, beta_star, eval_data)
 
-    def job(rep_id: int) -> list[ReplicationRow]:
+    def job(rep_id: int) -> list[np.ndarray]:
         try:
-            return _one_replication(
-                config, rep_id, eval_data, beta_star, whitener, clairvoyant_cost
-            )
+            return _one_replication(config, rep_id, whitener)
         except Exception as exc:
             raise ReplicationError(rep_id, exc) from exc
 
@@ -294,7 +316,27 @@ def run_replications(config: ReplicationConfig, R: int, jobs: int = 1) -> Replic
     else:
         per_rep = [job(r) for r in rep_ids]
 
-    rows = tuple(row for chunk in per_rep for row in chunk)
+    eval_data = generate_synthetic(eval_spec)
+    beta_star = true_beta_star(eval_spec, config.problem.tau)
+    betas = [beta for chunk in per_rep for beta in chunk]
+    clairvoyant_cost, *costs = out_of_sample_cost(
+        config.problem, np.column_stack([beta_star, *betas]), eval_data
+    ).tolist()
+    cells = [(rep_id, mu) for rep_id in rep_ids for mu in config.mu_grid]
+    rows = tuple(
+        ReplicationRow(
+            rep_id=rep_id,
+            n=config.n,
+            mu_label=config.mu_label(mu),
+            tau=config.problem.tau,
+            dist_label=config.error_dist.label,
+            l2_error=estimation_error(beta, beta_star),
+            sigma_error=estimation_error(beta, beta_star, whitener),
+            regret=oos - clairvoyant_cost,
+            oos_cost=oos,
+        )
+        for (rep_id, mu), beta, oos in zip(cells, betas, costs)
+    )
     return ReplicationReport(rows=rows, aggregates=aggregate_rows(rows))
 
 

@@ -146,14 +146,16 @@ class SecureNoiseSource:
 
     Uses ``random.SystemRandom``; there is no seed, so runs are not
     reproducible.  Intended for deployments where the noise itself must
-    be unpredictable.
+    be unpredictable.  Draws use ``normalvariate``, not ``gauss``:
+    ``gauss`` caches the second Box-Muller value on the shared instance,
+    so threads sharing one source could receive the same noise.
     """
 
     def __init__(self):
         self._gen = random.SystemRandom()
 
     def standard_normal(self, p: int) -> np.ndarray:
-        return np.array([self._gen.gauss(0.0, 1.0) for _ in range(p)])
+        return np.array([self._gen.normalvariate(0.0, 1.0) for _ in range(p)])
 
 
 def clip(u: np.ndarray, radius: float) -> np.ndarray:

@@ -113,6 +113,16 @@ class TestGenerateSynthetic:
         np.testing.assert_array_equal(a.demands, b.demands)
         np.testing.assert_array_equal(a.features, b.features)
 
+    def test_matches_column_stack_recipe(self):
+        spec = default_spec(5_000, "t3", seed=11)
+        rng = np.random.default_rng(spec.seed)
+        z = rng.standard_normal((spec.n, spec.p - 1)) @ np.linalg.cholesky(spec.covariance).T
+        x = np.column_stack([np.ones(spec.n), z])
+        d = x @ np.asarray(spec.theta_star) + rng.standard_t(3.0, size=spec.n)
+        ds = generate_synthetic(spec)
+        assert np.array_equal(ds.features, x)
+        assert np.array_equal(ds.demands, d)
+
     def test_mixture_has_heavy_tails(self):
         spec = default_spec(50_000, "mixture", seed=1)
         ds = generate_synthetic(spec)
@@ -177,6 +187,13 @@ class TestLoadCsv(object):
         path = tmp_path / "x.csv"
         path.write_text("demand,temp\n1,inf\n")
         with pytest.raises(NonNumericCell):
+            load_csv(path, "demand")
+
+    @pytest.mark.parametrize("row", ["3,4,99", "3"])
+    def test_row_with_wrong_cell_count_rejected(self, tmp_path, row):
+        path = tmp_path / "x.csv"
+        path.write_text(f"demand,temp\n1,2\n{row}\n")
+        with pytest.raises(ValueError, match="row 2 has"):
             load_csv(path, "demand")
 
     def test_missing_file(self, tmp_path):

@@ -23,7 +23,7 @@ from dpnewsvendor.evaluation import (
     write_aggregates_csv,
     write_rows_csv,
 )
-from dpnewsvendor.model import Problem
+from dpnewsvendor.model import LinearPolicy, Problem, newsvendor_cost
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +83,43 @@ class TestRegretAndOos:
         test = Dataset(demands=[5.0], features=[[1.0]])
         prob = Problem(b=50, h=30)
         assert out_of_sample_cost(prob, np.array([2.0]), test) == pytest.approx(150.0)
+
+    def test_policy_matrix_matches_vector_calls(self):
+        spec = default_spec(10_000, "t3", seed=4)
+        data = generate_synthetic(spec)
+        prob = Problem(b=50, h=30)
+        rng = np.random.default_rng(1)
+        betas = true_beta_star(spec, prob.tau)[:, None] + rng.normal(scale=0.3, size=(5, 20))
+        costs = out_of_sample_cost(prob, betas, data)
+        assert costs.shape == (20,)
+        for k in range(20):
+            reference = np.mean(newsvendor_cost(prob, data.features @ betas[:, k], data.demands))
+            assert costs[k] == pytest.approx(out_of_sample_cost(prob, betas[:, k], data), rel=1e-12)
+            assert costs[k] == pytest.approx(reference, rel=1e-12)
+
+    def test_cost_of_a_policy_ignores_its_neighbours(self):
+        # eval_n is not a multiple of the row block, so the last block is short
+        data = generate_synthetic(default_spec(10_000, "normal", seed=5))
+        prob = Problem.from_quantile(0.3)
+        rng = np.random.default_rng(2)
+        beta = rng.normal(size=5)
+        alone = out_of_sample_cost(prob, beta[:, None], data)[0]
+        for k in (1, 15, 16, 17, 40):
+            for pos in sorted({0, k // 2, k - 1}):
+                betas = rng.normal(size=(5, k))
+                betas[:, pos] = beta
+                assert out_of_sample_cost(prob, betas, data)[pos] == alone, (k, pos)
+
+    def test_policy_matrix_row_count_checked(self):
+        data = generate_synthetic(default_spec(100, "normal", seed=6))
+        with pytest.raises(DimensionMismatch):
+            out_of_sample_cost(Problem.from_quantile(0.5), np.zeros((4, 3)), data)
+
+    def test_vector_policy_gives_python_float(self):
+        data = generate_synthetic(default_spec(100, "normal", seed=7))
+        prob = Problem.from_quantile(0.5)
+        assert type(out_of_sample_cost(prob, np.ones(5), data)) is float
+        assert type(out_of_sample_cost(prob, LinearPolicy(np.ones(5)), data)) is float
 
     def test_perfect_forecast_costs_nothing(self):
         spec = default_spec(100, "normal", seed=3)

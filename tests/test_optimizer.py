@@ -98,6 +98,12 @@ class TestNoiseSource:
         assert out.shape == (5,)
         assert np.isfinite(out).all()
 
+    def test_secure_source_caches_no_draw(self):
+        # a cached Box-Muller value on a shared source can reach two threads
+        source = SecureNoiseSource()
+        source.standard_normal(3)
+        assert source._gen.gauss_next is None
+
 
 class TestDefaultBandwidth:
     def test_value(self):
