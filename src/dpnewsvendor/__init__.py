@@ -52,7 +52,6 @@ from .optimizer import (
 )
 from .privacy import (
     EpsDelta,
-    GdpBudget,
     PrivacyCertificate,
     calibrate_sigma,
     compose_gdp,
@@ -69,7 +68,6 @@ __all__ = [
     "EpsDelta",
     "ErrorDist",
     "FitResult",
-    "GdpBudget",
     "HyperParams",
     "KernelConstants",
     "KernelDescriptor",

@@ -287,14 +287,13 @@ def load_csv(path, demand_column: str) -> Dataset:
 
 @dataclass(frozen=True, eq=False)
 class Whitener:
-    """Second-moment matrix with its inverse square root and inverse."""
+    """Second-moment matrix with its inverse square root."""
 
     sigma_matrix: np.ndarray
     inv_sqrt: np.ndarray
-    inv: np.ndarray
 
     def __post_init__(self):
-        for name in ("sigma_matrix", "inv_sqrt", "inv"):
+        for name in ("sigma_matrix", "inv_sqrt"):
             m = np.array(getattr(self, name), dtype=float)
             m.setflags(write=False)
             object.__setattr__(self, name, m)
@@ -315,8 +314,7 @@ def _whitener_from_matrix(sigma: np.ndarray) -> Whitener:
             f"second-moment matrix is numerically singular (eigenvalues {evals})"
         )
     inv_sqrt = (vecs / np.sqrt(evals)) @ vecs.T
-    inv = (vecs / evals) @ vecs.T
-    return Whitener(sigma_matrix=sigma, inv_sqrt=inv_sqrt, inv=inv)
+    return Whitener(sigma_matrix=sigma, inv_sqrt=inv_sqrt)
 
 
 def whitener_from(source) -> Whitener:

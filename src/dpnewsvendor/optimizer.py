@@ -21,6 +21,10 @@ gradient, so it sits outside the formal privacy accounting; runs that
 must match the certificate exactly should fix ``step_size`` by hand.
 The same caveat applies to the returned gradient-norm diagnostics,
 which are not noised and must not be released.
+
+One Armijo search, ``backtracking_step_size``, serves both this
+line-search fit and the non-private baseline ``smoothed_erm``, a damped
+Newton method on the smoothed objective.
 """
 
 from __future__ import annotations
@@ -197,32 +201,35 @@ def backtracking_step_size(
     kernel: KernelDescriptor | str,
     bandwidth: float,
     beta: np.ndarray,
+    direction: np.ndarray,
+    slope: float,
+    max_step: float = 1.0,
     shrink: float = 0.5,
     c: float = 1e-4,
-    expand: bool = False,
-    max_step: float = 4.0,
 ) -> float:
-    """Armijo backtracking step size at ``beta``.
+    """Armijo step size along a descent direction from ``beta``.
 
-    Returns the largest eta in {1, shrink, shrink^2, ...} satisfying
-    ``Q(beta - eta * g) <= Q(beta) - c * eta * ||g||^2`` where Q is the
-    smoothed objective scaled by 1/(b+h) and g its gradient.  With
-    ``expand`` the grid is extended upward by doubling while the
-    condition holds, capped at ``max_step``.
+    The step eta must satisfy
+    ``Q(beta - eta * direction) <= Q(beta) - c * eta * slope`` where Q is
+    the smoothed objective scaled by 1/(b+h) and ``slope`` is the inner
+    product of its gradient with ``direction``.  Starting from 1 the step
+    shrinks until the condition holds; an accepted unit step then doubles
+    while the condition holds, up to ``max_step`` (1 means no growth).  A
+    non-positive slope (stationary point or no descent) returns 1.
     """
     if not 0.0 < shrink < 1.0:
         raise ValueError(f"shrink must be in (0, 1), got {shrink}")
     if not 0.0 < c < 1.0:
         raise ValueError(f"c must be in (0, 1), got {c}")
-    beta = np.asarray(beta, dtype=float)
-    g = model.smoothed_gradient(problem, data, beta, kernel, bandwidth)
-    gg = float(g @ g)
-    if gg == 0.0:
+    if slope <= 0.0:
         return 1.0
     q0 = _q_value(data, problem, kernel, bandwidth, beta)
 
     def acceptable(eta: float) -> bool:
-        return _q_value(data, problem, kernel, bandwidth, beta - eta * g) <= q0 - c * eta * gg
+        return (
+            _q_value(data, problem, kernel, bandwidth, beta - eta * direction)
+            <= q0 - c * eta * slope
+        )
 
     eta = 1.0
     if not acceptable(eta):
@@ -233,9 +240,8 @@ def backtracking_step_size(
         raise LineSearchFailed(
             f"no acceptable step after {_MAX_SHRINKS} shrinks (last eta={eta:.3g})"
         )
-    if expand:
-        while 2.0 * eta <= max_step and acceptable(2.0 * eta):
-            eta *= 2.0
+    while 2.0 * eta <= max_step and acceptable(2.0 * eta):
+        eta *= 2.0
     return eta
 
 
@@ -263,47 +269,6 @@ def _noise_free_direction(
         return whitener.inv_sqrt @ (w_clipped.T @ coefs) / data.n
     x_clipped = clip(data.features, hp.clip_radius)
     return x_clipped.T @ coefs / data.n
-
-
-def _armijo_along_direction(
-    data: Dataset,
-    problem: Problem,
-    kernel,
-    bandwidth: float,
-    beta: np.ndarray,
-    direction: np.ndarray,
-    slope: float,
-    max_step: float,
-    shrink: float = 0.5,
-    c: float = 1e-4,
-) -> float:
-    """Armijo search for a step along an arbitrary descent direction.
-
-    ``slope`` is the inner product of the gradient with the direction;
-    a non-positive slope (stationary or degenerate direction) returns 1.
-    """
-    if slope <= 0.0:
-        return 1.0
-    q0 = _q_value(data, problem, kernel, bandwidth, beta)
-
-    def acceptable(eta: float) -> bool:
-        return (
-            _q_value(data, problem, kernel, bandwidth, beta - eta * direction)
-            <= q0 - c * eta * slope
-        )
-
-    eta = 1.0
-    if not acceptable(eta):
-        for _ in range(_MAX_SHRINKS):
-            eta *= shrink
-            if acceptable(eta):
-                return eta
-        raise LineSearchFailed(
-            f"no acceptable step after {_MAX_SHRINKS} shrinks (last eta={eta:.3g})"
-        )
-    while 2.0 * eta <= max_step and acceptable(2.0 * eta):
-        eta *= 2.0
-    return eta
 
 
 def noisy_step(
@@ -382,7 +347,7 @@ def fit(
         grad_norms[t] = np.linalg.norm(grad)
         if hp.step_size is None:
             direction = _noise_free_direction(beta, data, problem, hp, whitener)
-            eta = _armijo_along_direction(
+            eta = backtracking_step_size(
                 data,
                 problem,
                 hp.kernel,
@@ -436,57 +401,44 @@ def smoothed_erm(
     bandwidth: float,
     tol: float = 1e-8,
     max_iter: int = 10_000,
-    standardize: bool = True,
 ) -> np.ndarray:
     """Non-private minimizer of the smoothed empirical cost.
 
-    Gradient descent with per-iteration Armijo backtracking, run until
-    the gradient norm (in the original coordinates) drops to ``tol``.
-    With ``standardize`` the descent runs on z-scored features to tame
-    badly scaled inputs; the returned coefficients are always on the
-    original scale and the minimizer is unchanged by the rescaling.
+    Damped Newton from the least-squares fit, run until the gradient norm
+    drops to ``tol``.  Each Newton direction ``H^{-1} g`` is damped by
+    ``backtracking_step_size`` (the same Armijo search as the line-search
+    fit) with unit steps at most.  Where the Hessian is singular or gives
+    no acceptable descent step (compact kernels, tiny bandwidths) the
+    iteration takes a gradient step instead, searched up to 2^16.  The
+    gradient step is taken in the metric of the design's second moment
+    ``X'X / n`` (plain gradient descent on whitened features), so neither
+    kind of step depends on how the features are scaled.
     """
     kernel = as_kernel(kernel)
     _warn_if_flat_kernel(kernel)
-    if standardize and data.p > 1:
-        means = data.features[:, 1:].mean(axis=0)
-        sds = data.features[:, 1:].std(axis=0)
-        sds = np.where(sds < 1e-12, 1.0, sds)
-        work = Dataset(
-            demands=data.demands,
-            features=np.column_stack(
-                [np.ones(data.n), (data.features[:, 1:] - means) / sds]
-            ),
-        )
-    else:
-        means = np.zeros(max(data.p - 1, 0))
-        sds = np.ones(max(data.p - 1, 0))
-        work = data
-
-    def to_original(beta_std: np.ndarray) -> np.ndarray:
-        beta = beta_std.copy()
-        beta[1:] = beta_std[1:] / sds
-        beta[0] = beta_std[0] - means @ beta[1:]
-        return beta
-
-    beta_std = np.zeros(data.p)
+    x = data.features
+    beta = np.linalg.lstsq(x, data.demands, rcond=None)[0]
+    metric = np.linalg.pinv(x.T @ x / data.n, hermitian=True)
     for _ in range(max_iter):
-        g = model.smoothed_gradient(
-            problem, data, to_original(beta_std), kernel, bandwidth
-        )
+        g = model.smoothed_gradient(problem, data, beta, kernel, bandwidth)
         if np.linalg.norm(g) <= tol:
-            return to_original(beta_std)
-        eta = backtracking_step_size(
-            work, problem, kernel, bandwidth, beta_std, expand=True, max_step=2.0**16
-        )
-        g_std = model.smoothed_gradient(problem, work, beta_std, kernel, bandwidth)
-        beta_std = beta_std - eta * g_std
+            return beta
+        hessian = model.smoothed_hessian(problem, data, beta, kernel, bandwidth)
+        try:
+            direction = np.linalg.solve(hessian, g)
+            slope = float(g @ direction)
+            if not slope > 0.0:
+                raise LineSearchFailed("the Newton direction is not a descent direction")
+            eta = backtracking_step_size(
+                data, problem, kernel, bandwidth, beta, direction, slope
+            )
+        except (np.linalg.LinAlgError, LineSearchFailed):
+            direction = metric @ g
+            eta = backtracking_step_size(
+                data, problem, kernel, bandwidth, beta, direction, float(g @ direction),
+                max_step=2.0**16,
+            )
+        beta = beta - eta * direction
     raise MaxIterExceeded(
         f"gradient norm still above {tol} after {max_iter} iterations"
     )
-
-
-def sphere_initial_value(p: int, seed) -> np.ndarray:
-    """A start point drawn uniformly from the unit sphere."""
-    g = np.random.default_rng(seed).standard_normal(p)
-    return g / np.linalg.norm(g)

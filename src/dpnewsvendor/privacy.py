@@ -43,18 +43,6 @@ def normal_quantile(p):
 
 
 @dataclass(frozen=True)
-class GdpBudget:
-    """A Gaussian differential privacy level; mu = 0 is perfect privacy."""
-
-    mu: float
-
-    def __post_init__(self):
-        if not self.mu >= 0.0:
-            raise NegativeBudget(f"mu must be >= 0, got {self.mu}")
-        object.__setattr__(self, "mu", float(self.mu))
-
-
-@dataclass(frozen=True)
 class EpsDelta:
     """A classical (epsilon, delta) differential privacy guarantee."""
 

@@ -12,6 +12,7 @@ from dpnewsvendor.errors import (
     MaxIterExceeded,
     MissingWhitener,
 )
+from dpnewsvendor import model
 from dpnewsvendor.model import Dataset, Problem, smoothed_empirical_cost, smoothed_gradient
 from dpnewsvendor.optimizer import (
     HyperParams,
@@ -23,7 +24,6 @@ from dpnewsvendor.optimizer import (
     fit,
     noisy_step,
     smoothed_erm,
-    sphere_initial_value,
 )
 from dpnewsvendor.privacy import calibrate_sigma, one_step_sensitivity
 
@@ -202,16 +202,23 @@ class TestNoisyStep:
             assert dist <= bound + 1e-12
 
 
+def _search_along_gradient(data, problem, kernel, bandwidth, beta, **kwargs):
+    g = smoothed_gradient(problem, data, beta, kernel, bandwidth)
+    return backtracking_step_size(
+        data, problem, kernel, bandwidth, beta, g, float(g @ g), **kwargs
+    )
+
+
 class TestBacktracking:
     def test_zero_gradient_returns_one(self):
         data = Dataset(demands=[2.0], features=[[1.0]])
         problem = Problem.from_quantile(0.5)
-        assert backtracking_step_size(data, problem, "gaussian", 0.3, np.array([2.0])) == 1.0
+        assert _search_along_gradient(data, problem, "gaussian", 0.3, np.array([2.0])) == 1.0
 
     def test_armijo_decrease(self, instance):
         data, problem, _ = instance
         beta = np.zeros(data.p)
-        eta = backtracking_step_size(data, problem, "gaussian", 0.2, beta)
+        eta = _search_along_gradient(data, problem, "gaussian", 0.2, beta)
         grad = smoothed_gradient(problem, data, beta, "gaussian", 0.2)
         before = smoothed_empirical_cost(problem, data, beta, "gaussian", 0.2)
         after = smoothed_empirical_cost(problem, data, beta - eta * grad, "gaussian", 0.2)
@@ -223,7 +230,7 @@ class TestBacktracking:
         for _ in range(5):
             beta = rng.normal(size=data.p)
             etas = [
-                backtracking_step_size(data, problem, "gaussian", 0.2, beta, c=c)
+                _search_along_gradient(data, problem, "gaussian", 0.2, beta, c=c)
                 for c in (0.9, 0.5, 0.1, 1e-4)
             ]
             assert all(a <= b + 1e-15 for a, b in zip(etas, etas[1:]))
@@ -234,23 +241,22 @@ class TestBacktracking:
         d = np.concatenate([np.full(25, -0.01), np.full(25, 0.01)])
         data = Dataset(demands=d, features=x)
         problem = Problem.from_quantile(0.9)
-        eta = backtracking_step_size(data, problem, "uniform", 0.02, np.array([-0.5]), c=0.9)
+        eta = _search_along_gradient(data, problem, "uniform", 0.02, np.array([-0.5]), c=0.9)
         assert eta < 1.0
 
     def test_expand_caps_at_max_step(self, instance):
         data, problem, _ = instance
         beta = np.zeros(data.p)
-        eta = backtracking_step_size(
-            data, problem, "gaussian", 0.2, beta, expand=True, max_step=4.0
-        )
+        eta = _search_along_gradient(data, problem, "gaussian", 0.2, beta, max_step=4.0)
         assert 1.0 <= eta <= 4.0
+        assert _search_along_gradient(data, problem, "gaussian", 0.2, beta) == 1.0
 
     def test_invalid_parameters(self, instance):
         data, problem, _ = instance
         with pytest.raises(ValueError):
-            backtracking_step_size(data, problem, "gaussian", 0.2, np.zeros(data.p), shrink=1.5)
+            _search_along_gradient(data, problem, "gaussian", 0.2, np.zeros(data.p), shrink=1.5)
         with pytest.raises(ValueError):
-            backtracking_step_size(data, problem, "gaussian", 0.2, np.zeros(data.p), c=0.0)
+            _search_along_gradient(data, problem, "gaussian", 0.2, np.zeros(data.p), c=0.0)
 
 
 class TestFit:
@@ -404,10 +410,56 @@ class TestSmoothedErm:
         with pytest.raises(MaxIterExceeded):
             smoothed_erm(data, problem, "gaussian", 0.2, tol=1e-14, max_iter=2)
 
+    def test_rescaled_feature_gives_rescaled_coefficient(self, instance):
+        # Newton steps are scale-equivariant: scaling a column by 1e3 scales
+        # its coefficient by 1e-3
+        data, problem, _ = instance
+        scaled = data.features.copy()
+        scaled[:, 2] *= 1e3
+        beta = smoothed_erm(data, problem, "gaussian", 0.2)
+        beta_scaled = smoothed_erm(
+            Dataset(demands=data.demands, features=scaled), problem, "gaussian", 0.2
+        )
+        beta_scaled[2] *= 1e3
+        np.testing.assert_allclose(beta_scaled, beta, rtol=0.0, atol=1e-6)
 
-class TestSphereInit:
-    def test_unit_norm_deterministic(self):
-        a = sphere_initial_value(6, seed=1)
-        b = sphere_initial_value(6, seed=1)
-        np.testing.assert_array_equal(a, b)
-        assert np.linalg.norm(a) == pytest.approx(1.0, rel=1e-12)
+    def test_newton_path(self, monkeypatch):
+        data = generate_synthetic(default_spec(400, "normal", seed=3))
+        problem = Problem.from_quantile(0.5)
+        bw = default_bandwidth(0.5, data.n, data.p)
+        calls = []
+        hessian = model.smoothed_hessian
+
+        def counting_hessian(*args, **kwargs):
+            calls.append(1)
+            return hessian(*args, **kwargs)
+
+        monkeypatch.setattr(model, "smoothed_hessian", counting_hessian)
+        tol = 1e-8
+        beta = smoothed_erm(data, problem, "gaussian", bw, tol=tol)
+        assert 1 <= len(calls) <= 10
+        assert np.linalg.norm(smoothed_gradient(problem, data, beta, "gaussian", bw)) <= tol
+
+    def test_gradient_fallback_on_flat_hessian(self):
+        # at the least-squares start 0 both residuals lie outside the
+        # uniform kernel's support, so the Hessian is exactly zero
+        data = Dataset(demands=[-1.0, 1.0], features=[[1.0], [1.0]])
+        problem = Problem.from_quantile(0.9)
+        assert not model.smoothed_hessian(problem, data, np.zeros(1), "uniform", 0.1).any()
+        tol = 1e-8
+        beta = smoothed_erm(data, problem, "uniform", 0.1, tol=tol)
+        assert np.linalg.norm(smoothed_gradient(problem, data, beta, "uniform", 0.1)) <= tol
+        assert beta[0] == pytest.approx(1.06, abs=1e-6)
+
+    def test_gradient_fallback_on_small_scale_features(self):
+        # a bandwidth far below the residual spread leaves the Hessian
+        # singular at most iterates; gradient steps taken in raw coordinates
+        # stall on columns of scale 0.1, whitened ones do not
+        rng = np.random.default_rng(8)
+        x = np.column_stack([np.ones(8), 0.1 * rng.normal(size=(8, 2))])
+        d = x @ rng.normal(size=3) + rng.normal(size=8)
+        data = Dataset(demands=d, features=x)
+        problem = Problem.from_quantile(0.05)
+        tol = 1e-8
+        beta = smoothed_erm(data, problem, "uniform", 0.005, tol=tol)
+        assert np.linalg.norm(smoothed_gradient(problem, data, beta, "uniform", 0.005)) <= tol

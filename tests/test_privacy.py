@@ -9,7 +9,6 @@ import pytest
 from dpnewsvendor.errors import AlphaOutOfRange, NegativeBudget, NonPositiveMu
 from dpnewsvendor.privacy import (
     EpsDelta,
-    GdpBudget,
     PrivacyCertificate,
     calibrate_sigma,
     compose_gdp,
@@ -185,11 +184,6 @@ class TestEpsDeltaTradeoff:
 
 
 class TestTypes:
-    def test_budget_validation(self):
-        assert GdpBudget(0.0).mu == 0.0
-        with pytest.raises(NegativeBudget):
-            GdpBudget(-1.0)
-
     def test_eps_delta_validation(self):
         with pytest.raises(ValueError):
             EpsDelta(-0.1, 0.0)
