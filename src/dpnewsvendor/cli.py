@@ -47,16 +47,6 @@ class PrivacyUnattainable(RuntimeError):
 # experiment config files
 # ---------------------------------------------------------------------------
 
-_CONFIG_SCHEMA = {
-    "problem": ("tau", "b", "h"),
-    "data": ("dist", "n"),
-    "hyper": ("T", "B", "kernel", "bandwidth", "eta0", "max_step", "mode"),
-    "privacy": ("mu", "round_up"),
-    "replication": ("reps", "base_seed", "eval_n", "jobs"),
-    "output": ("rows", "aggregates"),
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Parsed benchmark configuration.
@@ -89,10 +79,10 @@ class ExperimentConfig:
     aggregates_path: str = "aggregates.csv"
 
     def __post_init__(self):
-        if (self.taus is None) == (self.b is None):
-            raise ValueError("config must set either problem.tau or problem.b/problem.h")
         if (self.b is None) != (self.h is None):
             raise ValueError("problem.b and problem.h must be given together")
+        if (self.taus is None) == (self.b is None):
+            raise ValueError("config must set either problem.tau or problem.b/problem.h")
         for d in self.dists:
             if d not in DIST_NAMES:
                 raise ValueError(f"unknown dist {d!r}; valid: {', '.join(DIST_NAMES)}")
@@ -110,15 +100,65 @@ class ExperimentConfig:
         return (Problem(b=self.b, h=self.h),)
 
 
-def _parse_float_or_auto(raw: str) -> float | None:
+def _float_or_auto(raw: str) -> float | None:
     raw = raw.strip()
     if raw == "auto":
         return None
     return float(raw)
 
 
-def _parse_list(raw: str) -> list[str]:
-    return [item.strip() for item in raw.split(",") if item.strip()]
+def _auto(value: float | None) -> str:
+    return "auto" if value is None else repr(value)
+
+
+def _parse_bool(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {raw!r}") from None
+
+
+def _list_of(cast):
+    return lambda raw: tuple(cast(item.strip()) for item in raw.split(",") if item.strip())
+
+
+def _joined(fmt):
+    return lambda values: ", ".join(fmt(v) for v in values)
+
+
+def _mu(item: str) -> float | None:
+    return None if item == "nonprivate" else float(item)
+
+
+def _mu_text(mu: float | None) -> str:
+    return "nonprivate" if mu is None else repr(mu)
+
+
+# (section, key, ExperimentConfig field, parse, format), in file order.
+# serialize_config leaves out a field that is None unless its format is
+# ``_auto``.
+_CONFIG_KEYS = (
+    ("problem", "tau", "taus", _list_of(float), _joined(repr)),
+    ("problem", "b", "b", float, repr),
+    ("problem", "h", "h", float, repr),
+    ("data", "dist", "dists", _list_of(str), _joined(str)),
+    ("data", "n", "ns", _list_of(int), _joined(str)),
+    ("hyper", "T", "n_steps", int, str),
+    ("hyper", "B", "clip_radius", float, repr),
+    ("hyper", "kernel", "kernel", str.strip, str),
+    ("hyper", "bandwidth", "bandwidth", _float_or_auto, _auto),
+    ("hyper", "eta0", "eta0", _float_or_auto, _auto),
+    ("hyper", "max_step", "max_step", float, repr),
+    ("hyper", "mode", "mode", str.strip, str),
+    ("privacy", "mu", "mu_grid", _list_of(_mu), _joined(_mu_text)),
+    ("privacy", "round_up", "round_up", _parse_bool, lambda v: str(v).lower()),
+    ("replication", "reps", "reps", int, str),
+    ("replication", "base_seed", "base_seed", int, str),
+    ("replication", "eval_n", "eval_n", int, str),
+    ("replication", "jobs", "jobs", int, str),
+    ("output", "rows", "rows_path", str.strip, str),
+    ("output", "aggregates", "aggregates_path", str.strip, str),
+)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -130,110 +170,34 @@ def parse_config(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ValueError(f"malformed config: {exc}") from exc
 
-    for section in parser.sections():
-        if section not in _CONFIG_SCHEMA:
-            raise ValueError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in _CONFIG_SCHEMA[section]:
-                raise ValueError(f"unknown config key {key!r} in section [{section}]")
-
+    sections = {section for section, *_ in _CONFIG_KEYS}
+    keys = {(section, key): (field, parse) for section, key, field, parse, _ in _CONFIG_KEYS}
     kwargs: dict = {}
-    if parser.has_section("problem"):
-        sec = parser["problem"]
-        if "tau" in sec and ("b" in sec or "h" in sec):
+    for section in parser.sections():
+        if section not in sections:
+            raise ValueError(f"unknown config section [{section}]")
+        for key, raw in parser[section].items():
+            if (section, key) not in keys:
+                raise ValueError(f"unknown config key {key!r} in section [{section}]")
+            field, parse = keys[section, key]
+            kwargs[field] = parse(raw)
+    if "b" in kwargs or "h" in kwargs:
+        if "taus" in kwargs:
             raise ValueError("config must set either problem.tau or problem.b/h, not both")
-        if "tau" in sec:
-            kwargs["taus"] = tuple(float(v) for v in _parse_list(sec["tau"]))
-        if "b" in sec or "h" in sec:
-            kwargs["taus"] = None
-            kwargs["b"] = float(sec["b"])
-            kwargs["h"] = float(sec["h"])
-    if parser.has_section("data"):
-        sec = parser["data"]
-        if "dist" in sec:
-            kwargs["dists"] = tuple(_parse_list(sec["dist"]))
-        if "n" in sec:
-            kwargs["ns"] = tuple(int(v) for v in _parse_list(sec["n"]))
-    if parser.has_section("hyper"):
-        sec = parser["hyper"]
-        if "T" in sec:
-            kwargs["n_steps"] = int(sec["T"])
-        if "B" in sec:
-            kwargs["clip_radius"] = float(sec["B"])
-        if "kernel" in sec:
-            kwargs["kernel"] = sec["kernel"].strip()
-        if "bandwidth" in sec:
-            kwargs["bandwidth"] = _parse_float_or_auto(sec["bandwidth"])
-        if "eta0" in sec:
-            kwargs["eta0"] = _parse_float_or_auto(sec["eta0"])
-        if "max_step" in sec:
-            kwargs["max_step"] = float(sec["max_step"])
-        if "mode" in sec:
-            kwargs["mode"] = sec["mode"].strip()
-    if parser.has_section("privacy"):
-        sec = parser["privacy"]
-        if "mu" in sec:
-            grid: list[float | None] = []
-            for item in _parse_list(sec["mu"]):
-                grid.append(None if item == "nonprivate" else float(item))
-            kwargs["mu_grid"] = tuple(grid)
-        if "round_up" in sec:
-            kwargs["round_up"] = sec.getboolean("round_up")
-    if parser.has_section("replication"):
-        sec = parser["replication"]
-        for key, name, caster in (
-            ("reps", "reps", int),
-            ("base_seed", "base_seed", int),
-            ("eval_n", "eval_n", int),
-            ("jobs", "jobs", int),
-        ):
-            if key in sec:
-                kwargs[name] = caster(sec[key])
-    if parser.has_section("output"):
-        sec = parser["output"]
-        if "rows" in sec:
-            kwargs["rows_path"] = sec["rows"].strip()
-        if "aggregates" in sec:
-            kwargs["aggregates_path"] = sec["aggregates"].strip()
+        kwargs["taus"] = None
     return ExperimentConfig(**kwargs)
 
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Inverse of parse_config: parse(serialize(c)) == c."""
+    sections: dict[str, dict[str, str]] = {}
+    for section, key, field, _, fmt in _CONFIG_KEYS:
+        value = getattr(config, field)
+        if value is not None or fmt is _auto:
+            sections.setdefault(section, {})[key] = fmt(value)
     parser = configparser.ConfigParser()
     parser.optionxform = str
-    parser["problem"] = (
-        {"tau": ", ".join(repr(t) for t in config.taus)}
-        if config.taus is not None
-        else {"b": repr(config.b), "h": repr(config.h)}
-    )
-    parser["data"] = {
-        "dist": ", ".join(config.dists),
-        "n": ", ".join(str(n) for n in config.ns),
-    }
-    parser["hyper"] = {
-        "T": str(config.n_steps),
-        "B": repr(config.clip_radius),
-        "kernel": config.kernel,
-        "bandwidth": "auto" if config.bandwidth is None else repr(config.bandwidth),
-        "eta0": "auto" if config.eta0 is None else repr(config.eta0),
-        "max_step": repr(config.max_step),
-        "mode": config.mode,
-    }
-    parser["privacy"] = {
-        "mu": ", ".join("nonprivate" if m is None else repr(m) for m in config.mu_grid),
-        "round_up": str(config.round_up).lower(),
-    }
-    parser["replication"] = {
-        "reps": str(config.reps),
-        "base_seed": str(config.base_seed),
-        "eval_n": str(config.eval_n),
-        "jobs": str(config.jobs),
-    }
-    parser["output"] = {
-        "rows": config.rows_path,
-        "aggregates": config.aggregates_path,
-    }
+    parser.read_dict(sections)
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()
@@ -260,7 +224,9 @@ def cmd_simulate(args) -> int:
 
 
 def _problem_from_args(args) -> Problem:
-    if getattr(args, "tau", None) is not None:
+    if args.tau is not None:
+        if args.b is not None or args.h is not None:
+            raise ValueError("give either --tau or --b/--h, not both")
         return Problem.from_quantile(args.tau)
     if args.b is None or args.h is None:
         raise ValueError("either --tau or both --b and --h are required")
@@ -447,12 +413,6 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
-
-
-def _float_or_auto(raw: str):
-    if raw == "auto":
-        return None
-    return float(raw)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -30,6 +30,7 @@ __all__ = [
     "check_loss",
     "empirical_cost",
     "smoothed_empirical_cost",
+    "gradient_weights",
     "smoothed_gradient",
     "smoothed_hessian",
 ]
@@ -188,6 +189,22 @@ def smoothed_empirical_cost(
     return problem.total_cost * float(np.mean(loss))
 
 
+def gradient_weights(
+    problem: Problem,
+    data: Dataset,
+    policy,
+    kernel: KernelDescriptor | str,
+    bandwidth: float,
+) -> np.ndarray:
+    """One weight per observation, ``Kbar((x_i @ beta - d_i) / bw) - tau``.
+
+    The smoothed gradient is ``X' w / n``; the private fit sums the same
+    weights against the clipped rows instead.
+    """
+    r = _residuals(data, policy)
+    return kernels.scaled_cdf(kernel, -r, bandwidth) - problem.tau
+
+
 def smoothed_gradient(
     problem: Problem,
     data: Dataset,
@@ -198,10 +215,9 @@ def smoothed_gradient(
     """Gradient of the smoothed cost scaled by 1 / (b + h).
 
     Returns ``(1/n) * sum_i (Kbar((x_i @ beta - d_i) / bw) - tau) * x_i``,
-    the unclipped, noise-free gradient used by the optimizer.
+    the unclipped, noise-free gradient.
     """
-    r = _residuals(data, policy)
-    w = kernels.scaled_cdf(kernel, -r, bandwidth) - problem.tau
+    w = gradient_weights(problem, data, policy, kernel, bandwidth)
     return data.features.T @ w / data.n
 
 

@@ -22,6 +22,12 @@ must match the certificate exactly should fix ``step_size`` by hand.
 The same caveat applies to the returned gradient-norm diagnostics,
 which are not noised and must not be released.
 
+The clip does not depend on beta, so a fit clips (and in
+``known_sigma_matrix`` mode whitens) the covariates once, before the
+first step.  Each step then evaluates the kernel once, giving one weight
+per observation; that single weight vector serves the gradient norm,
+the line-search direction and the noisy update.
+
 One Armijo search, ``backtracking_step_size``, serves both this
 line-search fit and the non-private baseline ``smoothed_erm``, a damped
 Newton method on the smoothed objective.
@@ -32,11 +38,11 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels, model
+from . import model
 from .data import Whitener
 from .errors import (
     DimensionMismatch,
@@ -245,30 +251,27 @@ def backtracking_step_size(
     return eta
 
 
-def _gradient_coefficients(
-    data: Dataset, problem: Problem, kernel, bandwidth: float, beta: np.ndarray
-) -> np.ndarray:
-    # Kbar((x_i @ beta - d_i) / bw) - tau, one weight per observation
-    fitted = data.features @ beta
-    return kernels.scaled_cdf(kernel, fitted - data.demands, bandwidth) - problem.tau
+def _clipped_design(
+    data: Dataset, hp: HyperParams, whitener: Whitener | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The clipped rows of the update and the map back to coefficients.
+
+    ``known_sigma_matrix`` clips the whitened rows ``S^{-1/2} x_i`` and
+    maps sums back with ``S^{-1/2}``; ``raw_covariates`` clips the raw
+    ``x_i`` and needs no map (None).  The clip does not depend on beta.
+    """
+    if hp.mode == "raw_covariates":
+        return clip(data.features, hp.clip_radius), None
+    if whitener is None:
+        raise MissingWhitener("known_sigma_matrix mode requires a whitener")
+    return clip(data.features @ whitener.inv_sqrt, hp.clip_radius), whitener.inv_sqrt
 
 
-def _noise_free_direction(
-    beta: np.ndarray,
-    data: Dataset,
-    problem: Problem,
-    hp: HyperParams,
-    whitener: Whitener | None,
-) -> np.ndarray:
-    """The clipped update direction of noisy_step with the noise removed."""
-    coefs = _gradient_coefficients(data, problem, hp.kernel, hp.bandwidth, beta)
-    if hp.mode == "known_sigma_matrix":
-        if whitener is None:
-            raise MissingWhitener("known_sigma_matrix mode requires a whitener")
-        w_clipped = clip(data.features @ whitener.inv_sqrt, hp.clip_radius)
-        return whitener.inv_sqrt @ (w_clipped.T @ coefs) / data.n
-    x_clipped = clip(data.features, hp.clip_radius)
-    return x_clipped.T @ coefs / data.n
+def _clipped_sum(design, weights: np.ndarray, noise) -> np.ndarray:
+    """``back @ (sum_i weights_i * clipped_i + noise)``; no ``back`` when None."""
+    clipped, back = design
+    summed = clipped.T @ weights + noise
+    return summed if back is None else back @ summed
 
 
 def noisy_step(
@@ -299,17 +302,9 @@ def noisy_step(
     if g.shape != (data.p,):
         raise DimensionMismatch(f"noise vector must have shape ({data.p},)")
 
-    coefs = _gradient_coefficients(data, problem, hp.kernel, hp.bandwidth, beta)
-    if hp.mode == "known_sigma_matrix":
-        if whitener is None:
-            raise MissingWhitener("known_sigma_matrix mode requires a whitener")
-        w = data.features @ whitener.inv_sqrt
-        w_clipped = clip(w, hp.clip_radius)
-        summed = w_clipped.T @ coefs + hp.sigma * g
-        return beta - (hp.step_size / data.n) * (whitener.inv_sqrt @ summed)
-    x_clipped = clip(data.features, hp.clip_radius)
-    summed = x_clipped.T @ coefs + hp.sigma * g
-    return beta - (hp.step_size / data.n) * summed
+    design = _clipped_design(data, hp, whitener)
+    w = model.gradient_weights(problem, data, beta, hp.kernel, hp.bandwidth)
+    return beta - (hp.step_size / data.n) * _clipped_sum(design, w, hp.sigma * g)
 
 
 def fit(
@@ -326,7 +321,8 @@ def fit(
     Deterministic given ``hp.seed`` (unless a secure noise source is
     supplied).  A privacy certificate is attached when ``hp.mu`` is set
     and ``hp.sigma`` meets the calibration bound; otherwise the result
-    carries ``certificate_unavailable=True``.
+    carries ``certificate_unavailable=True``.  ``known_sigma_matrix``
+    mode without a whitener raises ``MissingWhitener`` before any step.
     """
     _warn_if_flat_kernel(hp.kernel)
     if beta0 is None:
@@ -337,16 +333,19 @@ def fit(
             raise DimensionMismatch(
                 f"beta0 has shape {beta.shape}, expected ({data.p},)"
             )
+    design = _clipped_design(data, hp, whitener)
     if noise is None:
         noise = NoiseSource(hp.seed)
 
     trajectory = [beta.copy()] if keep_trajectory else None
     grad_norms = np.empty(hp.n_steps)
     for t in range(hp.n_steps):
-        grad = model.smoothed_gradient(problem, data, beta, hp.kernel, hp.bandwidth)
+        w = model.gradient_weights(problem, data, beta, hp.kernel, hp.bandwidth)
+        grad = data.features.T @ w / data.n
         grad_norms[t] = np.linalg.norm(grad)
-        if hp.step_size is None:
-            direction = _noise_free_direction(beta, data, problem, hp, whitener)
+        eta = hp.step_size
+        if eta is None:
+            direction = _clipped_sum(design, w, 0.0) / data.n
             eta = backtracking_step_size(
                 data,
                 problem,
@@ -357,11 +356,8 @@ def fit(
                 float(grad @ direction),
                 hp.max_step_size,
             )
-            step_hp = replace(hp, step_size=eta)
-        else:
-            step_hp = hp
         g = noise.standard_normal(data.p)
-        beta = noisy_step(beta, data, problem, step_hp, g, whitener)
+        beta = beta - (eta / data.n) * _clipped_sum(design, w, hp.sigma * g)
         if keep_trajectory:
             trajectory.append(beta.copy())
 

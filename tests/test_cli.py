@@ -81,6 +81,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="not both"):
             parse_config("[problem]\ntau = 0.5\nb = 50\nh = 30\n")
 
+    @pytest.mark.parametrize("costs", ["b = 50\n", "h = 30\n"], ids=["b", "h"])
+    def test_cost_without_partner_rejected(self, costs):
+        with pytest.raises(ValueError, match="must be given together"):
+            parse_config("[problem]\n" + costs)
+
 
 class TestSimulate:
     def test_writes_csv(self, tmp_path, capsys):
@@ -186,6 +191,21 @@ class TestFit:
         assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("command", ["fit", "evaluate", "privacy"])
+def test_tau_and_cost_flags_conflict_exits_2(command, synth_csv, tmp_path, capsys):
+    fit_path = tmp_path / "fit.json"
+    fit_path.write_text(json.dumps({"beta": [0.0] * 5}))
+    argv = {
+        "fit": ["fit", "--input", str(synth_csv), "--mu", "0.5",
+                "--out", str(tmp_path / "out.json")],
+        "evaluate": ["evaluate", "--fit", str(fit_path), "--test", str(synth_csv)],
+        "privacy": ["privacy", "--mu", "0.5"],
+    }[command]
+    code = main(argv + ["--tau", "0.5", "--b", "50", "--h", "30"])
+    assert code == EXIT_USAGE
+    assert "not both" in capsys.readouterr().err
+
+
 class TestEvaluate:
     def test_oos_cost(self, synth_csv, tmp_path, capsys):
         fit_path = tmp_path / "fit.json"
@@ -251,6 +271,12 @@ class TestBench:
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[problem]\ntau = 0.5\n[plotting]\nx = 1\n")
         assert main(["bench", "--config", str(cfg)]) == EXIT_USAGE
+
+    def test_cost_without_partner_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text("[problem]\nb = 50\n")
+        assert main(["bench", "--config", str(cfg)]) == EXIT_USAGE
+        assert "must be given together" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = tmp_path / "bench.ini"

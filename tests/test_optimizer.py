@@ -1,10 +1,12 @@
 """Clipping, noisy updates, the private fit, and the ERM baseline."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from dpnewsvendor import kernels, optimizer
 from dpnewsvendor.data import default_spec, generate_synthetic, whitener_from
 from dpnewsvendor.errors import (
     DimensionMismatch,
@@ -259,6 +261,40 @@ class TestBacktracking:
             _search_along_gradient(data, problem, "gaussian", 0.2, np.zeros(data.p), c=0.0)
 
 
+def _reference_fit(data, problem, hp, whitener):
+    """The fit loop written out with the public per-step functions.
+
+    Each step takes the full smoothed gradient, searches along the
+    noise-free clipped direction when the step size is not fixed, and
+    applies ``noisy_step``, clipping and weighting the rows afresh.
+    """
+    beta = np.zeros(data.p)
+    noise = NoiseSource(hp.seed)
+    trajectory, norms = [beta], []
+    for _ in range(hp.n_steps):
+        grad = smoothed_gradient(problem, data, beta, hp.kernel, hp.bandwidth)
+        norms.append(np.linalg.norm(grad))
+        step_hp = hp
+        if hp.step_size is None:
+            weights = kernels.scaled_cdf(
+                hp.kernel, data.features @ beta - data.demands, hp.bandwidth
+            ) - problem.tau
+            if whitener is None:
+                direction = clip(data.features, hp.clip_radius).T @ weights / data.n
+            else:
+                rows = clip(data.features @ whitener.inv_sqrt, hp.clip_radius)
+                direction = whitener.inv_sqrt @ (rows.T @ weights) / data.n
+            eta = backtracking_step_size(
+                data, problem, hp.kernel, hp.bandwidth, beta, direction,
+                float(grad @ direction), hp.max_step_size,
+            )
+            step_hp = replace(hp, step_size=eta)
+        g = noise.standard_normal(data.p)
+        beta = noisy_step(beta, data, problem, step_hp, g, whitener)
+        trajectory.append(beta)
+    return np.array(trajectory), np.array(norms)
+
+
 class TestFit:
     def test_zero_steps_returns_start(self, instance):
         data, problem, whitener = instance
@@ -266,6 +302,51 @@ class TestFit:
         beta0 = np.arange(data.p, dtype=float)
         res = fit(data, problem, hp, beta0=beta0, whitener=whitener)
         np.testing.assert_array_equal(res.beta_final, beta0)
+
+    def test_missing_whitener_raises_before_any_step(self, instance):
+        data, problem, _ = instance
+        for n_steps in (0, 3):
+            hp = HyperParams(bandwidth=0.2, n_steps=n_steps, mode="known_sigma_matrix")
+            with pytest.raises(MissingWhitener):
+                fit(data, problem, hp)
+
+    @pytest.mark.parametrize("step_size", [None, 0.5], ids=["linesearch", "fixed"])
+    @pytest.mark.parametrize("mode", ["known_sigma_matrix", "raw_covariates"])
+    def test_matches_reference_loop_bitwise(self, instance, mode, step_size):
+        data, problem, whitener = instance
+        whitener = whitener if mode == "known_sigma_matrix" else None
+        hp = HyperParams(
+            bandwidth=0.15, n_steps=6, clip_radius=2.0, step_size=step_size,
+            sigma=3.0, seed=4, mode=mode,
+        )
+        res = fit(data, problem, hp, whitener=whitener, keep_trajectory=True)
+        trajectory, norms = _reference_fit(data, problem, hp, whitener)
+        assert res.trajectory.tobytes() == trajectory.tobytes()
+        assert res.gradient_norms.tobytes() == norms.tobytes()
+
+    @pytest.mark.parametrize("mode", ["known_sigma_matrix", "raw_covariates"])
+    def test_fixed_step_fit_clips_once_and_weighs_once_per_step(
+        self, instance, monkeypatch, mode
+    ):
+        data, problem, whitener = instance
+        calls = {"clip": 0, "scaled_cdf": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(optimizer, "clip", counted("clip", optimizer.clip))
+        monkeypatch.setattr(
+            kernels, "scaled_cdf", counted("scaled_cdf", kernels.scaled_cdf)
+        )
+        hp = HyperParams(
+            bandwidth=0.15, n_steps=7, clip_radius=2.0, step_size=0.5, sigma=1.0,
+            mode=mode,
+        )
+        fit(data, problem, hp, whitener=whitener if mode == "known_sigma_matrix" else None)
+        assert calls == {"clip": 1, "scaled_cdf": 7}
 
     def test_deterministic_given_seed(self, instance):
         data, problem, whitener = instance

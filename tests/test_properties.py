@@ -1,12 +1,14 @@
-"""Property tests: clipping invariants and ERM convergence on random data."""
+"""Property tests: clipping, one-step sensitivity and ERM convergence."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dpnewsvendor.data import whitener_from
+from dpnewsvendor.evaluation import estimation_error
 from dpnewsvendor.model import Dataset, Problem, smoothed_gradient
-from dpnewsvendor.optimizer import clip, smoothed_erm
+from dpnewsvendor.optimizer import HyperParams, clip, noisy_step, smoothed_erm
 
 vectors = arrays(
     np.float64,
@@ -54,3 +56,43 @@ def test_smoothed_erm_reaches_tolerance(n, p, kernel, tau, bandwidth, seed):
     tol = 1e-8
     beta = smoothed_erm(data, problem, kernel, bandwidth, tol=tol)
     assert np.linalg.norm(smoothed_gradient(problem, data, beta, kernel, bandwidth)) <= tol
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    n=st.integers(2, 60),
+    p=st.integers(1, 5),
+    tau=st.floats(0.02, 0.98),
+    radius=st.floats(1.0, 20.0),
+    eta=st.floats(0.01, 5.0),
+    mode=st.sampled_from(["known_sigma_matrix", "raw_covariates"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_step_sensitivity_on_neighbouring_datasets(n, p, tau, radius, eta, mode, seed):
+    rng = np.random.default_rng(seed)
+    features = np.column_stack([np.ones(n), rng.normal(scale=3.0, size=(n, p - 1))])
+    demands = features @ rng.normal(size=p) + rng.standard_t(3, size=n)
+    data = Dataset(demands=demands, features=features)
+    i = rng.integers(n)
+    demands[i] = rng.normal(scale=10.0)
+    features[i, 1:] = rng.normal(scale=10.0, size=p - 1)
+    neighbour = Dataset(demands=demands, features=features)
+    if mode == "known_sigma_matrix":
+        a = rng.normal(size=(p, p))
+        whitener = whitener_from(np.eye(p) + a @ a.T / p)
+    else:
+        whitener = None
+    hp = HyperParams(
+        bandwidth=0.3, n_steps=1, clip_radius=radius, step_size=eta, sigma=5.0,
+        mode=mode,
+    )
+    problem = Problem.from_quantile(tau)
+    beta = rng.normal(size=p)
+    g = rng.standard_normal(p)
+    out_a = noisy_step(beta, data, problem, hp, g, whitener)
+    out_b = noisy_step(beta, neighbour, problem, hp, g, whitener)
+    # estimation_error is the Euclidean norm without a whitener, the
+    # Sigma-norm with one
+    dist = estimation_error(out_a, out_b, whitener)
+    bound = 2 * max(tau, 1 - tau) * radius * eta / n
+    assert dist <= bound * (1 + 1e-9) + 1e-12 * (1 + np.linalg.norm(out_a))
