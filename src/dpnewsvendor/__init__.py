@@ -11,7 +11,6 @@ from .data import (
     ErrorDist,
     SyntheticSpec,
     Whitener,
-    demean_features,
     error_quantile,
     generate_synthetic,
     load_csv,
@@ -27,10 +26,9 @@ from .evaluation import (
     regret,
     run_replications,
 )
-from .kernels import KernelConstants, KernelDescriptor, constants, smoothed_check_loss
+from .kernels import KernelConstants, constants, smoothed_check_loss
 from .model import (
     Dataset,
-    LinearPolicy,
     Problem,
     check_loss,
     empirical_cost,
@@ -70,8 +68,6 @@ __all__ = [
     "FitResult",
     "HyperParams",
     "KernelConstants",
-    "KernelDescriptor",
-    "LinearPolicy",
     "NoiseSource",
     "PrivacyCertificate",
     "Problem",
@@ -86,7 +82,6 @@ __all__ = [
     "compose_gdp",
     "constants",
     "default_bandwidth",
-    "demean_features",
     "empirical_cost",
     "eps_delta_tradeoff",
     "error_quantile",

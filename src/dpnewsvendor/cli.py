@@ -26,7 +26,7 @@ import numpy as np
 from . import data as datamod
 from . import evaluation, optimizer
 from .errors import NonPositiveMu
-from .kernels import KERNEL_NAMES
+from .kernels import KERNEL_NAMES, check_kernel
 from .model import Problem
 from .optimizer import MODES, HyperParams
 from .privacy import PrivacyCertificate, calibrate_sigma, gdp_to_eps_delta
@@ -86,8 +86,7 @@ class ExperimentConfig:
         for d in self.dists:
             if d not in DIST_NAMES:
                 raise ValueError(f"unknown dist {d!r}; valid: {', '.join(DIST_NAMES)}")
-        if self.kernel not in KERNEL_NAMES:
-            raise ValueError(f"unknown kernel {self.kernel!r}")
+        check_kernel(self.kernel)
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; valid: {', '.join(MODES)}")
         for mu in self.mu_grid:
@@ -236,7 +235,6 @@ def _problem_from_args(args) -> Problem:
 def cmd_fit(args) -> int:
     dataset = datamod.load_csv(args.input, args.demand_column)
     problem = _problem_from_args(args)
-    tau_bar = max(problem.tau, 1.0 - problem.tau)
     bandwidth = (
         optimizer.default_bandwidth(problem.tau, dataset.n, dataset.p)
         if args.bandwidth is None
@@ -272,7 +270,7 @@ def cmd_fit(args) -> int:
         sigma = (
             args.sigma
             if args.sigma is not None
-            else calibrate_sigma(args.mu, args.B, args.T, tau_bar, round_up=True)
+            else calibrate_sigma(args.mu, args.B, args.T, problem.tau_bar, round_up=True)
         )
         hp = HyperParams(
             bandwidth=bandwidth,
@@ -291,7 +289,7 @@ def cmd_fit(args) -> int:
         if result.certificate is None:
             raise PrivacyUnattainable(
                 f"sigma={sigma} is below the calibration bound "
-                f"{calibrate_sigma(args.mu, args.B, args.T, tau_bar)} for mu={args.mu}"
+                f"{calibrate_sigma(args.mu, args.B, args.T, problem.tau_bar)} for mu={args.mu}"
             )
         cert = result.certificate
         payload = {
@@ -338,10 +336,11 @@ def cmd_evaluate(args) -> int:
 
 def cmd_privacy(args) -> int:
     if args.tau_bar is not None:
+        if any(v is not None for v in (args.tau, args.b, args.h)):
+            raise ValueError("give either --tau-bar or --tau/--b/--h, not both")
         tau_bar = args.tau_bar
     else:
-        problem = _problem_from_args(args)
-        tau_bar = max(problem.tau, 1.0 - problem.tau)
+        tau_bar = _problem_from_args(args).tau_bar
     required = calibrate_sigma(args.mu, args.B, args.T, tau_bar, round_up=args.round_up)
     sigma = args.sigma if args.sigma is not None else required
     try:

@@ -349,16 +349,3 @@ def train_test_split(data: Dataset, n_train: int, seed) -> tuple[Dataset, Datase
         Dataset(demands=data.demands[te], features=data.features[te]),
     )
 
-
-def demean_features(data: Dataset) -> tuple[Dataset, np.ndarray]:
-    """Center the non-intercept columns; returns the removed means.
-
-    The returned vector has length p with a zero in the intercept slot,
-    so adding it back to the features recovers the original matrix.
-    """
-    means = data.features.mean(axis=0)
-    means[0] = 0.0
-    return (
-        Dataset(demands=data.demands, features=data.features - means),
-        means,
-    )

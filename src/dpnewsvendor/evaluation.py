@@ -34,7 +34,7 @@ from .data import (
     whitener_from,
 )
 from .errors import DimensionMismatch
-from .model import Dataset, LinearPolicy, Problem, coefficients
+from .model import Dataset, Problem, coefficients
 from .optimizer import HyperParams, default_bandwidth
 from .privacy import calibrate_sigma
 
@@ -82,14 +82,14 @@ _GROUP_POLICIES = 16
 def out_of_sample_cost(problem: Problem, policy, test_data: Dataset):
     """Average newsvendor cost of one or several policies on held-out data.
 
-    ``policy`` is a LinearPolicy or coefficient vector, which gives a
-    float, or a ``(p, K)`` matrix with one policy per column, which gives
-    the K costs as an array from a single pass over the data.  The pass
+    ``policy`` is a coefficient vector, which gives a float, or a
+    ``(p, K)`` matrix with one policy per column, which gives the K costs
+    as an array from a single pass over the data.  The pass
     takes rows in blocks of ``_BLOCK_ROWS`` and policies in zero-padded
     groups of ``_GROUP_POLICIES`` and sums the cost
     ``b * (d - q) + (b + h) * (q - d)^+`` block by block.
     """
-    single = isinstance(policy, LinearPolicy) or np.ndim(policy) == 1
+    single = np.ndim(policy) == 1
     betas = coefficients(policy)[:, None] if single else np.asarray(policy, dtype=float)
     if betas.ndim != 2:
         raise ValueError("policies must form a coefficient vector or a (p, K) matrix")
@@ -226,7 +226,6 @@ def _one_replication(
     """Fit every estimator of the privacy grid on one replication's data."""
     problem = config.problem
     bandwidth = config.resolved_bandwidth()
-    tau_bar = max(problem.tau, 1.0 - problem.tau)
     spec = _synthetic_spec(config, config.n, derive_seed(config.base_seed, rep_id, 0))
     train = generate_synthetic(spec)
 
@@ -245,7 +244,7 @@ def _one_replication(
                     mu,
                     config.clip_radius,
                     config.n_steps,
-                    tau_bar,
+                    problem.tau_bar,
                     round_up=config.round_up_sigma,
                 ),
                 seed=derive_seed(config.base_seed, rep_id, 1 + j),
@@ -265,16 +264,11 @@ def aggregate_rows(rows) -> tuple[AggregateCell, ...]:
     Standard deviations use ddof=1 (0.0 for singleton groups).
     """
     groups: dict[tuple, list[ReplicationRow]] = {}
-    order: list[tuple] = []
     for row in rows:
         key = (row.n, row.mu_label, row.tau, row.dist_label)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
+        groups.setdefault(key, []).append(row)
     cells = []
-    for key in order:
-        members = groups[key]
+    for key, members in groups.items():
         for metric in METRICS:
             vals = np.array([getattr(r, metric) for r in members])
             std = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
@@ -365,24 +359,15 @@ def write_aggregates_csv(report: ReplicationReport, path) -> None:
     Rows come in (mean, std) pairs per (dist, tau, n, metric) group,
     mirroring the usual results-table layout.
     """
-    labels: list[str] = []
-    for cell in report.aggregates:
-        if cell.mu_label not in labels:
-            labels.append(cell.mu_label)
-    keyed = {}
-    order = []
+    labels = dict.fromkeys(cell.mu_label for cell in report.aggregates)
+    keyed: dict[tuple, dict[str, AggregateCell]] = {}
     for cell in report.aggregates:
         key = (cell.dist_label, cell.tau, cell.n, cell.metric)
-        if key not in keyed:
-            keyed[key] = {}
-            order.append(key)
-        keyed[key][cell.mu_label] = cell
+        keyed.setdefault(key, {})[cell.mu_label] = cell
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["dist", "tau", "n", "metric", "stat", *labels])
-        for key in order:
-            dist, tau, n, metric = key
-            cells = keyed[key]
+        for (dist, tau, n, metric), cells in keyed.items():
             for stat in ("mean", "std"):
                 writer.writerow(
                     [dist, repr(tau), n, metric, stat]

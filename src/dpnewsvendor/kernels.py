@@ -1,12 +1,12 @@
 """Smoothing kernels and the convolution-smoothed check loss.
 
 Five classical kernels are supported: ``gaussian``, ``laplacian``,
-``logistic``, ``uniform`` and ``epanechnikov``.  Each comes with its
-density, CDF, bandwidth-scaled variants, moment constants, and the
-smoothed check loss obtained by convolving the check (pinball) loss at
-level ``tau`` with the scaled kernel.  All smoothed losses below are
-exact closed forms; the test suite anchors them against a brute-force
-numerical convolution.
+``logistic``, ``uniform`` and ``epanechnikov``; a kernel is passed
+around by that name.  Each comes with its bandwidth-scaled density and
+CDF, moment constants, and the smoothed check loss obtained by
+convolving the check (pinball) loss at level ``tau`` with the scaled
+kernel.  All smoothed losses below are exact closed forms; the test
+suite anchors them against a brute-force numerical convolution.
 
 The smoothed loss is a convex upper approximation of the check loss:
 for every symmetric non-negative kernel the gap is between 0 and
@@ -29,19 +29,6 @@ _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
-class KernelDescriptor:
-    """A symmetric density selected by lowercase name."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in KERNEL_NAMES:
-            raise ValueError(
-                f"unknown kernel {self.kind!r}; valid kernels: {', '.join(KERNEL_NAMES)}"
-            )
-
-
-@dataclass(frozen=True)
 class KernelConstants:
     """Moment constants of a kernel.
 
@@ -56,11 +43,13 @@ class KernelConstants:
     kappa_l: float
 
 
-def as_kernel(kernel: KernelDescriptor | str) -> KernelDescriptor:
-    """Coerce a lowercase kernel name into a descriptor."""
-    if isinstance(kernel, KernelDescriptor):
-        return kernel
-    return KernelDescriptor(str(kernel))
+def check_kernel(name: str) -> str:
+    """Return ``name`` if it names a supported kernel, else raise ValueError."""
+    if name not in KERNEL_NAMES:
+        raise ValueError(
+            f"unknown kernel {name!r}; valid kernels: {', '.join(KERNEL_NAMES)}"
+        )
+    return name
 
 
 def _gaussian_pdf(u):
@@ -161,39 +150,25 @@ def _check_bandwidth(bandwidth: float) -> float:
     return bandwidth
 
 
-def density(kernel: KernelDescriptor | str, u):
-    """Kernel density K(u); accepts scalars or arrays."""
-    k = as_kernel(kernel)
-    u = np.asarray(u, dtype=float)
-    return _maybe_scalar(_PDF[k.kind](u), u)
-
-
-def cdf(kernel: KernelDescriptor | str, u):
-    """Kernel CDF, the integral of the density up to ``u``."""
-    k = as_kernel(kernel)
-    u = np.asarray(u, dtype=float)
-    return _maybe_scalar(_CDF[k.kind](u), u)
-
-
-def scaled_density(kernel: KernelDescriptor | str, u, bandwidth: float):
+def scaled_density(kernel: str, u, bandwidth: float):
     """Density of the kernel rescaled to the given bandwidth."""
     bandwidth = _check_bandwidth(bandwidth)
-    k = as_kernel(kernel)
+    pdf = _PDF[check_kernel(kernel)]
     u = np.asarray(u, dtype=float)
-    return _maybe_scalar(_PDF[k.kind](u / bandwidth) / bandwidth, u)
+    return _maybe_scalar(pdf(u / bandwidth) / bandwidth, u)
 
 
-def scaled_cdf(kernel: KernelDescriptor | str, u, bandwidth: float):
+def scaled_cdf(kernel: str, u, bandwidth: float):
     """CDF of the bandwidth-rescaled kernel."""
     bandwidth = _check_bandwidth(bandwidth)
-    k = as_kernel(kernel)
+    cdf = _CDF[check_kernel(kernel)]
     u = np.asarray(u, dtype=float)
-    return _maybe_scalar(_CDF[k.kind](u / bandwidth), u)
+    return _maybe_scalar(cdf(u / bandwidth), u)
 
 
-def constants(kernel: KernelDescriptor | str) -> KernelConstants:
+def constants(kernel: str) -> KernelConstants:
     """Moment constants (kappa_u, kappa_1, kappa_2, kappa_l) of a kernel."""
-    return _CONSTANTS[as_kernel(kernel).kind]
+    return _CONSTANTS[check_kernel(kernel)]
 
 
 def check_loss(tau: float, u):
@@ -207,7 +182,7 @@ def _softplus(x):
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def smoothed_check_loss(kernel: KernelDescriptor | str, u, tau: float, bandwidth: float):
+def smoothed_check_loss(kernel: str, u, tau: float, bandwidth: float):
     """Check loss at level ``tau`` convolved with the scaled kernel.
 
     Closed forms per kernel (``t = u / bandwidth``):
@@ -224,7 +199,7 @@ def smoothed_check_loss(kernel: KernelDescriptor | str, u, tau: float, bandwidth
     ``kappa_1 * bandwidth / 2``.
     """
     bandwidth = _check_bandwidth(bandwidth)
-    k = as_kernel(kernel)
+    kernel = check_kernel(kernel)
     tau = float(tau)
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must be in (0, 1), got {tau}")
@@ -232,13 +207,13 @@ def smoothed_check_loss(kernel: KernelDescriptor | str, u, tau: float, bandwidth
     u = np.asarray(u, dtype=float)
     t = u / bandwidth
 
-    if k.kind == "gaussian":
+    if kernel == "gaussian":
         out = bandwidth * _gaussian_pdf(t) + u * (ndtr(t) - 0.5) + (tau - 0.5) * u
-    elif k.kind == "laplacian":
+    elif kernel == "laplacian":
         out = check_loss(tau, u) + 0.5 * bandwidth * np.exp(-np.abs(t))
-    elif k.kind == "logistic":
+    elif kernel == "logistic":
         out = tau * u + bandwidth * _softplus(-t)
-    elif k.kind == "uniform":
+    elif kernel == "uniform":
         tc = np.clip(t, -1.0, 1.0)
         inside = (tau - 0.5) * u + bandwidth * (0.25 * tc * tc + 0.25)
         out = np.where(np.abs(t) < 1.0, inside, check_loss(tau, u))

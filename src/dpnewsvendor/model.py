@@ -1,5 +1,8 @@
 """Newsvendor cost structure, linear policies, and empirical risks.
 
+A linear policy orders ``q(x) = x @ beta`` and is passed around as its
+coefficient vector ``beta``.
+
 The newsvendor cost with holding cost ``h`` and lost-sales penalty ``b``
 equals ``(b + h)`` times the check loss at level ``tau = b / (b + h)``
 applied to the forecast residual ``demand - order``.  The smoothed
@@ -20,12 +23,11 @@ import numpy as np
 
 from . import kernels
 from .errors import DimensionMismatch
-from .kernels import KernelDescriptor, check_loss
+from .kernels import check_loss
 
 __all__ = [
     "Problem",
     "Dataset",
-    "LinearPolicy",
     "newsvendor_cost",
     "check_loss",
     "empirical_cost",
@@ -69,6 +71,11 @@ class Problem:
     @property
     def total_cost(self) -> float:
         return self.b + self.h
+
+    @property
+    def tau_bar(self) -> float:
+        """``max(tau, 1 - tau)``, which bounds every gradient weight ``|Kbar - tau|``."""
+        return max(self.tau, 1.0 - self.tau)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,27 +122,8 @@ class Dataset:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
-class LinearPolicy:
-    """Order-quantity rule q(x) = x @ beta."""
-
-    beta: np.ndarray
-
-    def __post_init__(self):
-        beta = np.array(self.beta, dtype=float)
-        if beta.ndim != 1:
-            raise ValueError("beta must be a 1-d vector")
-        beta.setflags(write=False)
-        object.__setattr__(self, "beta", beta)
-
-    def order(self, features: np.ndarray) -> np.ndarray:
-        return np.asarray(features, dtype=float) @ self.beta
-
-
 def coefficients(policy) -> np.ndarray:
-    """Extract a coefficient vector from a LinearPolicy or array-like."""
-    if isinstance(policy, LinearPolicy):
-        return policy.beta
+    """A policy's coefficients as a 1-d float array; ValueError otherwise."""
     beta = np.asarray(policy, dtype=float)
     if beta.ndim != 1:
         raise ValueError("policy coefficients must form a 1-d vector")
@@ -176,7 +164,7 @@ def smoothed_empirical_cost(
     problem: Problem,
     data: Dataset,
     policy,
-    kernel: KernelDescriptor | str,
+    kernel: str,
     bandwidth: float,
 ) -> float:
     """Empirical cost with the check loss replaced by its smoothed form.
@@ -193,7 +181,7 @@ def gradient_weights(
     problem: Problem,
     data: Dataset,
     policy,
-    kernel: KernelDescriptor | str,
+    kernel: str,
     bandwidth: float,
 ) -> np.ndarray:
     """One weight per observation, ``Kbar((x_i @ beta - d_i) / bw) - tau``.
@@ -209,7 +197,7 @@ def smoothed_gradient(
     problem: Problem,
     data: Dataset,
     policy,
-    kernel: KernelDescriptor | str,
+    kernel: str,
     bandwidth: float,
 ) -> np.ndarray:
     """Gradient of the smoothed cost scaled by 1 / (b + h).
@@ -225,7 +213,7 @@ def smoothed_hessian(
     problem: Problem,
     data: Dataset,
     policy,
-    kernel: KernelDescriptor | str,
+    kernel: str,
     bandwidth: float,
 ) -> np.ndarray:
     """Hessian of the smoothed cost scaled by 1 / (b + h).

@@ -52,13 +52,14 @@ from .errors import (
     NonPositiveBandwidth,
     NonPositiveMu,
 )
-from .kernels import KernelDescriptor, as_kernel
+from .kernels import check_kernel
 from .model import Dataset, Problem
-from .privacy import PrivacyCertificate, calibrate_sigma
+from .privacy import PrivacyCertificate
 
 MODES = ("known_sigma_matrix", "raw_covariates")
 
 _MAX_SHRINKS = 60
+_ARMIJO_C = 1e-4
 
 
 def default_bandwidth(tau: float, n: int, p: int) -> float:
@@ -94,7 +95,7 @@ class HyperParams:
     mu: float | None = None
     sigma: float = 0.0
     seed: int = 0
-    kernel: KernelDescriptor | str = "gaussian"
+    kernel: str = "gaussian"
     mode: str = "known_sigma_matrix"
     max_step_size: float = 4.0
 
@@ -115,7 +116,7 @@ class HyperParams:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not self.max_step_size >= 1.0:
             raise ValueError(f"max_step_size must be >= 1, got {self.max_step_size}")
-        object.__setattr__(self, "kernel", as_kernel(self.kernel))
+        check_kernel(self.kernel)
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,15 +127,12 @@ class FitResult:
     ``beta_final``.  ``gradient_norms`` holds the noise-free smoothed
     gradient norm at each visited iterate; these diagnostics bypass the
     privacy mechanism and are for local analysis only.
-    ``certificate_unavailable`` flags that a certificate was requested
-    but the noise scale does not meet the calibration bound.
     """
 
     beta_final: np.ndarray
     trajectory: np.ndarray | None
     certificate: PrivacyCertificate | None
     gradient_norms: np.ndarray
-    certificate_unavailable: bool = False
 
 
 class NoiseSource:
@@ -185,8 +183,8 @@ def clip(u: np.ndarray, radius: float) -> np.ndarray:
     raise ValueError("clip expects a vector or a matrix of row vectors")
 
 
-def _warn_if_flat_kernel(kernel: KernelDescriptor):
-    if kernel.kind == "epanechnikov":
+def _warn_if_flat_kernel(kernel: str):
+    if kernel == "epanechnikov":
         warnings.warn(
             "the epanechnikov kernel has zero minimum density on [-1, 1]; "
             "curvature-based convergence guarantees do not apply",
@@ -204,29 +202,24 @@ def _q_value(data: Dataset, problem: Problem, kernel, bandwidth: float, beta) ->
 def backtracking_step_size(
     data: Dataset,
     problem: Problem,
-    kernel: KernelDescriptor | str,
+    kernel: str,
     bandwidth: float,
     beta: np.ndarray,
     direction: np.ndarray,
     slope: float,
     max_step: float = 1.0,
-    shrink: float = 0.5,
-    c: float = 1e-4,
 ) -> float:
     """Armijo step size along a descent direction from ``beta``.
 
     The step eta must satisfy
-    ``Q(beta - eta * direction) <= Q(beta) - c * eta * slope`` where Q is
-    the smoothed objective scaled by 1/(b+h) and ``slope`` is the inner
-    product of its gradient with ``direction``.  Starting from 1 the step
-    shrinks until the condition holds; an accepted unit step then doubles
-    while the condition holds, up to ``max_step`` (1 means no growth).  A
-    non-positive slope (stationary point or no descent) returns 1.
+    ``Q(beta - eta * direction) <= Q(beta) - c * eta * slope`` with
+    ``c = 1e-4``, where Q is the smoothed objective scaled by 1/(b+h) and
+    ``slope`` is the inner product of its gradient with ``direction``.
+    Starting from 1 the step halves until the condition holds; an accepted
+    unit step then doubles while the condition holds, up to ``max_step``
+    (1 means no growth).  A non-positive slope (stationary point or no
+    descent) returns 1.
     """
-    if not 0.0 < shrink < 1.0:
-        raise ValueError(f"shrink must be in (0, 1), got {shrink}")
-    if not 0.0 < c < 1.0:
-        raise ValueError(f"c must be in (0, 1), got {c}")
     if slope <= 0.0:
         return 1.0
     q0 = _q_value(data, problem, kernel, bandwidth, beta)
@@ -234,13 +227,13 @@ def backtracking_step_size(
     def acceptable(eta: float) -> bool:
         return (
             _q_value(data, problem, kernel, bandwidth, beta - eta * direction)
-            <= q0 - c * eta * slope
+            <= q0 - _ARMIJO_C * eta * slope
         )
 
     eta = 1.0
     if not acceptable(eta):
         for _ in range(_MAX_SHRINKS):
-            eta *= shrink
+            eta *= 0.5
             if acceptable(eta):
                 return eta
         raise LineSearchFailed(
@@ -320,9 +313,10 @@ def fit(
 
     Deterministic given ``hp.seed`` (unless a secure noise source is
     supplied).  A privacy certificate is attached when ``hp.mu`` is set
-    and ``hp.sigma`` meets the calibration bound; otherwise the result
-    carries ``certificate_unavailable=True``.  ``known_sigma_matrix``
-    mode without a whitener raises ``MissingWhitener`` before any step.
+    and ``PrivacyCertificate`` accepts ``hp.sigma`` for the fit's
+    (mu, clip_radius, n_steps, tau_bar); otherwise ``certificate`` is
+    None.  ``known_sigma_matrix`` mode without a whitener raises
+    ``MissingWhitener`` before any step.
     """
     _warn_if_flat_kernel(hp.kernel)
     if beta0 is None:
@@ -362,38 +356,30 @@ def fit(
             trajectory.append(beta.copy())
 
     certificate = None
-    certificate_unavailable = False
     if hp.mu is not None:
-        tau_bar = max(problem.tau, 1.0 - problem.tau)
-        eligible = (
-            hp.n_steps >= 1
-            and math.isfinite(hp.clip_radius)
-            and hp.sigma >= calibrate_sigma(hp.mu, hp.clip_radius, hp.n_steps, tau_bar)
-        )
-        if eligible:
+        try:
             certificate = PrivacyCertificate(
                 mu=hp.mu,
                 sigma=hp.sigma,
                 n_steps=hp.n_steps,
                 clip_radius=hp.clip_radius,
-                tau_bar=tau_bar,
+                tau_bar=problem.tau_bar,
             )
-        else:
-            certificate_unavailable = True
+        except ValueError:
+            pass
 
     return FitResult(
         beta_final=beta,
         trajectory=np.asarray(trajectory) if keep_trajectory else None,
         certificate=certificate,
         gradient_norms=grad_norms,
-        certificate_unavailable=certificate_unavailable,
     )
 
 
 def smoothed_erm(
     data: Dataset,
     problem: Problem,
-    kernel: KernelDescriptor | str,
+    kernel: str,
     bandwidth: float,
     tol: float = 1e-8,
     max_iter: int = 10_000,
@@ -410,7 +396,6 @@ def smoothed_erm(
     ``X'X / n`` (plain gradient descent on whitened features), so neither
     kind of step depends on how the features are scaled.
     """
-    kernel = as_kernel(kernel)
     _warn_if_flat_kernel(kernel)
     x = data.features
     beta = np.linalg.lstsq(x, data.demands, rcond=None)[0]

@@ -4,11 +4,9 @@ Trade-off curves, root-sum-square composition, noise calibration for the
 noisy gradient descent fit, and conversion between the GDP parameter
 ``mu`` and classical (epsilon, delta) guarantees.
 
-All arithmetic anchors on the standard normal CDF, computed here from
-the complementary error function (``erfc``), which standard math
-libraries evaluate to within a few ulp (absolute error well below
-1e-12).  The test suite cross-checks against an independent
-arbitrary-precision implementation.
+All arithmetic anchors on the standard normal CDF and its inverse,
+``scipy.special.ndtr`` and ``ndtri``.  The test suite cross-checks the
+results against an independent arbitrary-precision implementation.
 """
 
 from __future__ import annotations
@@ -20,26 +18,6 @@ import numpy as np
 from scipy import special
 
 from .errors import AlphaOutOfRange, NegativeBudget, NonPositiveMu
-
-_SQRT2 = math.sqrt(2.0)
-
-
-def normal_cdf(x):
-    """Standard normal CDF via 0.5 * erfc(-x / sqrt(2))."""
-    x = np.asarray(x, dtype=float)
-    out = 0.5 * special.erfc(-x / _SQRT2)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def normal_quantile(p):
-    """Inverse standard normal CDF; maps 0 and 1 to -inf and +inf."""
-    p = np.asarray(p, dtype=float)
-    out = special.ndtri(p)
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 @dataclass(frozen=True)
@@ -71,7 +49,7 @@ def gdp_tradeoff(mu: float, alpha):
     a = np.asarray(alpha, dtype=float)
     if np.any((a < 0.0) | (a > 1.0)):
         raise AlphaOutOfRange(f"alpha must lie in [0, 1], got {alpha}")
-    out = normal_cdf(normal_quantile(1.0 - a) - mu)
+    out = special.ndtr(special.ndtri(1.0 - a) - mu)
     if np.ndim(alpha) == 0:
         return float(out)
     return out
@@ -145,7 +123,7 @@ def gdp_delta_at_eps(mu: float, eps: float) -> float:
         raise NonPositiveMu(f"mu must be > 0, got {mu}")
     if eps < 0.0:
         raise ValueError(f"eps must be >= 0, got {eps}")
-    first = normal_cdf(-eps / mu + mu / 2.0)
+    first = float(special.ndtr(-eps / mu + mu / 2.0))
     second = math.exp(eps + float(special.log_ndtr(-eps / mu - mu / 2.0)))
     return max(first - second, 0.0)
 

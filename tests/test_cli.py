@@ -73,6 +73,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="warmup"):
             parse_config("[problem]\ntau = 0.5\n\n[hyper]\nwarmup = 3\n")
 
+    def test_unknown_kernel_lists_valid_kernels(self):
+        with pytest.raises(ValueError, match="unknown kernel 'triangular'; valid kernels"):
+            parse_config("[hyper]\nkernel = triangular\n")
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ValueError, match="plotting"):
             parse_config(SMOKE_CONFIG + "\n[plotting]\nstyle = dark\n")
@@ -247,6 +251,12 @@ class TestPrivacyCmd:
         code = main(["privacy", "--mu", "0.5", "--T", "10", "--B", "2",
                      "--tau-bar", "0.5", "--sigma", "2.0"])
         assert code == EXIT_PRIVACY
+
+    @pytest.mark.parametrize("flag", [["--tau", "0.9"], ["--b", "50"], ["--h", "30"]])
+    def test_tau_bar_with_cost_flag_exits_2(self, flag, capsys):
+        code = main(["privacy", "--mu", "0.5", "--tau-bar", "0.5", *flag])
+        assert code == EXIT_USAGE
+        assert "not both" in capsys.readouterr().err
 
 
 class TestBench:

@@ -9,7 +9,6 @@ from dpnewsvendor.data import (
     SyntheticSpec,
     ar1_covariance,
     default_spec,
-    demean_features,
     error_cdf,
     error_quantile,
     generate_synthetic,
@@ -262,33 +261,3 @@ class TestTrainTestSplit:
         ds = generate_synthetic(default_spec(100, "normal", seed=0))
         with pytest.raises(SplitTooLarge):
             train_test_split(ds, 100, seed=4)
-
-
-class TestDemeanFeatures:
-    def test_centers_columns(self):
-        ds = generate_synthetic(default_spec(200, "normal", seed=8))
-        centered, means = demean_features(ds)
-        np.testing.assert_allclose(centered.features[:, 1:].mean(axis=0), 0.0, atol=1e-12)
-        np.testing.assert_allclose(centered.features[:, 0], 1.0)
-        assert means[0] == 0.0
-
-    def test_roundtrip(self):
-        ds = generate_synthetic(default_spec(50, "t3", seed=8))
-        centered, means = demean_features(ds)
-        np.testing.assert_allclose(centered.features + means, ds.features, atol=1e-12)
-
-    def test_already_centered_unchanged(self):
-        ds = generate_synthetic(default_spec(300, "normal", seed=8))
-        centered, _ = demean_features(ds)
-        again, means2 = demean_features(centered)
-        np.testing.assert_allclose(again.features, centered.features, atol=1e-12)
-        np.testing.assert_allclose(means2, 0.0, atol=1e-12)
-
-    def test_constant_column_becomes_zero(self):
-        from dpnewsvendor.model import Dataset
-
-        x = np.column_stack([np.ones(5), np.full(5, 7.0)])
-        ds = Dataset(demands=np.zeros(5), features=x)
-        centered, means = demean_features(ds)
-        np.testing.assert_allclose(centered.features[:, 1], 0.0)
-        assert means[1] == pytest.approx(7.0)

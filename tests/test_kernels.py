@@ -10,15 +10,13 @@ from dpnewsvendor import kernels
 from dpnewsvendor.errors import NonPositiveBandwidth
 from dpnewsvendor.kernels import (
     KERNEL_NAMES,
-    KernelDescriptor,
-    cdf,
     check_loss,
     constants,
-    density,
     scaled_cdf,
     scaled_density,
     smoothed_check_loss,
 )
+from dpnewsvendor.optimizer import HyperParams
 
 from conftest import ORACLE_PDFS, ORACLE_SUPPORT, kernel_moment_oracle, smoothed_loss_oracle
 
@@ -26,57 +24,62 @@ GRID = np.linspace(-10, 10, 801)
 
 
 def test_unknown_kernel_rejected():
-    with pytest.raises(ValueError, match="unknown kernel"):
-        KernelDescriptor("triangular")
+    msg = "unknown kernel 'triangular'; valid kernels: gaussian, laplacian"
+    with pytest.raises(ValueError, match=msg):
+        scaled_cdf("triangular", 0.0, 1.0)
+    with pytest.raises(ValueError, match=msg):
+        HyperParams(bandwidth=0.1, n_steps=1, kernel="triangular")
 
 
 class TestDensity:
     def test_gaussian_at_zero(self):
-        assert density("gaussian", 0.0) == pytest.approx(1 / math.sqrt(2 * math.pi), abs=1e-15)
+        assert scaled_density("gaussian", 0.0, 1.0) == pytest.approx(
+            1 / math.sqrt(2 * math.pi), abs=1e-15
+        )
 
     def test_uniform_outside_support(self):
-        assert density("uniform", 2.0) == 0.0
+        assert scaled_density("uniform", 2.0, 1.0) == 0.0
 
     def test_epanechnikov_at_zero(self):
-        assert density("epanechnikov", 0.0) == 0.75
+        assert scaled_density("epanechnikov", 0.0, 1.0) == 0.75
 
     @pytest.mark.parametrize("kind", KERNEL_NAMES)
     def test_symmetry_nonnegative(self, kind):
-        vals = density(kind, GRID)
-        np.testing.assert_allclose(vals, density(kind, -GRID), atol=1e-15)
+        vals = scaled_density(kind, GRID, 1.0)
+        np.testing.assert_allclose(vals, scaled_density(kind, -GRID, 1.0), atol=1e-15)
         assert np.all(vals >= 0)
 
     @pytest.mark.parametrize("kind", KERNEL_NAMES)
     def test_integrates_to_one(self, kind):
         lo, hi = ORACLE_SUPPORT[kind]
-        total, _ = integrate.quad(lambda v: density(kind, v), lo, hi, limit=400)
+        total, _ = integrate.quad(lambda v: scaled_density(kind, v, 1.0), lo, hi, limit=400)
         assert total == pytest.approx(1.0, abs=1e-8)
 
 
 class TestCdf:
     def test_gaussian_at_zero(self):
-        assert cdf("gaussian", 0.0) == pytest.approx(0.5, abs=1e-15)
+        assert scaled_cdf("gaussian", 0.0, 1.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_uniform_midpoint(self):
-        assert cdf("uniform", 0.5) == 0.75
+        assert scaled_cdf("uniform", 0.5, 1.0) == 0.75
 
     def test_logistic_at_one(self):
-        assert cdf("logistic", 1.0) == pytest.approx(0.7310585786300049, abs=1e-12)
+        assert scaled_cdf("logistic", 1.0, 1.0) == pytest.approx(0.7310585786300049, abs=1e-12)
 
     @pytest.mark.parametrize("kind", KERNEL_NAMES)
     def test_monotone_with_correct_limits(self, kind):
-        vals = cdf(kind, GRID)
+        vals = scaled_cdf(kind, GRID, 1.0)
         assert np.all(np.diff(vals) >= -1e-15)
-        assert cdf(kind, -1e8) == pytest.approx(0.0, abs=1e-12)
-        assert cdf(kind, 1e8) == pytest.approx(1.0, abs=1e-12)
-        assert cdf(kind, 0.0) == pytest.approx(0.5, abs=1e-12)
+        assert scaled_cdf(kind, -1e8, 1.0) == pytest.approx(0.0, abs=1e-12)
+        assert scaled_cdf(kind, 1e8, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert scaled_cdf(kind, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("kind", KERNEL_NAMES)
     def test_cdf_matches_integrated_density(self, kind):
         for u in (-2.0, -0.4, 0.3, 1.7):
             lo = ORACLE_SUPPORT[kind][0]
             val, _ = integrate.quad(ORACLE_PDFS[kind], lo, u, limit=400)
-            assert cdf(kind, u) == pytest.approx(val, abs=1e-9)
+            assert scaled_cdf(kind, u, 1.0) == pytest.approx(val, abs=1e-9)
 
 
 class TestScaled:
@@ -88,7 +91,10 @@ class TestScaled:
     def test_bandwidth_one_is_identity(self):
         for kind in KERNEL_NAMES:
             np.testing.assert_allclose(
-                scaled_density(kind, GRID, 1.0), density(kind, GRID), atol=0
+                scaled_density(kind, GRID, 1.0),
+                [ORACLE_PDFS[kind](v) for v in GRID],
+                rtol=1e-14,
+                atol=0,
             )
 
     def test_uniform_narrow(self):
@@ -143,9 +149,9 @@ class TestConstants:
         c = constants(kind)
         assert c.kappa_1 == pytest.approx(kernel_moment_oracle(kind, 1), abs=1e-9)
         assert c.kappa_2 == pytest.approx(kernel_moment_oracle(kind, 2), abs=1e-9)
-        assert c.kappa_u == pytest.approx(max(density(kind, GRID)), abs=1e-9)
+        assert c.kappa_u == pytest.approx(max(scaled_density(kind, GRID, 1.0)), abs=1e-9)
         assert c.kappa_l == pytest.approx(
-            min(density(kind, np.linspace(-1, 1, 4001))), abs=1e-9
+            min(scaled_density(kind, np.linspace(-1, 1, 4001), 1.0)), abs=1e-9
         )
 
     def test_positivity_pattern(self):
@@ -233,9 +239,3 @@ class TestSmoothedCheckLoss:
     def test_invalid_tau_rejected(self):
         with pytest.raises(ValueError, match="tau"):
             smoothed_check_loss("gaussian", 0.0, 0.0, 1.0)
-
-    def test_string_and_descriptor_agree(self):
-        k = KernelDescriptor("laplacian")
-        assert smoothed_check_loss(k, 1.2, 0.4, 0.8) == smoothed_check_loss(
-            "laplacian", 1.2, 0.4, 0.8
-        )

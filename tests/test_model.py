@@ -7,7 +7,6 @@ from dpnewsvendor.errors import DimensionMismatch, NonPositiveBandwidth
 from dpnewsvendor.kernels import KERNEL_NAMES, constants
 from dpnewsvendor.model import (
     Dataset,
-    LinearPolicy,
     Problem,
     check_loss,
     empirical_cost,
@@ -31,6 +30,11 @@ class TestProblem:
         prob = Problem(b=50, h=30)
         assert prob.tau == pytest.approx(0.625)
         assert prob.total_cost == 80
+
+    def test_tau_bar(self):
+        assert Problem(b=50, h=30).tau_bar == 0.625
+        assert Problem(b=30, h=50).tau_bar == 0.625
+        assert Problem.from_quantile(0.1).tau_bar == 0.9
 
     def test_from_quantile_unit_total(self):
         prob = Problem.from_quantile(0.3)
@@ -126,7 +130,7 @@ class TestEmpiricalCost:
     def test_accepts_linear_policy(self):
         ds = Dataset(demands=[0.0, 2.0], features=[[1.0], [1.0]])
         prob = Problem.from_quantile(0.5)
-        assert empirical_cost(prob, ds, LinearPolicy(np.array([1.0]))) == pytest.approx(0.5)
+        assert empirical_cost(prob, ds, np.array([1.0])) == pytest.approx(0.5)
 
 
 class TestSmoothedEmpiricalCost:

@@ -16,17 +16,10 @@ from dpnewsvendor.privacy import (
     gdp_delta_at_eps,
     gdp_to_eps_delta,
     gdp_tradeoff,
-    normal_cdf,
     one_step_sensitivity,
 )
 
 from conftest import normal_cdf_oracle, normal_quantile_oracle
-
-
-class TestNormalCdf:
-    def test_against_high_precision_oracle(self):
-        for x in np.linspace(-8, 8, 65):
-            assert normal_cdf(x) == pytest.approx(normal_cdf_oracle(x), abs=1e-13)
 
 
 class TestGdpTradeoff:

@@ -1,4 +1,5 @@
-"""Property tests: clipping, one-step sensitivity and ERM convergence."""
+"""Property tests: clipping, the smoothed-loss sandwich, one-step
+sensitivity and ERM convergence."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from dpnewsvendor.data import whitener_from
 from dpnewsvendor.evaluation import estimation_error
+from dpnewsvendor.kernels import KERNEL_NAMES, check_loss, constants, smoothed_check_loss
 from dpnewsvendor.model import Dataset, Problem, smoothed_gradient
 from dpnewsvendor.optimizer import HyperParams, clip, noisy_step, smoothed_erm
 
@@ -36,6 +38,24 @@ def test_clip_keeps_direction(u, radius):
     else:
         # v is u scaled by a positive factor, up to rounding
         assert np.linalg.norm(v * (norm_u / np.linalg.norm(v)) - u) <= 1e-12 * norm_u
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    kernel=st.sampled_from(KERNEL_NAMES),
+    tau=st.floats(0.01, 0.99),
+    bandwidth=st.floats(1e-3, 10.0),
+    u=arrays(np.float64, st.integers(1, 20), elements=st.floats(-1e3, 1e3)),
+)
+def test_smoothed_loss_sandwich(kernel, tau, bandwidth, u):
+    # residuals anywhere up to +-1e3, plus a grid across the smoothing window
+    u = np.concatenate([u, bandwidth * np.linspace(-3.0, 3.0, 25)])
+    plain = check_loss(tau, u)
+    smooth = smoothed_check_loss(kernel, u, tau, bandwidth)
+    gap = 0.5 * constants(kernel).kappa_1 * bandwidth
+    slack = 16 * np.finfo(float).eps * (np.abs(u) + bandwidth)
+    assert np.all(plain <= smooth + slack)
+    assert np.all(smooth <= plain + gap + slack)
 
 
 @settings(deadline=None, max_examples=60)
