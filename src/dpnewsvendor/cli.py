@@ -267,6 +267,7 @@ def cmd_fit(args) -> int:
     else:
         if args.mu is None:
             raise ValueError("either --mu or --nonprivate is required")
+        required = calibrate_sigma(args.mu, args.B, args.T, problem.tau_bar)
         sigma = (
             args.sigma
             if args.sigma is not None
@@ -288,8 +289,7 @@ def cmd_fit(args) -> int:
         result = optimizer.fit(dataset, problem, hp, whitener=whitener)
         if result.certificate is None:
             raise PrivacyUnattainable(
-                f"sigma={sigma} is below the calibration bound "
-                f"{calibrate_sigma(args.mu, args.B, args.T, problem.tau_bar)} for mu={args.mu}"
+                f"sigma={sigma} is below the calibration bound {required} for mu={args.mu}"
             )
         cert = result.certificate
         payload = {

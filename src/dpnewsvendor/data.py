@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,8 @@ DEFAULT_THETA_STAR = (1.5, 1.0, -2.5, -1.5, 3.0)
 
 _QUANTILE_BRACKET = 1e3
 _QUANTILE_XTOL = 1e-10
+_COUNT_CHUNK_BYTES = 1 << 20
+_SEPARATOR_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def ar1_covariance(dim: int, rho: float = 0.5) -> np.ndarray:
@@ -249,6 +252,70 @@ def load_csv(path, demand_column: str) -> Dataset:
     is prepended, and remaining columns keep their file order.  Every
     row must have exactly one cell per header column, and every cell
     must parse as a finite number.
+
+    The file is read in two passes.  The first reads the header with
+    ``csv.reader`` and streams the remaining lines through
+    ``np.loadtxt``'s C parser; the second counts the file's lines in
+    binary chunks.  The table is kept only if ``loadtxt`` parsed one row
+    of ``len(header)`` finite values from every line after the header.
+    Any other file, including every malformed one, is read again by
+    ``_scan_csv``, so results and errors are those of the row scanner.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        header = [h.strip() for h in next(csv.reader(fh), [])]
+        if demand_column not in header:
+            # the scanner raises the empty-file or missing-column error
+            return _scan_csv(path, demand_column)
+        with warnings.catch_warnings():
+            # loadtxt warns instead of raising on a header-only file
+            warnings.simplefilter("error", UserWarning)
+            try:
+                table = np.loadtxt(
+                    fh, delimiter=",", quotechar='"', comments=None, ndmin=2, dtype=float
+                )
+            except (ValueError, UserWarning):
+                return _scan_csv(path, demand_column)
+    # loadtxt skips blank lines, which the scanner rejects; one row for
+    # every line after the header rules them out
+    lines = _count_lines(path)
+    if lines is None or table.shape != (lines - 1, len(header)) or not np.isfinite(table).all():
+        return _scan_csv(path, demand_column)
+    d_idx = header.index(demand_column)
+    features = np.empty_like(table)
+    features[:, 0] = 1.0
+    features[:, 1 : d_idx + 1] = table[:, :d_idx]
+    features[:, d_idx + 1 :] = table[:, d_idx + 1 :]
+    return Dataset(demands=table[:, d_idx], features=features)
+
+
+def _count_lines(path) -> int | None:
+    """Lines of the file as a text handle with ``newline=""`` splits it.
+
+    ``\\n``, ``\\r\\n`` and a lone ``\\r`` each end a line, and a last line
+    without an ending counts too.  None if the file holds one of the
+    bytes 0x1c-0x1f: ``loadtxt`` strips them around a number as
+    whitespace, ``float`` rejects them.
+    """
+    lines = 0
+    last = b""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_COUNT_CHUNK_BYTES):
+            if any(sep in chunk for sep in _SEPARATOR_BYTES):
+                return None
+            lines += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+            if last == b"\r" and chunk[:1] == b"\n":
+                lines -= 1
+            last = chunk[-1:]
+    if last not in (b"", b"\n", b"\r"):
+        lines += 1
+    return lines
+
+
+def _scan_csv(path, demand_column: str) -> Dataset:
+    """Reference reader behind ``load_csv``: a ``csv.reader`` loop that
+    parses every cell with ``float``.
+
+    It defines the accepted format and every error ``load_csv`` raises.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)

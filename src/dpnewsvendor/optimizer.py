@@ -157,6 +157,14 @@ class SecureNoiseSource:
     be unpredictable.  Draws use ``normalvariate``, not ``gauss``:
     ``gauss`` caches the second Box-Muller value on the shared instance,
     so threads sharing one source could receive the same noise.
+
+    The draws are floating-point Gaussians, not an exact discrete
+    sampler, so the guarantee is the idealised one: Jin, McMurtry,
+    Rubinstein & Ohrimenko (2022), *Are we there yet? Timing and
+    floating-point attacks on differential privacy systems*, IEEE S&P,
+    show that the rounding of floating-point Gaussian samplers can let
+    an observer of a noised output tell neighbouring inputs apart.  An
+    exact sampler (Canonne, Kamath & Steinke 2020) is not provided.
     """
 
     def __init__(self):

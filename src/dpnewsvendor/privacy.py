@@ -80,12 +80,15 @@ def calibrate_sigma(
 
     Returns ``2 * tau_bar * clip_radius * sqrt(n_steps) / mu``.  With
     ``round_up`` the value is ceiled to the next integer, the convention
-    used in the experiment harness.
+    used in the experiment harness.  ``clip_radius`` must be finite: no
+    noise scale covers unclipped gradients.
     """
     if not mu > 0.0:
         raise NonPositiveMu(f"mu must be > 0, got {mu}")
     if not clip_radius >= 1.0:
         raise ValueError(f"clip_radius must be >= 1, got {clip_radius}")
+    if not math.isfinite(clip_radius):
+        raise ValueError(f"clip_radius must be finite, got {clip_radius}")
     if not n_steps >= 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if not 0.5 <= tau_bar < 1.0:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from dpnewsvendor import optimizer
 from dpnewsvendor.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -176,6 +177,17 @@ class TestFit:
         assert code == EXIT_PRIVACY
         assert "calibration bound" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sigma", [[], ["--sigma", "50"]])
+    def test_infinite_clip_radius_exits_2(self, synth_csv, tmp_path, capsys, monkeypatch, sigma):
+        # rejected before any fitting work
+        monkeypatch.setattr(optimizer, "fit", None)
+        code = main([
+            "fit", "--input", str(synth_csv), "--tau", "0.5", "--mu", "0.5",
+            "--B", "inf", *sigma, "--out", str(tmp_path / "f.json"),
+        ])
+        assert code == EXIT_USAGE
+        assert "clip_radius must be finite" in capsys.readouterr().err
+
     def test_missing_input_exits_3(self, tmp_path):
         code = main([
             "fit", "--input", str(tmp_path / "nope.csv"), "--tau", "0.5",
@@ -251,6 +263,11 @@ class TestPrivacyCmd:
         code = main(["privacy", "--mu", "0.5", "--T", "10", "--B", "2",
                      "--tau-bar", "0.5", "--sigma", "2.0"])
         assert code == EXIT_PRIVACY
+
+    def test_infinite_clip_radius_exits_2(self, capsys):
+        code = main(["privacy", "--mu", "0.5", "--B", "inf", "--tau-bar", "0.5"])
+        assert code == EXIT_USAGE
+        assert "clip_radius must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [["--tau", "0.9"], ["--b", "50"], ["--h", "30"]])
     def test_tau_bar_with_cost_flag_exits_2(self, flag, capsys):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from dpnewsvendor import data as datamod
+from dpnewsvendor.cli import main
 from dpnewsvendor.data import (
     DEFAULT_THETA_STAR,
     ErrorDist,
@@ -158,6 +160,10 @@ class TestTrueBetaStar:
             assert risk(beta_star + delta) >= base
 
 
+def _refuse_scan(path, demand_column):
+    raise AssertionError(f"{path} fell back to the row scanner")
+
+
 class TestLoadCsv(object):
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "demand.csv"
@@ -205,6 +211,58 @@ class TestLoadCsv(object):
         ds = load_csv(path, "demand")
         np.testing.assert_allclose(ds.features[:, 1], [10, 11])
         np.testing.assert_allclose(ds.features[:, 2], [30, 31])
+
+    # files on which np.loadtxt and the row scanner disagree; load_csv
+    # must give the scanner's outcome
+    @pytest.mark.parametrize(
+        "body, error, match, row, column",
+        [
+            ("1,2\n\n3,4\n", ValueError, "row 2 has 0 cells", None, None),
+            ("1,2\n3,4\n\n", ValueError, "row 3 has 0 cells", None, None),
+            # the lone CR adds the line the blank one removes from loadtxt's count
+            ("1,2\n\n3,4\r5,6\n", ValueError, "row 2 has 0 cells", None, None),
+            ("1,nan\n", NonNumericCell, None, 1, "temp"),
+            ("1,2\ninf,4\n", NonNumericCell, None, 2, "demand"),
+            ("1,Infinity\n", NonNumericCell, None, 1, "temp"),
+            ("1e999,2\n", NonNumericCell, None, 1, "demand"),
+            ("1,2#\n", NonNumericCell, None, 1, "temp"),
+            ("1,\x1c2\n", NonNumericCell, None, 1, "temp"),
+            ("", ValueError, "no data rows", None, None),
+            ("1,2,3\n4,5\n", ValueError, "row 1 has 3 cells", None, None),
+        ],
+    )
+    def test_rejected_where_parsers_differ(self, tmp_path, body, error, match, row, column):
+        path = tmp_path / "x.csv"
+        path.write_bytes(f"demand,temp\n{body}".encode("utf-8"))
+        with pytest.raises(error, match=match) as info:
+            load_csv(path, "demand")
+        if row is not None:
+            assert (info.value.row, info.value.column) == (row, column)
+
+    def test_underscore_digits_load(self, tmp_path):
+        # float() accepts "1_0" and loadtxt does not
+        path = tmp_path / "x.csv"
+        path.write_text("demand,temp\n1_0,2\n")
+        ds = load_csv(path, "demand")
+        assert ds.demands.tolist() == [10.0]
+        assert ds.features.tolist() == [[1.0, 2.0]]
+
+    def test_clean_file_skips_the_scanner(self, tmp_path, monkeypatch):
+        path = tmp_path / "train.csv"
+        assert main(["simulate", "--n", "1000", "--seed", "3", "--out", str(path)]) == 0
+        expected = datamod._scan_csv(path, "demand")
+        monkeypatch.setattr(datamod, "_scan_csv", _refuse_scan)
+        ds = load_csv(path, "demand")
+        assert ds.demands.tobytes() == expected.demands.tobytes()
+        assert ds.features.tobytes() == expected.features.tobytes()
+
+    def test_line_count_across_chunk_boundaries(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"demand\r\n1\r\n2\r\n3")
+        # 5-byte chunks split the second CRLF between two reads
+        monkeypatch.setattr(datamod, "_COUNT_CHUNK_BYTES", 5)
+        monkeypatch.setattr(datamod, "_scan_csv", _refuse_scan)
+        assert load_csv(path, "demand").demands.tolist() == [1.0, 2.0, 3.0]
 
 
 class TestWhitener:

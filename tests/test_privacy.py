@@ -112,6 +112,11 @@ class TestCalibrateSigma:
         with pytest.raises(ValueError):
             calibrate_sigma(0.5, 2, 10, 0.4)
 
+    @pytest.mark.parametrize("round_up", [False, True])
+    def test_infinite_clip_radius_rejected(self, round_up):
+        with pytest.raises(ValueError, match="clip_radius must be finite"):
+            calibrate_sigma(0.5, math.inf, 10, 0.5, round_up=round_up)
+
 
 class TestOneStepSensitivity:
     def test_arithmetic(self):

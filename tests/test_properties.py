@@ -1,12 +1,13 @@
 """Property tests: clipping, the smoothed-loss sandwich, one-step
-sensitivity and ERM convergence."""
+sensitivity, ERM convergence and the CSV reader's two parsers."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dpnewsvendor.data import whitener_from
+from dpnewsvendor import data as datamod
+from dpnewsvendor.data import load_csv, whitener_from
 from dpnewsvendor.evaluation import estimation_error
 from dpnewsvendor.kernels import KERNEL_NAMES, check_loss, constants, smoothed_check_loss
 from dpnewsvendor.model import Dataset, Problem, smoothed_gradient
@@ -116,3 +117,63 @@ def test_one_step_sensitivity_on_neighbouring_datasets(n, p, tau, radius, eta, m
     dist = estimation_error(out_a, out_b, whitener)
     bound = 2 * max(tau, 1 - tau) * radius * eta / n
     assert dist <= bound * (1 + 1e-9) + 1e-12 * (1 + np.linalg.norm(out_a))
+
+
+def _outcome(reader, path):
+    """Arrays as bytes, or the exception's type and message."""
+    try:
+        ds = reader(path, "demand")
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return ds.demands.tobytes(), ds.features.tobytes()
+
+
+_FORMATS = (repr, "{:g}".format, "{:.3e}".format, lambda v: str(int(v)))
+
+
+@st.composite
+def csv_tables(draw):
+    """A well-formed CSV text: header, 1-200 rows of finite numbers
+    written in several forms, some quoted or padded, LF or CRLF."""
+    width = draw(st.integers(1, 6))
+    names = [f"z{j}" for j in range(1, width)]
+    names.insert(draw(st.integers(0, width - 1)), "demand")
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    cell = st.builds(
+        lambda v, fmt, pad, quote: quote + " " * pad[0] + fmt(v) + " " * pad[1] + quote,
+        st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False)
+        | st.integers(-(10**6), 10**6).map(float),
+        st.sampled_from(_FORMATS),
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.sampled_from(["", "", '"']),
+    )
+    rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width), min_size=1, max_size=200))
+    lines = [",".join(names)] + [",".join(row) for row in rows]
+    return eol.join(lines) + draw(st.sampled_from([eol, ""]))
+
+
+@settings(deadline=None, max_examples=100)
+@given(text=csv_tables())
+def test_load_csv_equals_scanner_on_well_formed_tables(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    path.write_bytes(text.encode("utf-8"))
+    fast = load_csv(path, "demand")
+    slow = datamod._scan_csv(path, "demand")
+    assert fast.demands.tobytes() == slow.demands.tobytes()
+    assert fast.features.tobytes() == slow.features.tobytes()
+
+
+# pieces on which the two parsers can disagree: blank lines, lone CRs,
+# quotes, separators loadtxt strips as whitespace, non-finite numbers
+_PIECES = ["1", "2.5", "-0", "1e999", "nan", "1_0", " ", '"', ",", "\n", "\r\n", "\r", "#", "\x1c"]
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    header=st.sampled_from(["demand", "demand,z1", "z1,demand"]),
+    body=st.lists(st.sampled_from(_PIECES), max_size=12).map("".join),
+)
+def test_load_csv_matches_scanner_on_any_text(tmp_path_factory, header, body):
+    path = tmp_path_factory.mktemp("csv") / "text.csv"
+    path.write_bytes(f"{header}\n{body}".encode("utf-8"))
+    assert _outcome(load_csv, path) == _outcome(datamod._scan_csv, path)
