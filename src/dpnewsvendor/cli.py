@@ -21,15 +21,13 @@ import json
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import data as datamod
 from . import evaluation, optimizer
 from .errors import NonPositiveMu
 from .kernels import KERNEL_NAMES, check_kernel
-from .model import Problem
+from .model import Problem, coefficients
 from .optimizer import MODES, HyperParams
-from .privacy import PrivacyCertificate, calibrate_sigma, gdp_to_eps_delta
+from .privacy import PrivacyCertificate, calibrate_sigma
 
 DIST_NAMES = ("normal", "t3", "mixture")
 
@@ -232,9 +230,36 @@ def _problem_from_args(args) -> Problem:
     return Problem(b=args.b, h=args.h)
 
 
+def _certificate(mu, sigma, n_steps, clip_radius, tau_bar, round_up) -> PrivacyCertificate:
+    """The certificate of a fit at these settings, the CLI's only certification.
+
+    ``sigma=None`` calibrates it.  Invalid settings raise ValueError; a
+    given ``sigma`` below the calibration bound raises PrivacyUnattainable.
+    """
+    required = calibrate_sigma(mu, clip_radius, n_steps, tau_bar, round_up=round_up)
+    try:
+        return PrivacyCertificate(
+            mu=mu,
+            sigma=required if sigma is None else sigma,
+            n_steps=n_steps,
+            clip_radius=clip_radius,
+            tau_bar=tau_bar,
+        )
+    except ValueError as exc:
+        raise PrivacyUnattainable(str(exc)) from exc
+
+
 def cmd_fit(args) -> int:
-    dataset = datamod.load_csv(args.input, args.demand_column)
     problem = _problem_from_args(args)
+    if args.nonprivate:
+        if args.mu is not None or args.sigma is not None:
+            raise ValueError("give either --nonprivate or --mu/--sigma, not both")
+        cert = None
+    elif args.mu is None:
+        raise ValueError("either --mu or --nonprivate is required")
+    else:
+        cert = _certificate(args.mu, args.sigma, args.T, args.B, problem.tau_bar, round_up=True)
+    dataset = datamod.load_csv(args.input, args.demand_column)
     bandwidth = (
         optimizer.default_bandwidth(problem.tau, dataset.n, dataset.p)
         if args.bandwidth is None
@@ -255,55 +280,29 @@ def cmd_fit(args) -> int:
         "seed": args.seed,
     }
 
-    if args.nonprivate:
+    if cert is None:
         beta = optimizer.smoothed_erm(dataset, problem, args.kernel, bandwidth)
-        payload = {
-            "beta": [float(v) for v in beta],
-            "certificate": None,
-            "diagnostics": {"gradient_norms": []},
-            "resolved": resolved | {"mode": "nonprivate", "T": None, "B": None, "sigma": None, "mu": None},
-        }
+        resolved |= {"mode": "nonprivate", "T": None, "B": None, "sigma": None, "mu": None}
         print("non-private smoothed ERM fit (no privacy certificate)")
     else:
-        if args.mu is None:
-            raise ValueError("either --mu or --nonprivate is required")
-        required = calibrate_sigma(args.mu, args.B, args.T, problem.tau_bar)
-        sigma = (
-            args.sigma
-            if args.sigma is not None
-            else calibrate_sigma(args.mu, args.B, args.T, problem.tau_bar, round_up=True)
-        )
+        # raw covariates: whitening would read the private rows' X'X/n,
+        # which the certificate does not cover
         hp = HyperParams(
             bandwidth=bandwidth,
             n_steps=args.T,
             clip_radius=args.B,
             step_size=args.eta0,
-            mu=args.mu,
-            sigma=sigma,
+            sigma=cert.sigma,
             seed=args.seed,
             kernel=args.kernel,
-            mode=args.mode,
+            mode="raw_covariates",
             max_step_size=args.max_step,
         )
-        whitener = datamod.whitener_from(dataset) if args.mode == "known_sigma_matrix" else None
-        result = optimizer.fit(dataset, problem, hp, whitener=whitener)
-        if result.certificate is None:
-            raise PrivacyUnattainable(
-                f"sigma={sigma} is below the calibration bound {required} for mu={args.mu}"
-            )
-        cert = result.certificate
-        payload = {
-            "beta": [float(v) for v in result.beta_final],
-            "certificate": cert.as_dict(),
-            "diagnostics": {
-                "gradient_norms": [float(v) for v in result.gradient_norms]
-            },
-            "resolved": resolved
-            | {"mode": args.mode, "T": args.T, "B": args.B, "sigma": sigma, "mu": args.mu},
-        }
+        beta = optimizer.fit(dataset, problem, hp).beta_final
+        resolved |= {"mode": hp.mode, "T": args.T, "B": args.B, "sigma": cert.sigma, "mu": args.mu}
         ed = cert.eps_delta
         print(
-            f"fit is {cert.mu}-GDP (sigma={sigma}); equivalently "
+            f"fit is {cert.mu}-GDP (sigma={cert.sigma}); equivalently "
             f"({ed.epsilon:g}, {ed.delta:.6g})-DP"
         )
         if args.eta0 is None:
@@ -311,6 +310,11 @@ def cmd_fit(args) -> int:
                 "note: step sizes came from a data-driven line search, which is "
                 "outside the certificate's accounting; pass --eta0 to fix them"
             )
+    payload = {
+        "beta": [float(v) for v in beta],
+        "certificate": None if cert is None else cert.as_dict(),
+        "resolved": resolved,
+    }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
@@ -320,8 +324,10 @@ def cmd_fit(args) -> int:
 
 def cmd_evaluate(args) -> int:
     with open(args.fit, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    beta = np.asarray(payload["beta"], dtype=float)
+        try:
+            beta = coefficients(json.load(fh)["beta"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{args.fit}: not a fit file with a 1-d 'beta' list ({exc})") from exc
     dataset = datamod.load_csv(args.test, args.demand_column)
     problem = _problem_from_args(args)
     cost = evaluation.out_of_sample_cost(problem, beta, dataset)
@@ -341,14 +347,7 @@ def cmd_privacy(args) -> int:
         tau_bar = args.tau_bar
     else:
         tau_bar = _problem_from_args(args).tau_bar
-    required = calibrate_sigma(args.mu, args.B, args.T, tau_bar, round_up=args.round_up)
-    sigma = args.sigma if args.sigma is not None else required
-    try:
-        cert = PrivacyCertificate(
-            mu=args.mu, sigma=sigma, n_steps=args.T, clip_radius=args.B, tau_bar=tau_bar
-        )
-    except ValueError as exc:
-        raise PrivacyUnattainable(str(exc)) from exc
+    cert = _certificate(args.mu, args.sigma, args.T, args.B, tau_bar, args.round_up)
     print(json.dumps(cert.as_dict(), indent=2))
     return EXIT_OK
 
@@ -445,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--eta0", type=_float_or_auto, default=None,
                        help="positive float or 'auto' (default: per-step line search)")
     p_fit.add_argument("--max-step", type=float, default=4.0)
-    p_fit.add_argument("--mode", choices=MODES, default="raw_covariates")
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--out", required=True)
     p_fit.set_defaults(func=cmd_fit)

@@ -246,7 +246,7 @@ def true_beta_star(spec: SyntheticSpec, tau: float) -> np.ndarray:
 
 
 def load_csv(path, demand_column: str) -> Dataset:
-    """Load a UTF-8 CSV with a header row into a Dataset.
+    """Load a UTF-8 CSV (byte-order mark optional) with a header row into a Dataset.
 
     The demand column is removed from the features, an intercept column
     is prepended, and remaining columns keep their file order.  Every
@@ -261,7 +261,7 @@ def load_csv(path, demand_column: str) -> Dataset:
     Any other file, including every malformed one, is read again by
     ``_scan_csv``, so results and errors are those of the row scanner.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         header = [h.strip() for h in next(csv.reader(fh), [])]
         if demand_column not in header:
             # the scanner raises the empty-file or missing-column error
@@ -317,7 +317,7 @@ def _scan_csv(path, demand_column: str) -> Dataset:
 
     It defines the accepted format and every error ``load_csv`` raises.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -239,7 +239,6 @@ def _one_replication(
                 n_steps=config.n_steps,
                 clip_radius=config.clip_radius,
                 step_size=config.step_size,
-                mu=mu,
                 sigma=calibrate_sigma(
                     mu,
                     config.clip_radius,

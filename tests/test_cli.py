@@ -116,6 +116,10 @@ class TestSimulate:
         assert "normal" in capsys.readouterr().err  # usage lists valid choices
 
 
+def _no_fit(*args, **kwargs):
+    raise AssertionError("the fit ran")
+
+
 @pytest.fixture()
 def synth_csv(tmp_path):
     path = tmp_path / "train.csv"
@@ -136,6 +140,8 @@ class TestFit:
         assert payload["certificate"]["T"] == 10
         assert payload["certificate"]["epsilon"] == 0.5
         assert len(payload["beta"]) == 5
+        assert list(payload) == ["beta", "certificate", "resolved"]
+        assert payload["resolved"]["mode"] == "raw_covariates"
         assert payload["resolved"]["bandwidth"] > 0
         assert "0.5-GDP" in capsys.readouterr().out
 
@@ -157,7 +163,9 @@ class TestFit:
         ])
         assert code == EXIT_OK
         payload = json.loads(out.read_text())
+        assert list(payload) == ["beta", "certificate", "resolved"]
         assert payload["certificate"] is None
+        assert payload["resolved"]["mode"] == "nonprivate"
         beta = np.asarray(payload["beta"])
         assert np.linalg.norm(beta - (1.5, 1.0, -2.5, -1.5, 3.0)) < 1.0
 
@@ -169,7 +177,8 @@ class TestFit:
         assert code == EXIT_USAGE
         assert "mu" in capsys.readouterr().err
 
-    def test_insufficient_sigma_exits_4(self, synth_csv, tmp_path, capsys):
+    def test_insufficient_sigma_exits_4(self, synth_csv, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(optimizer, "fit", _no_fit)
         code = main([
             "fit", "--input", str(synth_csv), "--tau", "0.5", "--mu", "0.5",
             "--sigma", "1.0", "--out", str(tmp_path / "f.json"),
@@ -187,6 +196,38 @@ class TestFit:
         ])
         assert code == EXIT_USAGE
         assert "clip_radius must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--mu", "0.5"], ["--sigma", "20"]])
+    def test_nonprivate_with_privacy_flag_exits_2(self, synth_csv, tmp_path, capsys, flag):
+        out = tmp_path / "f.json"
+        code = main([
+            "fit", "--input", str(synth_csv), "--tau", "0.5", "--nonprivate", *flag,
+            "--out", str(out),
+        ])
+        assert code == EXIT_USAGE
+        assert "not both" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mode_flag_is_gone(self, synth_csv, tmp_path):
+        # the CLI never whitens: X'X/n of the private rows is outside the certificate
+        with pytest.raises(SystemExit) as info:
+            main([
+                "fit", "--input", str(synth_csv), "--tau", "0.5", "--mu", "0.5",
+                "--mode", "known_sigma_matrix", "--out", str(tmp_path / "f.json"),
+            ])
+        assert info.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("sigma", [[], ["--sigma", "20.5"]])
+    def test_certificate_matches_privacy_command(self, synth_csv, tmp_path, capsys, sigma):
+        out = tmp_path / "fit.json"
+        settings = ["--mu", "0.7", "--T", "6", "--B", "3", "--tau", "0.8", *sigma]
+        code = main(["fit", "--input", str(synth_csv), "--eta0", "1", *settings,
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        capsys.readouterr()
+        assert main(["privacy", *settings]) == EXIT_OK
+        printed = json.loads(capsys.readouterr().out)
+        assert json.loads(out.read_text())["certificate"] == printed
 
     def test_missing_input_exits_3(self, tmp_path):
         code = main([
@@ -223,6 +264,19 @@ def test_tau_and_cost_flags_conflict_exits_2(command, synth_csv, tmp_path, capsy
 
 
 class TestEvaluate:
+    @pytest.mark.parametrize(
+        "payload",
+        [{"certificate": None}, [[1.0, 2.0]], {"beta": [[1.0, 2.0]]}, {"beta": "abc"}],
+        ids=["no-beta", "list", "2d-beta", "text-beta"],
+    )
+    def test_bad_fit_file_exits_2(self, synth_csv, tmp_path, capsys, payload):
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text(json.dumps(payload))
+        code = main(["evaluate", "--fit", str(fit_path), "--test", str(synth_csv),
+                     "--tau", "0.5"])
+        assert code == EXIT_USAGE
+        assert str(fit_path) in capsys.readouterr().err
+
     def test_oos_cost(self, synth_csv, tmp_path, capsys):
         fit_path = tmp_path / "fit.json"
         main([

@@ -164,10 +164,15 @@ def _refuse_scan(path, demand_column):
     raise AssertionError(f"{path} fell back to the row scanner")
 
 
+# spreadsheet exports often start with a UTF-8 byte-order mark
+_BOM = pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+
+
 class TestLoadCsv(object):
-    def test_roundtrip(self, tmp_path):
+    @_BOM
+    def test_roundtrip(self, tmp_path, bom):
         path = tmp_path / "demand.csv"
-        path.write_text("demand,temp\n1.0,20\n2.5,21\n3.0,19\n")
+        path.write_bytes(bom + b"demand,temp\n1.0,20\n2.5,21\n3.0,19\n")
         ds = load_csv(path, "demand")
         assert (ds.n, ds.p) == (3, 2)
         np.testing.assert_allclose(ds.features[:, 0], 1.0)
@@ -180,9 +185,10 @@ class TestLoadCsv(object):
         with pytest.raises(MissingColumn):
             load_csv(path, "demand")
 
-    def test_non_numeric_cell_reports_location(self, tmp_path):
+    @_BOM
+    def test_non_numeric_cell_reports_location(self, tmp_path, bom):
         path = tmp_path / "x.csv"
-        path.write_text("demand,temp\n1,2\n3,NA\n")
+        path.write_bytes(bom + b"demand,temp\n1,2\n3,NA\n")
         with pytest.raises(NonNumericCell) as info:
             load_csv(path, "demand")
         assert info.value.row == 2
