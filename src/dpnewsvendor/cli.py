@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from . import data as datamod
 from . import evaluation, optimizer
@@ -28,8 +27,6 @@ from .kernels import KERNEL_NAMES, check_kernel
 from .model import Problem, coefficients
 from .optimizer import MODES, HyperParams
 from .privacy import PrivacyCertificate, calibrate_sigma
-
-DIST_NAMES = ("normal", "t3", "mixture")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -50,9 +47,10 @@ class ExperimentConfig:
     """Parsed benchmark configuration.
 
     ``taus`` is used when the problem is given at quantile levels;
-    otherwise ``b`` and ``h`` fix a single cost pair.  ``bandwidth`` and
-    ``eta0`` are None when marked ``auto`` in the file.  ``mu_grid``
-    entries are floats, with None for the ``nonprivate`` baseline.
+    otherwise ``b`` and ``h`` fix a single cost pair.  The grid and run
+    settings are fields; ``cell`` maps ``ReplicationConfig`` field names
+    to the settings the file gives, and every cell takes the remaining
+    ``ReplicationConfig`` defaults.
     """
 
     taus: tuple[float, ...] | None = (0.5,)
@@ -60,36 +58,17 @@ class ExperimentConfig:
     h: float | None = None
     dists: tuple[str, ...] = ("normal",)
     ns: tuple[int, ...] = (400,)
-    n_steps: int = 10
-    clip_radius: float = 2.0
-    kernel: str = "gaussian"
-    bandwidth: float | None = None
-    eta0: float | None = None
-    max_step: float = 4.0
-    mode: str = "known_sigma_matrix"
-    mu_grid: tuple[float | None, ...] = (None, 0.9, 0.5, 0.3)
-    round_up: bool = True
     reps: int = 300
-    base_seed: int = 1
-    eval_n: int = 1_000_000
     jobs: int = 1
     rows_path: str = "rows.csv"
     aggregates_path: str = "aggregates.csv"
+    cell: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if (self.b is None) != (self.h is None):
             raise ValueError("problem.b and problem.h must be given together")
         if (self.taus is None) == (self.b is None):
             raise ValueError("config must set either problem.tau or problem.b/problem.h")
-        for d in self.dists:
-            if d not in DIST_NAMES:
-                raise ValueError(f"unknown dist {d!r}; valid: {', '.join(DIST_NAMES)}")
-        check_kernel(self.kernel)
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; valid: {', '.join(MODES)}")
-        for mu in self.mu_grid:
-            if mu is not None and not mu > 0:
-                raise NonPositiveMu(f"privacy levels must be > 0, got {mu}")
 
     def problems(self) -> tuple[Problem, ...]:
         if self.taus is not None:
@@ -104,10 +83,6 @@ def _float_or_auto(raw: str) -> float | None:
     return float(raw)
 
 
-def _auto(value: float | None) -> str:
-    return "auto" if value is None else repr(value)
-
-
 def _parse_bool(raw: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
@@ -119,48 +94,58 @@ def _list_of(cast):
     return lambda raw: tuple(cast(item.strip()) for item in raw.split(",") if item.strip())
 
 
-def _joined(fmt):
-    return lambda values: ", ".join(fmt(v) for v in values)
+def _dist(name: str) -> str:
+    if name not in datamod.DIST_NAMES:
+        raise ValueError(f"unknown dist {name!r}; valid: {', '.join(datamod.DIST_NAMES)}")
+    return name
+
+
+def _mode(name: str) -> str:
+    if name not in MODES:
+        raise ValueError(f"unknown mode {name!r}; valid: {', '.join(MODES)}")
+    return name
 
 
 def _mu(item: str) -> float | None:
-    return None if item == "nonprivate" else float(item)
+    if item == "nonprivate":
+        return None
+    mu = float(item)
+    if not mu > 0:
+        raise NonPositiveMu(f"privacy levels must be > 0, got {mu}")
+    return mu
 
 
-def _mu_text(mu: float | None) -> str:
-    return "nonprivate" if mu is None else repr(mu)
-
-
-# (section, key, ExperimentConfig field, parse, format), in file order.
-# serialize_config leaves out a field that is None unless its format is
-# ``_auto``.
+# (section, key, field, parse), in file order.  A field of
+# ExperimentConfig is a grid or run setting; any other field names the
+# ReplicationConfig setting of every cell.
 _CONFIG_KEYS = (
-    ("problem", "tau", "taus", _list_of(float), _joined(repr)),
-    ("problem", "b", "b", float, repr),
-    ("problem", "h", "h", float, repr),
-    ("data", "dist", "dists", _list_of(str), _joined(str)),
-    ("data", "n", "ns", _list_of(int), _joined(str)),
-    ("hyper", "T", "n_steps", int, str),
-    ("hyper", "B", "clip_radius", float, repr),
-    ("hyper", "kernel", "kernel", str.strip, str),
-    ("hyper", "bandwidth", "bandwidth", _float_or_auto, _auto),
-    ("hyper", "eta0", "eta0", _float_or_auto, _auto),
-    ("hyper", "max_step", "max_step", float, repr),
-    ("hyper", "mode", "mode", str.strip, str),
-    ("privacy", "mu", "mu_grid", _list_of(_mu), _joined(_mu_text)),
-    ("privacy", "round_up", "round_up", _parse_bool, lambda v: str(v).lower()),
-    ("replication", "reps", "reps", int, str),
-    ("replication", "base_seed", "base_seed", int, str),
-    ("replication", "eval_n", "eval_n", int, str),
-    ("replication", "jobs", "jobs", int, str),
-    ("output", "rows", "rows_path", str.strip, str),
-    ("output", "aggregates", "aggregates_path", str.strip, str),
+    ("problem", "tau", "taus", _list_of(float)),
+    ("problem", "b", "b", float),
+    ("problem", "h", "h", float),
+    ("data", "dist", "dists", _list_of(_dist)),
+    ("data", "n", "ns", _list_of(int)),
+    ("hyper", "T", "n_steps", int),
+    ("hyper", "B", "clip_radius", float),
+    ("hyper", "kernel", "kernel", check_kernel),
+    ("hyper", "bandwidth", "bandwidth", _float_or_auto),
+    ("hyper", "eta0", "step_size", _float_or_auto),
+    ("hyper", "max_step", "max_step_size", float),
+    ("hyper", "mode", "mode", _mode),
+    ("privacy", "mu", "mu_grid", _list_of(_mu)),
+    ("privacy", "round_up", "round_up_sigma", _parse_bool),
+    ("replication", "reps", "reps", int),
+    ("replication", "base_seed", "base_seed", int),
+    ("replication", "eval_n", "eval_n", int),
+    ("replication", "jobs", "jobs", int),
+    ("output", "rows", "rows_path", str),
+    ("output", "aggregates", "aggregates_path", str),
 )
+_RUN_FIELDS = {f.name for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the INI-style benchmark config; unknown keys are rejected."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     parser.optionxform = str
     try:
         parser.read_string(text)
@@ -168,36 +153,22 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ValueError(f"malformed config: {exc}") from exc
 
     sections = {section for section, *_ in _CONFIG_KEYS}
-    keys = {(section, key): (field, parse) for section, key, field, parse, _ in _CONFIG_KEYS}
+    keys = {(section, key): (name, parse) for section, key, name, parse in _CONFIG_KEYS}
     kwargs: dict = {}
+    cell: dict = {"base_seed": 1}  # the bench's own seed; ReplicationConfig sets the rest
     for section in parser.sections():
         if section not in sections:
             raise ValueError(f"unknown config section [{section}]")
         for key, raw in parser[section].items():
             if (section, key) not in keys:
                 raise ValueError(f"unknown config key {key!r} in section [{section}]")
-            field, parse = keys[section, key]
-            kwargs[field] = parse(raw)
+            name, parse = keys[section, key]
+            (kwargs if name in _RUN_FIELDS else cell)[name] = parse(raw)
     if "b" in kwargs or "h" in kwargs:
         if "taus" in kwargs:
             raise ValueError("config must set either problem.tau or problem.b/h, not both")
         kwargs["taus"] = None
-    return ExperimentConfig(**kwargs)
-
-
-def serialize_config(config: ExperimentConfig) -> str:
-    """Inverse of parse_config: parse(serialize(c)) == c."""
-    sections: dict[str, dict[str, str]] = {}
-    for section, key, field, _, fmt in _CONFIG_KEYS:
-        value = getattr(config, field)
-        if value is not None or fmt is _auto:
-            sections.setdefault(section, {})[key] = fmt(value)
-    parser = configparser.ConfigParser()
-    parser.optionxform = str
-    parser.read_dict(sections)
-    out = io.StringIO()
-    parser.write(out)
-    return out.getvalue()
+    return ExperimentConfig(**kwargs, cell=cell)
 
 
 # ---------------------------------------------------------------------------
@@ -379,25 +350,15 @@ def cmd_bench(args) -> int:
                     covariance=datamod.ar1_covariance(
                         len(datamod.DEFAULT_THETA_STAR) - 1, 0.5
                     ),
-                    mu_grid=config.mu_grid,
-                    n_steps=config.n_steps,
-                    clip_radius=config.clip_radius,
-                    kernel=config.kernel,
-                    bandwidth=config.bandwidth,
-                    step_size=config.eta0,
-                    max_step_size=config.max_step,
-                    mode=config.mode,
-                    round_up_sigma=config.round_up,
-                    eval_n=config.eval_n,
-                    base_seed=config.base_seed,
+                    **config.cell,
                 )
                 report = evaluation.run_replications(cell, reps, jobs=jobs)
                 all_rows.extend(report.rows)
-                eta_desc = "auto" if config.eta0 is None else repr(config.eta0)
+                eta_desc = "auto" if cell.step_size is None else repr(cell.step_size)
                 print(
                     f"cell dist={dist} tau={problem.tau:g} n={n}: {len(report.rows)} rows "
                     f"(bandwidth={cell.resolved_bandwidth():.6g}, eta0={eta_desc}, "
-                    f"T={config.n_steps}, B={config.clip_radius:g})"
+                    f"T={cell.n_steps}, B={cell.clip_radius:g})"
                 )
     combined = evaluation.ReplicationReport(
         rows=tuple(all_rows), aggregates=evaluation.aggregate_rows(all_rows)
@@ -422,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="write a synthetic demand CSV")
     p_sim.add_argument("--n", type=int, required=True)
-    p_sim.add_argument("--dist", choices=DIST_NAMES, default="normal")
+    p_sim.add_argument("--dist", choices=datamod.DIST_NAMES, default="normal")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--out", required=True)
     p_sim.set_defaults(func=cmd_simulate)

@@ -29,6 +29,7 @@ from .errors import (
 from .model import Dataset
 
 DEFAULT_THETA_STAR = (1.5, 1.0, -2.5, -1.5, 3.0)
+DIST_NAMES = ("normal", "t3", "mixture")  # the names ErrorDist.from_name takes
 
 _QUANTILE_BRACKET = 1e3
 _QUANTILE_XTOL = 1e-10
@@ -98,14 +99,14 @@ class ErrorDist:
 
     @classmethod
     def from_name(cls, name: str) -> "ErrorDist":
-        """CLI names: ``normal``, ``t3``, ``mixture``."""
+        """The law named by one of ``DIST_NAMES``."""
         if name == "normal":
             return cls.normal()
         if name == "t3":
             return cls.student_t(3.0)
         if name == "mixture":
             return cls.gaussian_mixture((0.9, 0.1), (0.0, 0.0), (1.0, 100.0))
-        raise ValueError(f"unknown distribution name {name!r}; valid: normal, t3, mixture")
+        raise ValueError(f"unknown distribution name {name!r}; valid: {', '.join(DIST_NAMES)}")
 
     @property
     def label(self) -> str:

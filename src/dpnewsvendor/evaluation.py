@@ -251,8 +251,7 @@ def _one_replication(
                 mode=config.mode,
                 max_step_size=config.max_step_size,
             )
-            w = whitener if config.mode == "known_sigma_matrix" else None
-            beta = optimizer.fit(train, problem, hp, whitener=w).beta_final
+            beta = optimizer.fit(train, problem, hp, whitener=whitener).beta_final
         betas.append(beta)
     return betas
 

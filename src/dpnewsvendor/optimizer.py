@@ -7,10 +7,13 @@ single record) and adds isotropic Gaussian noise of scale ``sigma``.
 With ``sigma >= 2 * tau_bar * B * sqrt(T) / mu`` the released
 coefficients satisfy mu-GDP.
 
-Two update forms are available: ``known_sigma_matrix`` whitens the
-covariates with the inverse square root of their second-moment matrix
-before clipping, and ``raw_covariates`` (the default, appropriate for
-real data) clips the covariates as-is.
+Two update forms are available.  ``known_sigma_matrix`` (the
+``HyperParams`` and replication-harness default) whitens the covariates
+with the inverse square root of a second-moment matrix before clipping;
+the certificate covers it when that matrix is public, such as the
+design's ``Sigma``.  ``raw_covariates`` clips the covariates as-is; the
+CLI always fits this way, because real data comes with no public
+``Sigma``.
 
 Step size policy: a fixed ``step_size`` reproduces the textbook
 algorithm.  When ``step_size`` is None the fit picks a step each
@@ -19,14 +22,12 @@ along the clipped update direction, with the search grid expanded up to
 ``max_step_size``.  The line search reads the data beyond the noised
 gradient, so it sits outside the formal privacy accounting; runs that
 must match the certificate exactly should fix ``step_size`` by hand.
-The same caveat applies to the returned gradient-norm diagnostics,
-which are not noised and must not be released.
 
 The clip does not depend on beta, so a fit clips (and in
 ``known_sigma_matrix`` mode whitens) the covariates once, before the
 first step.  Each step then evaluates the kernel once, giving one weight
-per observation; that single weight vector serves the gradient norm,
-the line-search direction and the noisy update.
+per observation; that single weight vector serves the line search (its
+slope and direction) and the noisy update.
 
 One Armijo search, ``backtracking_step_size``, serves both this
 line-search fit and the non-private baseline ``smoothed_erm``, a damped
@@ -124,15 +125,12 @@ class FitResult:
     """Output of a fit: final coefficients plus bookkeeping.
 
     ``trajectory`` (when kept) stacks the T+1 iterates, ending at
-    ``beta_final``.  ``gradient_norms`` holds the noise-free smoothed
-    gradient norm at each visited iterate; these diagnostics bypass the
-    privacy mechanism and are for local analysis only.
+    ``beta_final``.
     """
 
     beta_final: np.ndarray
     trajectory: np.ndarray | None
     certificate: PrivacyCertificate | None
-    gradient_norms: np.ndarray
 
 
 class NoiseSource:
@@ -340,13 +338,11 @@ def fit(
         noise = NoiseSource(hp.seed)
 
     trajectory = [beta.copy()] if keep_trajectory else None
-    grad_norms = np.empty(hp.n_steps)
-    for t in range(hp.n_steps):
+    for _ in range(hp.n_steps):
         w = model.gradient_weights(problem, data, beta, hp.kernel, hp.bandwidth)
-        grad = data.features.T @ w / data.n
-        grad_norms[t] = np.linalg.norm(grad)
         eta = hp.step_size
         if eta is None:
+            grad = data.features.T @ w / data.n
             direction = _clipped_sum(design, w, 0.0) / data.n
             eta = backtracking_step_size(
                 data,
@@ -380,7 +376,6 @@ def fit(
         beta_final=beta,
         trajectory=np.asarray(trajectory) if keep_trajectory else None,
         certificate=certificate,
-        gradient_norms=grad_norms,
     )
 
 

@@ -174,7 +174,7 @@ class PrivacyCertificate:
         if not self.mu > 0.0:
             raise NonPositiveMu(f"mu must be > 0, got {self.mu}")
         required = calibrate_sigma(self.mu, self.clip_radius, self.n_steps, self.tau_bar)
-        if self.sigma < required * (1.0 - 1e-12):
+        if not self.sigma >= required * (1.0 - 1e-12):
             raise ValueError(
                 f"sigma={self.sigma} is below the calibration bound {required} "
                 f"for mu={self.mu}"

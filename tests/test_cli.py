@@ -1,21 +1,24 @@
-"""CLI subcommands, config round-trips, and exit codes."""
+"""CLI subcommands, config parsing, and exit codes."""
 
 import json
+import re
+from pathlib import Path
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
-from dpnewsvendor import optimizer
+from dpnewsvendor import data as datamod
+from dpnewsvendor import evaluation, optimizer
 from dpnewsvendor.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_PRIVACY,
     EXIT_USAGE,
-    ExperimentConfig,
     main,
     parse_config,
-    serialize_config,
 )
+from dpnewsvendor.model import Problem
 
 SMOKE_CONFIG = """\
 [problem]
@@ -48,27 +51,32 @@ class TestConfig:
         cfg = parse_config(SMOKE_CONFIG)
         assert cfg.taus == (0.5,)
         assert cfg.ns == (100,)
-        assert cfg.mu_grid == (None, 0.5)
-        assert cfg.n_steps == 5
+        assert cfg.cell["mu_grid"] == (None, 0.5)
+        assert cfg.cell["n_steps"] == 5
         assert cfg.reps == 1
 
-    def test_roundtrip_identity(self):
-        cfg = parse_config(SMOKE_CONFIG)
-        assert parse_config(serialize_config(cfg)) == cfg
-
-    def test_roundtrip_with_costs_and_lists(self):
-        cfg = ExperimentConfig(
-            taus=None,
-            b=50.0,
-            h=30.0,
-            dists=("normal", "t3"),
-            ns=(100, 200),
-            bandwidth=0.123,
-            eta0=1.5,
-            mu_grid=(0.9, None),
-            reps=7,
-        )
-        assert parse_config(serialize_config(cfg)) == cfg
+    def test_readme_config_block_parses(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        [block] = re.findall(r"```ini\n(.*?)```", readme, re.DOTALL)
+        cfg = parse_config(block)
+        assert cfg.taus == (0.25, 0.5, 0.75)
+        assert cfg.dists == ("normal", "t3", "mixture")
+        assert cfg.ns == (100, 200, 400)
+        assert cfg.cell == {
+            "n_steps": 10,
+            "clip_radius": 2.0,
+            "kernel": "gaussian",
+            "bandwidth": None,
+            "step_size": None,
+            "max_step_size": 4.0,
+            "mode": "known_sigma_matrix",
+            "mu_grid": (None, 0.9, 0.5, 0.3),
+            "round_up_sigma": True,
+            "base_seed": 1,
+            "eval_n": 1_000_000,
+        }
+        assert (cfg.reps, cfg.jobs) == (300, 1)
+        assert (cfg.rows_path, cfg.aggregates_path) == ("rows.csv", "aggregates.csv")
 
     def test_unknown_key_rejected_by_name(self):
         with pytest.raises(ValueError, match="warmup"):
@@ -116,8 +124,8 @@ class TestSimulate:
         assert "normal" in capsys.readouterr().err  # usage lists valid choices
 
 
-def _no_fit(*args, **kwargs):
-    raise AssertionError("the fit ran")
+def _not_called(*args, **kwargs):
+    raise AssertionError("called before the check that should stop it")
 
 
 @pytest.fixture()
@@ -178,13 +186,21 @@ class TestFit:
         assert "mu" in capsys.readouterr().err
 
     def test_insufficient_sigma_exits_4(self, synth_csv, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(optimizer, "fit", _no_fit)
+        monkeypatch.setattr(optimizer, "fit", _not_called)
         code = main([
             "fit", "--input", str(synth_csv), "--tau", "0.5", "--mu", "0.5",
             "--sigma", "1.0", "--out", str(tmp_path / "f.json"),
         ])
         assert code == EXIT_PRIVACY
         assert "calibration bound" in capsys.readouterr().err
+
+    def test_nan_sigma_exits_4_before_reading(self, synth_csv, tmp_path, monkeypatch):
+        monkeypatch.setattr(datamod, "load_csv", _not_called)
+        code = main([
+            "fit", "--input", str(synth_csv), "--tau", "0.5", "--mu", "0.5",
+            "--sigma", "nan", "--out", str(tmp_path / "f.json"),
+        ])
+        assert code == EXIT_PRIVACY
 
     @pytest.mark.parametrize("sigma", [[], ["--sigma", "50"]])
     def test_infinite_clip_radius_exits_2(self, synth_csv, tmp_path, capsys, monkeypatch, sigma):
@@ -318,6 +334,10 @@ class TestPrivacyCmd:
                      "--tau-bar", "0.5", "--sigma", "2.0"])
         assert code == EXIT_PRIVACY
 
+    def test_nan_sigma_exits_4(self):
+        code = main(["privacy", "--mu", "0.5", "--tau-bar", "0.5", "--sigma", "nan"])
+        assert code == EXIT_PRIVACY
+
     def test_infinite_clip_radius_exits_2(self, capsys):
         code = main(["privacy", "--mu", "0.5", "--B", "inf", "--tau-bar", "0.5"])
         assert code == EXIT_USAGE
@@ -369,3 +389,64 @@ class TestBench:
                   "--aggregates", str(tmp_path / f"agg{tag}.csv")])
             outs.append(rows.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_every_cell_key_reaches_replication_config(self, tmp_path, monkeypatch):
+        seen = []
+
+        def capture(cell, R, jobs=1):
+            seen.append((cell, R, jobs))
+            return evaluation.ReplicationReport(rows=(), aggregates=())
+
+        monkeypatch.setattr(evaluation, "run_replications", capture)
+        cfg = tmp_path / "bench.ini"
+        cfg.write_text(
+            "[problem]\ntau = 0.7\n[data]\ndist = t3\nn = 123\n"
+            "[hyper]\nT = 7\nB = 3\nkernel = logistic\nbandwidth = 0.2\n"
+            "eta0 = 0.5\nmax_step = 2\nmode = raw_covariates\n"
+            "[privacy]\nmu = 0.9, nonprivate\nround_up = false\n"
+            "[replication]\nreps = 4\nbase_seed = 5\neval_n = 777\njobs = 2\n"
+        )
+        code = main(["bench", "--config", str(cfg), "--rows", str(tmp_path / "r.csv"),
+                     "--aggregates", str(tmp_path / "a.csv")])
+        assert code == EXIT_OK
+        [(cell, reps, jobs)] = seen
+        assert (reps, jobs) == (4, 2)
+        expected = {
+            "problem": Problem.from_quantile(0.7),
+            "error_dist": datamod.ErrorDist.student_t(3.0),
+            "n": 123,
+            "theta_star": datamod.DEFAULT_THETA_STAR,
+            "mu_grid": (0.9, None),
+            "n_steps": 7,
+            "clip_radius": 3.0,
+            "kernel": "logistic",
+            "bandwidth": 0.2,
+            "step_size": 0.5,
+            "max_step_size": 2.0,
+            "mode": "raw_covariates",
+            "round_up_sigma": False,
+            "eval_n": 777,
+            "base_seed": 5,
+        }
+        for f in fields(evaluation.ReplicationConfig):
+            if f.name == "covariance":
+                np.testing.assert_array_equal(cell.covariance, datamod.ar1_covariance(4, 0.5))
+                continue
+            assert getattr(cell, f.name) == expected[f.name], f.name
+            assert f.default is MISSING or expected[f.name] != f.default, f.name
+
+    @pytest.mark.parametrize(
+        "section, setting, message",
+        [
+            ("data", "dist = normal, t9", "unknown dist 't9'; valid: normal, t3, mixture"),
+            ("hyper", "mode = whitened",
+             "unknown mode 'whitened'; valid: known_sigma_matrix, raw_covariates"),
+            ("privacy", "mu = nonprivate, 0", "privacy levels must be > 0, got 0.0"),
+        ],
+        ids=["dist", "mode", "mu"],
+    )
+    def test_bad_cell_setting_exits_2(self, tmp_path, capsys, section, setting, message):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[{section}]\n{setting}\n")
+        assert main(["bench", "--config", str(cfg)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err

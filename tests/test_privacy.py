@@ -203,6 +203,12 @@ class TestTypes:
                 mu=0.5, sigma=5.0, n_steps=10, clip_radius=2.0, tau_bar=0.5
             )
 
+    def test_certificate_rejects_nan_sigma(self):
+        with pytest.raises(ValueError, match="below the calibration bound"):
+            PrivacyCertificate(
+                mu=0.5, sigma=math.nan, n_steps=10, clip_radius=2.0, tau_bar=0.5
+            )
+
     def test_certificate_exact_boundary(self):
         sigma = calibrate_sigma(0.9, 2, 10, 0.6)
         PrivacyCertificate(mu=0.9, sigma=sigma, n_steps=10, clip_radius=2.0, tau_bar=0.6)
