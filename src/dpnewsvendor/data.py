@@ -219,19 +219,39 @@ def default_spec(n: int, dist: str | ErrorDist = "normal", seed: int = 0) -> Syn
     )
 
 
+def synthetic_blocks(spec: SyntheticSpec, rows: int):
+    """Yield the recipe's rows as ``(features, demands)`` blocks of
+    ``rows`` rows, the last one possibly shorter.
+
+    Features are ``x = (1, z)`` with ``z ~ N(0, covariance)`` via a
+    Cholesky factor, and ``d = x @ theta_star + eps``.  The standard
+    normals ``z`` and the noise ``eps`` are drawn whole, in that order,
+    before the first block: the mixture law draws every component label
+    before any normal, so the stream cannot be split by rows.  Only the
+    features and demands are built block by block.
+    """
+    if not rows >= 1:
+        raise ValueError(f"rows must be >= 1, got {rows}")
+    rng = np.random.default_rng(spec.seed)
+    chol = np.linalg.cholesky(spec.covariance)
+    theta = np.asarray(spec.theta_star)
+    z = rng.standard_normal((spec.n, spec.p - 1))
+    eps = sample_errors(spec.error_dist, spec.n, rng)
+    for start in range(0, spec.n, rows):
+        stop = min(start + rows, spec.n)
+        x = np.empty((stop - start, spec.p))
+        x[:, 0] = 1.0
+        x[:, 1:] = z[start:stop] @ chol.T
+        yield x, x @ theta + eps[start:stop]
+
+
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Draw a dataset from the recipe; deterministic given the seed.
 
-    Features are ``x = (1, z)`` with ``z ~ N(0, covariance)`` via a
-    Cholesky factor, and ``d = x @ theta_star + eps``.
+    The dataset is the single block of ``spec.n`` rows of
+    ``synthetic_blocks``.
     """
-    rng = np.random.default_rng(spec.seed)
-    chol = np.linalg.cholesky(spec.covariance)
-    x = np.empty((spec.n, spec.p))
-    x[:, 0] = 1.0
-    x[:, 1:] = rng.standard_normal((spec.n, spec.p - 1)) @ chol.T
-    eps = sample_errors(spec.error_dist, spec.n, rng)
-    d = x @ np.asarray(spec.theta_star) + eps
+    [(x, d)] = synthetic_blocks(spec, spec.n)
     return Dataset(demands=d, features=x)
 
 

@@ -3,10 +3,11 @@
 ``run_replications`` repeats a generate -> fit cycle with independent
 seeds and reports, per estimator, the L2 and whitened estimation errors,
 the regret against the clairvoyant policy on a large held-out evaluation
-set, and the out-of-sample cost.  Fitting comes first; the evaluation
-set is then generated once and every policy of the run, the clairvoyant
-one included, is scored in one blocked pass over it by
-``out_of_sample_cost``.
+set, and the out-of-sample cost.  Fitting comes first; every policy of
+the run, the clairvoyant one included, is then scored in one blocked
+pass by ``out_of_sample_cost``, which draws the evaluation rows from
+their ``SyntheticSpec`` block by block and scores each block as it is
+drawn, so the evaluation set is never held whole as a ``Dataset``.
 
 Seeding is splittable and documented: replication ``r`` derives its
 streams from ``SeedSequence((base_seed, r, k))`` where ``k = 0`` is the
@@ -30,6 +31,7 @@ from .data import (
     SyntheticSpec,
     Whitener,
     generate_synthetic,
+    synthetic_blocks,
     true_beta_star,
     whitener_from,
 )
@@ -79,12 +81,15 @@ _BLOCK_ROWS = 4096
 _GROUP_POLICIES = 16
 
 
-def out_of_sample_cost(problem: Problem, policy, test_data: Dataset):
+def out_of_sample_cost(problem: Problem, policy, test_data: Dataset | SyntheticSpec):
     """Average newsvendor cost of one or several policies on held-out data.
 
     ``policy`` is a coefficient vector, which gives a float, or a
     ``(p, K)`` matrix with one policy per column, which gives the K costs
-    as an array from a single pass over the data.  The pass
+    as an array from a single pass over the data.  The data is a
+    ``Dataset`` or a ``SyntheticSpec``; a spec's rows are drawn by
+    ``synthetic_blocks`` one block at a time and scored as they are
+    drawn, so its ``n``-row feature matrix is never built.  The pass
     takes rows in blocks of ``_BLOCK_ROWS`` and policies in zero-padded
     groups of ``_GROUP_POLICIES`` and sums the cost
     ``b * (d - q) + (b + h) * (q - d)^+`` block by block.
@@ -108,10 +113,10 @@ def out_of_sample_cost(problem: Problem, policy, test_data: Dataset):
     over = np.empty((_GROUP_POLICIES, _BLOCK_ROWS))
     over_sum = np.zeros(width)  # sum of q - d
     excess_sum = np.zeros(width)  # sum of (q - d)^+
-    for start in range(0, n, _BLOCK_ROWS):
-        m = min(_BLOCK_ROWS, n - start)
-        block[:p, :m] = test_data.features[start : start + m].T
-        block[p, :m] = test_data.demands[start : start + m]
+    for features, demands in _row_blocks(test_data):
+        m = len(demands)
+        block[:p, :m] = features.T
+        block[p, :m] = demands
         for g in range(0, width, _GROUP_POLICIES):
             o = np.matmul(groups[g : g + _GROUP_POLICIES], block[:, :m], out=over[:, :m])
             over_sum[g : g + _GROUP_POLICIES] += o.sum(axis=1)
@@ -122,7 +127,18 @@ def out_of_sample_cost(problem: Problem, policy, test_data: Dataset):
     return float(costs[0]) if single else costs
 
 
-def regret(problem: Problem, policy, beta_star, eval_data: Dataset) -> float:
+def _row_blocks(source: Dataset | SyntheticSpec):
+    """``(features, demands)`` blocks of ``_BLOCK_ROWS`` rows of a dataset
+    or a synthetic recipe."""
+    if isinstance(source, SyntheticSpec):
+        yield from synthetic_blocks(source, _BLOCK_ROWS)
+        return
+    for start in range(0, source.n, _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        yield source.features[start:stop], source.demands[start:stop]
+
+
+def regret(problem: Problem, policy, beta_star, eval_data: Dataset | SyntheticSpec) -> float:
     """Mean cost of the policy minus mean cost of the clairvoyant policy."""
     cost, clairvoyant_cost = out_of_sample_cost(
         problem, np.column_stack([coefficients(policy), coefficients(beta_star)]), eval_data
@@ -180,6 +196,12 @@ class ReplicationConfig:
     round_up_sigma: bool = True
     eval_n: int = 1_000_000
     base_seed: int = 0
+
+    def __post_init__(self):
+        if not self.eval_n >= 1:
+            raise ValueError(f"eval_n must be >= 1, got {self.eval_n}")
+        if not self.base_seed >= 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
 
     def resolved_bandwidth(self) -> float:
         if self.bandwidth is not None:
@@ -292,6 +314,8 @@ def run_replications(config: ReplicationConfig, R: int, jobs: int = 1) -> Replic
     """
     if not R >= 1:
         raise ValueError(f"R must be >= 1, got {R}")
+    if not jobs >= 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     eval_spec = _synthetic_spec(config, config.eval_n, derive_seed(config.base_seed, 0, 0))
     whitener = whitener_from(eval_spec)
 
@@ -308,11 +332,10 @@ def run_replications(config: ReplicationConfig, R: int, jobs: int = 1) -> Replic
     else:
         per_rep = [job(r) for r in rep_ids]
 
-    eval_data = generate_synthetic(eval_spec)
     beta_star = true_beta_star(eval_spec, config.problem.tau)
     betas = [beta for chunk in per_rep for beta in chunk]
     clairvoyant_cost, *costs = out_of_sample_cost(
-        config.problem, np.column_stack([beta_star, *betas]), eval_data
+        config.problem, np.column_stack([beta_star, *betas]), eval_spec
     ).tolist()
     cells = [(rep_id, mu) for rep_id in rep_ids for mu in config.mu_grid]
     rows = tuple(

@@ -442,8 +442,11 @@ class TestBench:
             ("hyper", "mode = whitened",
              "unknown mode 'whitened'; valid: known_sigma_matrix, raw_covariates"),
             ("privacy", "mu = nonprivate, 0", "privacy levels must be > 0, got 0.0"),
+            ("replication", "eval_n = 0", "eval_n must be >= 1, got 0"),
+            ("replication", "base_seed = -1", "base_seed must be >= 0, got -1"),
+            ("replication", "jobs = 0", "jobs must be >= 1, got 0"),
         ],
-        ids=["dist", "mode", "mu"],
+        ids=["dist", "mode", "mu", "eval_n", "base_seed", "jobs"],
     )
     def test_bad_cell_setting_exits_2(self, tmp_path, capsys, section, setting, message):
         cfg = tmp_path / "bad.ini"

@@ -1,5 +1,8 @@
 """Metrics and the replication harness."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from dpnewsvendor.data import (
     ar1_covariance,
     default_spec,
     generate_synthetic,
+    synthetic_blocks,
     true_beta_star,
     whitener_from,
 )
@@ -132,6 +136,46 @@ class TestRegretAndOos:
         assert out_of_sample_cost(
             prob, np.array([1.0, 0.5, 0.5, 0.5, 0.5]), noiseless
         ) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestStreamedEvaluation:
+    # 1_000 rows fit in one block; 10_001 leave a short last block
+    @pytest.mark.parametrize("eval_n", [1_000, 10_001])
+    @pytest.mark.parametrize("dist", ["normal", "t3", "mixture"])
+    def test_spec_cost_equals_dataset_cost(self, dist, eval_n):
+        spec = default_spec(eval_n, dist, seed=8)
+        prob = Problem(b=50, h=30)
+        rng = np.random.default_rng(3)
+        betas = true_beta_star(spec, prob.tau)[:, None] + rng.normal(scale=0.3, size=(5, 20))
+        streamed = out_of_sample_cost(prob, betas, spec)
+        materialised = out_of_sample_cost(prob, betas, generate_synthetic(spec))
+        np.testing.assert_allclose(streamed, materialised, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("eval_n", [1, 1_000, 10_001])
+    @pytest.mark.parametrize("dist", ["normal", "t3", "mixture"])
+    def test_blocks_concatenate_to_the_dataset(self, dist, eval_n):
+        spec = default_spec(eval_n, dist, seed=9)
+        blocks = list(synthetic_blocks(spec, 4096))
+        assert [len(d) for _, d in blocks][:-1] == [4096] * (len(blocks) - 1)
+        data = generate_synthetic(spec)
+        np.testing.assert_array_equal(np.concatenate([x for x, _ in blocks]), data.features)
+        np.testing.assert_array_equal(np.concatenate([d for _, d in blocks]), data.demands)
+
+    def test_block_rows_must_be_positive(self):
+        with pytest.raises(ValueError, match="rows must be >= 1"):
+            next(synthetic_blocks(default_spec(10, "normal"), 0))
+
+    def test_harness_never_holds_the_evaluation_set(self, small_config):
+        # the evaluation set as a Dataset costs over 100 bytes a row
+        config = replace(small_config, n=200, eval_n=200_000)
+        run_replications(replace(config, eval_n=10), R=1)  # lazy imports and caches
+        tracemalloc.start()
+        try:
+            run_replications(config, R=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / config.eval_n <= 64
 
 
 class TestSeedDerivation:

@@ -1,5 +1,6 @@
 """Property tests: clipping, the smoothed-loss sandwich, one-step
-sensitivity, ERM convergence and the CSV reader's two parsers."""
+sensitivity, ERM convergence, the CSV reader's two parsers and the
+replication harness's seeding."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -7,8 +8,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dpnewsvendor import data as datamod
-from dpnewsvendor.data import load_csv, whitener_from
-from dpnewsvendor.evaluation import estimation_error
+from dpnewsvendor.data import (
+    DEFAULT_THETA_STAR,
+    DIST_NAMES,
+    ErrorDist,
+    ar1_covariance,
+    load_csv,
+    whitener_from,
+)
+from dpnewsvendor.evaluation import ReplicationConfig, estimation_error, run_replications
 from dpnewsvendor.kernels import KERNEL_NAMES, check_loss, constants, smoothed_check_loss
 from dpnewsvendor.model import Dataset, Problem, smoothed_gradient
 from dpnewsvendor.optimizer import HyperParams, clip, noisy_step, smoothed_erm
@@ -177,3 +185,26 @@ def test_load_csv_matches_scanner_on_any_text(tmp_path_factory, header, body):
     path = tmp_path_factory.mktemp("csv") / "text.csv"
     path.write_bytes(f"{header}\n{body}".encode("utf-8"))
     assert _outcome(load_csv, path) == _outcome(datamod._scan_csv, path)
+
+
+@settings(deadline=None, max_examples=50)
+@given(
+    base_seed=st.integers(0, 2**63 - 1),
+    # crosses the 4096-row blocks of the evaluation pass
+    eval_n=st.integers(1, 9000),
+    dist=st.sampled_from(DIST_NAMES),
+)
+def test_replication_rows_ignore_jobs_and_later_replications(base_seed, eval_n, dist):
+    config = ReplicationConfig(
+        problem=Problem.from_quantile(0.5),
+        error_dist=ErrorDist.from_name(dist),
+        n=40,
+        theta_star=DEFAULT_THETA_STAR,
+        covariance=ar1_covariance(len(DEFAULT_THETA_STAR) - 1, 0.5),
+        mu_grid=(None, 0.5),
+        eval_n=eval_n,
+        base_seed=base_seed,
+    )
+    rows = run_replications(config, R=2).rows
+    assert run_replications(config, R=2, jobs=2).rows == rows
+    assert run_replications(config, R=1).rows == rows[: len(config.mu_grid)]
