@@ -23,16 +23,12 @@ from .evaluation import (
     ReplicationReport,
     estimation_error,
     out_of_sample_cost,
-    regret,
     run_replications,
 )
-from .kernels import KernelConstants, constants, smoothed_check_loss
+from .kernels import KernelConstants, check_loss, constants, smoothed_check_loss
 from .model import (
     Dataset,
     Problem,
-    check_loss,
-    empirical_cost,
-    newsvendor_cost,
     smoothed_empirical_cost,
     smoothed_gradient,
     smoothed_hessian,
@@ -82,7 +78,6 @@ __all__ = [
     "compose_gdp",
     "constants",
     "default_bandwidth",
-    "empirical_cost",
     "eps_delta_tradeoff",
     "error_quantile",
     "estimation_error",
@@ -91,11 +86,9 @@ __all__ = [
     "gdp_tradeoff",
     "generate_synthetic",
     "load_csv",
-    "newsvendor_cost",
     "noisy_step",
     "one_step_sensitivity",
     "out_of_sample_cost",
-    "regret",
     "run_replications",
     "smoothed_check_loss",
     "smoothed_empirical_cost",

@@ -164,6 +164,7 @@ def sample_errors(dist: ErrorDist, n: int, rng: np.random.Generator) -> np.ndarr
     comp = rng.choice(len(dist.weights), size=n, p=dist.weights)
     means = np.asarray(dist.means)[comp]
     sds = np.sqrt(np.asarray(dist.variances))[comp]
+    del comp  # n int64 labels, no longer needed while the normals are drawn
     return rng.normal(means, sds)
 
 
@@ -406,21 +407,21 @@ def _whitener_from_matrix(sigma: np.ndarray) -> Whitener:
 
 
 def whitener_from(source) -> Whitener:
-    """Build a whitener from a SyntheticSpec, a Dataset, or a matrix.
+    """Build a whitener from a SyntheticSpec or a second-moment matrix.
 
     A SyntheticSpec yields the exact second moment of its features
     (block diagonal: 1 for the intercept, the feature covariance for the
-    rest).  A Dataset yields the empirical second moment ``X'X / n``.
+    rest).  A Dataset is refused: its ``X'X / n`` is computed from the
+    rows, so a fit whitened with it is not covered by its certificate.
     """
+    if isinstance(source, Dataset):
+        raise TypeError("whitener_from takes a SyntheticSpec or a matrix, not a Dataset")
     if isinstance(source, SyntheticSpec):
         p = source.p
         sigma = np.zeros((p, p))
         sigma[0, 0] = 1.0
         sigma[1:, 1:] = source.covariance
         return _whitener_from_matrix(sigma)
-    if isinstance(source, Dataset):
-        x = source.features
-        return _whitener_from_matrix(x.T @ x / source.n)
     return _whitener_from_matrix(np.asarray(source, dtype=float))
 
 

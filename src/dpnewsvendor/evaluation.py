@@ -138,14 +138,6 @@ def _row_blocks(source: Dataset | SyntheticSpec):
         yield source.features[start:stop], source.demands[start:stop]
 
 
-def regret(problem: Problem, policy, beta_star, eval_data: Dataset | SyntheticSpec) -> float:
-    """Mean cost of the policy minus mean cost of the clairvoyant policy."""
-    cost, clairvoyant_cost = out_of_sample_cost(
-        problem, np.column_stack([coefficients(policy), coefficients(beta_star)]), eval_data
-    )
-    return float(cost - clairvoyant_cost)
-
-
 @dataclass(frozen=True)
 class ReplicationRow:
     rep_id: int

@@ -23,14 +23,10 @@ import numpy as np
 
 from . import kernels
 from .errors import DimensionMismatch
-from .kernels import check_loss
 
 __all__ = [
     "Problem",
     "Dataset",
-    "newsvendor_cost",
-    "check_loss",
-    "empirical_cost",
     "smoothed_empirical_cost",
     "gradient_weights",
     "smoothed_gradient",
@@ -139,27 +135,6 @@ def _residuals(data: Dataset, policy) -> np.ndarray:
     return data.demands - data.features @ beta
 
 
-def newsvendor_cost(problem: Problem, order, demand):
-    """Per-decision cost h * (order - demand)^+ + b * (demand - order)^+."""
-    order = np.asarray(order, dtype=float)
-    demand = np.asarray(demand, dtype=float)
-    out = problem.h * np.maximum(order - demand, 0.0) + problem.b * np.maximum(
-        demand - order, 0.0
-    )
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def empirical_cost(problem: Problem, data: Dataset, policy) -> float:
-    """Average newsvendor cost of a linear policy on the dataset.
-
-    Equals ``(b + h) / n * sum_i check_loss(tau, d_i - x_i @ beta)``.
-    """
-    r = _residuals(data, policy)
-    return problem.total_cost * float(np.mean(check_loss(problem.tau, r)))
-
-
 def smoothed_empirical_cost(
     problem: Problem,
     data: Dataset,
@@ -169,7 +144,8 @@ def smoothed_empirical_cost(
 ) -> float:
     """Empirical cost with the check loss replaced by its smoothed form.
 
-    Dominates ``empirical_cost`` and exceeds it by at most
+    Dominates the plain empirical cost ``evaluation.out_of_sample_cost``
+    on the same data and exceeds it by at most
     ``(b + h) * kappa_1 * bandwidth / 2``.
     """
     r = _residuals(data, policy)

@@ -310,12 +310,11 @@ def fit(
     data: Dataset,
     problem: Problem,
     hp: HyperParams,
-    beta0: np.ndarray | None = None,
     whitener: Whitener | None = None,
     keep_trajectory: bool = False,
     noise: NoiseSource | SecureNoiseSource | None = None,
 ) -> FitResult:
-    """Run exactly ``hp.n_steps`` noisy updates from ``beta0``.
+    """Run exactly ``hp.n_steps`` noisy updates from the zero vector.
 
     Deterministic given ``hp.seed`` (unless a secure noise source is
     supplied).  A privacy certificate is attached when ``hp.mu`` is set
@@ -325,14 +324,7 @@ def fit(
     ``MissingWhitener`` before any step.
     """
     _warn_if_flat_kernel(hp.kernel)
-    if beta0 is None:
-        beta = np.zeros(data.p)
-    else:
-        beta = np.array(beta0, dtype=float)
-        if beta.shape != (data.p,):
-            raise DimensionMismatch(
-                f"beta0 has shape {beta.shape}, expected ({data.p},)"
-            )
+    beta = np.zeros(data.p)
     design = _clipped_design(data, hp, whitener)
     if noise is None:
         noise = NoiseSource(hp.seed)

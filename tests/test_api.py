@@ -23,7 +23,6 @@ PUBLIC_NAMES = [
     "compose_gdp",
     "constants",
     "default_bandwidth",
-    "empirical_cost",
     "eps_delta_tradeoff",
     "error_quantile",
     "estimation_error",
@@ -32,11 +31,9 @@ PUBLIC_NAMES = [
     "gdp_tradeoff",
     "generate_synthetic",
     "load_csv",
-    "newsvendor_cost",
     "noisy_step",
     "one_step_sensitivity",
     "out_of_sample_cost",
-    "regret",
     "run_replications",
     "smoothed_check_loss",
     "smoothed_empirical_cost",

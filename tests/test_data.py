@@ -26,7 +26,8 @@ from dpnewsvendor.errors import (
     SingularCovariance,
     SplitTooLarge,
 )
-from dpnewsvendor.model import Problem, check_loss
+from dpnewsvendor.kernels import check_loss
+from dpnewsvendor.model import Problem
 
 
 class TestErrorDist:
@@ -287,11 +288,14 @@ class TestWhitener:
         np.testing.assert_allclose(product, np.eye(w.p), atol=1e-8)
 
     def test_rank_deficient_rejected(self):
-        from dpnewsvendor.model import Dataset
-
         x = np.column_stack([np.ones(10), np.arange(10.0), np.arange(10.0)])
-        ds = Dataset(demands=np.zeros(10), features=x)
         with pytest.raises(SingularCovariance):
+            whitener_from(x.T @ x / 10)
+
+    def test_dataset_rejected(self):
+        # X'X / n of private rows is not a public input
+        ds = generate_synthetic(default_spec(10, "normal", seed=0))
+        with pytest.raises(TypeError, match="SyntheticSpec or a matrix"):
             whitener_from(ds)
 
     def test_whitened_second_moment_near_identity(self):

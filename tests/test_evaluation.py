@@ -22,12 +22,12 @@ from dpnewsvendor.evaluation import (
     derive_seed,
     estimation_error,
     out_of_sample_cost,
-    regret,
     run_replications,
     write_aggregates_csv,
     write_rows_csv,
 )
-from dpnewsvendor.model import Problem, newsvendor_cost
+from dpnewsvendor.kernels import check_loss
+from dpnewsvendor.model import Problem
 
 
 @pytest.fixture(scope="module")
@@ -69,17 +69,23 @@ class TestRegretAndOos:
         data = generate_synthetic(spec)
         prob = Problem.from_quantile(0.5)
         beta_star = true_beta_star(spec, prob.tau)
-        assert regret(prob, beta_star, beta_star, data) == 0.0
+        cost, clairvoyant_cost = out_of_sample_cost(
+            prob, np.column_stack([beta_star, beta_star]), data
+        )
+        assert cost - clairvoyant_cost == 0.0
 
     def test_regret_nearly_nonnegative(self):
+        # the spec is scored block by block; its 1e6 rows are never held
         spec = default_spec(1_000_000, "normal", seed=2)
-        data = generate_synthetic(spec)
         prob = Problem.from_quantile(0.5)
         beta_star = true_beta_star(spec, prob.tau)
         rng = np.random.default_rng(0)
-        for _ in range(5):
-            other = beta_star + rng.normal(scale=0.05, size=len(beta_star))
-            assert regret(prob, other, beta_star, data) >= -0.002
+        others = beta_star[:, None] + rng.normal(scale=0.05, size=(5, len(beta_star))).T
+        clairvoyant_cost, *costs = out_of_sample_cost(
+            prob, np.column_stack([beta_star, others]), spec
+        )
+        for cost in costs:
+            assert cost - clairvoyant_cost >= -0.002
 
     def test_oos_single_point(self):
         from dpnewsvendor.model import Dataset
@@ -97,7 +103,8 @@ class TestRegretAndOos:
         costs = out_of_sample_cost(prob, betas, data)
         assert costs.shape == (20,)
         for k in range(20):
-            reference = np.mean(newsvendor_cost(prob, data.features @ betas[:, k], data.demands))
+            residuals = data.demands - data.features @ betas[:, k]
+            reference = prob.total_cost * np.mean(check_loss(prob.tau, residuals))
             assert costs[k] == pytest.approx(out_of_sample_cost(prob, betas[:, k], data), rel=1e-12)
             assert costs[k] == pytest.approx(reference, rel=1e-12)
 
@@ -165,9 +172,12 @@ class TestStreamedEvaluation:
         with pytest.raises(ValueError, match="rows must be >= 1"):
             next(synthetic_blocks(default_spec(10, "normal"), 0))
 
-    def test_harness_never_holds_the_evaluation_set(self, small_config):
+    @pytest.mark.parametrize("dist", ["normal", "t3", "mixture"])
+    def test_harness_never_holds_the_evaluation_set(self, small_config, dist):
         # the evaluation set as a Dataset costs over 100 bytes a row
-        config = replace(small_config, n=200, eval_n=200_000)
+        config = replace(
+            small_config, error_dist=ErrorDist.from_name(dist), n=200, eval_n=200_000
+        )
         run_replications(replace(config, eval_n=10), R=1)  # lazy imports and caches
         tracemalloc.start()
         try:

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from dpnewsvendor.errors import DimensionMismatch, NonPositiveBandwidth
-from dpnewsvendor.kernels import KERNEL_NAMES, constants
+from dpnewsvendor.evaluation import out_of_sample_cost
+from dpnewsvendor.kernels import KERNEL_NAMES, check_loss, constants
 from dpnewsvendor.model import (
     Dataset,
     Problem,
-    check_loss,
-    empirical_cost,
-    newsvendor_cost,
     smoothed_empirical_cost,
     smoothed_gradient,
     smoothed_hessian,
@@ -76,15 +74,20 @@ class TestDataset:
         assert (ds.n, ds.p) == (2, 2)
 
 
+def one_row(demand, features=(1.0,)):
+    return Dataset(demands=[demand], features=[list(features)])
+
+
 class TestNewsvendorCost:
+    # the cost of a single order is out_of_sample_cost on a one-row dataset
     def test_exact_match_costs_nothing(self):
-        assert newsvendor_cost(Problem(b=0.5, h=0.5), 1.0, 1.0) == 0.0
+        assert out_of_sample_cost(Problem(b=0.5, h=0.5), [1.0], one_row(1.0)) == 0.0
 
     def test_understock(self):
-        assert newsvendor_cost(Problem(b=50, h=30), 2.0, 5.0) == pytest.approx(150.0)
+        assert out_of_sample_cost(Problem(b=50, h=30), [2.0], one_row(5.0)) == pytest.approx(150.0)
 
     def test_overstock(self):
-        assert newsvendor_cost(Problem(b=50, h=30), 5.0, 2.0) == pytest.approx(90.0)
+        assert out_of_sample_cost(Problem(b=50, h=30), [5.0], one_row(2.0)) == pytest.approx(90.0)
 
     def test_check_loss_identity(self):
         rng = np.random.default_rng(3)
@@ -92,7 +95,7 @@ class TestNewsvendorCost:
             b, h = rng.uniform(0.1, 100, size=2)
             q, d = rng.uniform(-50, 50, size=2)
             prob = Problem(b=b, h=h)
-            assert newsvendor_cost(prob, q, d) == pytest.approx(
+            assert out_of_sample_cost(prob, [q], one_row(d)) == pytest.approx(
                 prob.total_cost * check_loss(prob.tau, d - q), rel=1e-12, abs=1e-12
             )
 
@@ -106,31 +109,30 @@ class TestCheckLoss:
 
 class TestEmpiricalCost:
     def test_single_observation(self):
-        ds = Dataset(demands=[1.0], features=[[1.0]])
         prob = Problem(b=0.5, h=0.5)
-        assert empirical_cost(prob, ds, np.zeros(1)) == pytest.approx(0.5)
+        assert out_of_sample_cost(prob, np.zeros(1), one_row(1.0)) == pytest.approx(0.5)
 
     def test_interpolating_policy_is_free(self):
         rng = np.random.default_rng(0)
         x = np.column_stack([np.ones(5), rng.standard_normal((5, 2))])
         beta = rng.normal(size=3)
         ds = Dataset(demands=x @ beta, features=x)
-        assert empirical_cost(Problem(b=1, h=2), ds, beta) == pytest.approx(0.0, abs=1e-12)
+        assert out_of_sample_cost(Problem(b=1, h=2), beta, ds) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_observations(self):
         ds = Dataset(demands=[0.0, 2.0], features=[[1.0], [1.0]])
         prob = Problem.from_quantile(0.5)
-        assert empirical_cost(prob, ds, np.array([1.0])) == pytest.approx(0.5)
+        assert out_of_sample_cost(prob, np.array([1.0]), ds) == pytest.approx(0.5)
 
     def test_dimension_mismatch(self):
-        ds = Dataset(demands=[1.0], features=[[1.0, 2.0]])
         with pytest.raises(DimensionMismatch):
-            empirical_cost(Problem(b=1, h=1), ds, np.zeros(3))
+            out_of_sample_cost(Problem(b=1, h=1), np.zeros(3), one_row(1.0, (1.0, 2.0)))
 
     def test_accepts_linear_policy(self):
+        # a policy is its coefficient vector, here a plain list
         ds = Dataset(demands=[0.0, 2.0], features=[[1.0], [1.0]])
         prob = Problem.from_quantile(0.5)
-        assert empirical_cost(prob, ds, np.array([1.0])) == pytest.approx(0.5)
+        assert out_of_sample_cost(prob, [1.0], ds) == pytest.approx(0.5)
 
 
 class TestSmoothedEmpiricalCost:
@@ -139,7 +141,7 @@ class TestSmoothedEmpiricalCost:
         ds = random_dataset(rng)
         prob = Problem(b=2, h=3)
         beta = rng.normal(size=ds.p)
-        plain = empirical_cost(prob, ds, beta)
+        plain = out_of_sample_cost(prob, beta, ds)
         smoothed = smoothed_empirical_cost(prob, ds, beta, "gaussian", 1e-4)
         assert smoothed == pytest.approx(plain, abs=1e-3)
 
@@ -151,7 +153,7 @@ class TestSmoothedEmpiricalCost:
             prob = Problem(b=rng.uniform(0.5, 5), h=rng.uniform(0.5, 5))
             beta = rng.normal(size=ds.p)
             bw = 10 ** rng.uniform(-1, 0.3)
-            lo = empirical_cost(prob, ds, beta)
+            lo = out_of_sample_cost(prob, beta, ds)
             hi = lo + prob.total_cost * constants(kind).kappa_1 * bw / 2
             val = smoothed_empirical_cost(prob, ds, beta, kind, bw)
             assert lo - 1e-10 <= val <= hi + 1e-9
@@ -262,4 +264,4 @@ class TestSmoothedHessian:
             beta = rng.normal(size=ds.p)
             assert smoothed_empirical_cost(
                 prob, ds, beta, "uniform", 0.8
-            ) >= empirical_cost(prob, ds, beta) - 1e-12
+            ) >= out_of_sample_cost(prob, beta, ds) - 1e-12

@@ -8,12 +8,7 @@ import pytest
 
 from dpnewsvendor import kernels, optimizer
 from dpnewsvendor.data import default_spec, generate_synthetic, whitener_from
-from dpnewsvendor.errors import (
-    DimensionMismatch,
-    LineSearchFailed,
-    MaxIterExceeded,
-    MissingWhitener,
-)
+from dpnewsvendor.errors import LineSearchFailed, MaxIterExceeded, MissingWhitener
 from dpnewsvendor import model
 from dpnewsvendor.model import Dataset, Problem, smoothed_empirical_cost, smoothed_gradient
 from dpnewsvendor.optimizer import (
@@ -280,9 +275,8 @@ class TestFit:
     def test_zero_steps_returns_start(self, instance):
         data, problem, whitener = instance
         hp = HyperParams(bandwidth=0.2, n_steps=0)
-        beta0 = np.arange(data.p, dtype=float)
-        res = fit(data, problem, hp, beta0=beta0, whitener=whitener)
-        np.testing.assert_array_equal(res.beta_final, beta0)
+        res = fit(data, problem, hp, whitener=whitener)
+        np.testing.assert_array_equal(res.beta_final, np.zeros(data.p))
 
     def test_missing_whitener_raises_before_any_step(self, instance):
         data, problem, _ = instance
@@ -422,12 +416,6 @@ class TestFit:
                          step_size=0.5, mode="raw_covariates")
         with pytest.warns(RuntimeWarning, match="epanechnikov"):
             fit(data, problem, hp)
-
-    def test_beta0_shape_checked(self, instance):
-        data, problem, _ = instance
-        hp = HyperParams(bandwidth=0.2, n_steps=1, mode="raw_covariates")
-        with pytest.raises(DimensionMismatch):
-            fit(data, problem, hp, beta0=np.zeros(data.p + 1))
 
     def test_per_step_budgets_compose_to_target(self):
         from dpnewsvendor.privacy import compose_gdp
