@@ -18,7 +18,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 from . import data as datamod
 from . import evaluation, optimizer
@@ -46,34 +46,14 @@ class PrivacyUnattainable(RuntimeError):
 class ExperimentConfig:
     """Parsed benchmark configuration.
 
-    ``taus`` is used when the problem is given at quantile levels;
-    otherwise ``b`` and ``h`` fix a single cost pair.  The grid and run
-    settings are fields; ``cell`` maps ``ReplicationConfig`` field names
-    to the settings the file gives, and every cell takes the remaining
-    ``ReplicationConfig`` defaults.
+    ``cells`` holds one ``ReplicationConfig`` per grid point, in dist,
+    then problem, then n order; each runs ``reps`` replications on
+    ``jobs`` threads.
     """
 
-    taus: tuple[float, ...] | None = (0.5,)
-    b: float | None = None
-    h: float | None = None
-    dists: tuple[str, ...] = ("normal",)
-    ns: tuple[int, ...] = (400,)
+    cells: tuple[evaluation.ReplicationConfig, ...]
     reps: int = 300
     jobs: int = 1
-    rows_path: str = "rows.csv"
-    aggregates_path: str = "aggregates.csv"
-    cell: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if (self.b is None) != (self.h is None):
-            raise ValueError("problem.b and problem.h must be given together")
-        if (self.taus is None) == (self.b is None):
-            raise ValueError("config must set either problem.tau or problem.b/problem.h")
-
-    def problems(self) -> tuple[Problem, ...]:
-        if self.taus is not None:
-            return tuple(Problem.from_quantile(t) for t in self.taus)
-        return (Problem(b=self.b, h=self.h),)
 
 
 def _float_or_auto(raw: str) -> float | None:
@@ -83,15 +63,13 @@ def _float_or_auto(raw: str) -> float | None:
     return float(raw)
 
 
-def _parse_bool(raw: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-    except KeyError:
-        raise ValueError(f"not a boolean: {raw!r}") from None
+def _list_of(cast, key: str):
+    def parse(raw: str) -> tuple:
+        if items := tuple(cast(item.strip()) for item in raw.split(",") if item.strip()):
+            return items
+        raise ValueError(f"config key {key} lists no values")
 
-
-def _list_of(cast):
-    return lambda raw: tuple(cast(item.strip()) for item in raw.split(",") if item.strip())
+    return parse
 
 
 def _dist(name: str) -> str:
@@ -115,15 +93,15 @@ def _mu(item: str) -> float | None:
     return mu
 
 
-# (section, key, field, parse), in file order.  A field of
-# ExperimentConfig is a grid or run setting; any other field names the
-# ReplicationConfig setting of every cell.
+# (section, key, field, parse), in file order.  taus, b, h, dists and ns
+# span the grid, reps and jobs set the run, and any other field names
+# the ReplicationConfig setting of every cell.
 _CONFIG_KEYS = (
-    ("problem", "tau", "taus", _list_of(float)),
+    ("problem", "tau", "taus", _list_of(float, "problem.tau")),
     ("problem", "b", "b", float),
     ("problem", "h", "h", float),
-    ("data", "dist", "dists", _list_of(_dist)),
-    ("data", "n", "ns", _list_of(int)),
+    ("data", "dist", "dists", _list_of(_dist, "data.dist")),
+    ("data", "n", "ns", _list_of(int, "data.n")),
     ("hyper", "T", "n_steps", int),
     ("hyper", "B", "clip_radius", float),
     ("hyper", "kernel", "kernel", check_kernel),
@@ -131,20 +109,16 @@ _CONFIG_KEYS = (
     ("hyper", "eta0", "step_size", _float_or_auto),
     ("hyper", "max_step", "max_step_size", float),
     ("hyper", "mode", "mode", _mode),
-    ("privacy", "mu", "mu_grid", _list_of(_mu)),
-    ("privacy", "round_up", "round_up_sigma", _parse_bool),
+    ("privacy", "mu", "mu_grid", _list_of(_mu, "privacy.mu")),
     ("replication", "reps", "reps", int),
     ("replication", "base_seed", "base_seed", int),
     ("replication", "eval_n", "eval_n", int),
     ("replication", "jobs", "jobs", int),
-    ("output", "rows", "rows_path", str),
-    ("output", "aggregates", "aggregates_path", str),
 )
-_RUN_FIELDS = {f.name for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse the INI-style benchmark config; unknown keys are rejected."""
+    """Parse the INI-style benchmark config into its cells; unknown keys are rejected."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     parser.optionxform = str
     try:
@@ -154,7 +128,6 @@ def parse_config(text: str) -> ExperimentConfig:
 
     sections = {section for section, *_ in _CONFIG_KEYS}
     keys = {(section, key): (name, parse) for section, key, name, parse in _CONFIG_KEYS}
-    kwargs: dict = {}
     cell: dict = {"base_seed": 1}  # the bench's own seed; ReplicationConfig sets the rest
     for section in parser.sections():
         if section not in sections:
@@ -163,12 +136,34 @@ def parse_config(text: str) -> ExperimentConfig:
             if (section, key) not in keys:
                 raise ValueError(f"unknown config key {key!r} in section [{section}]")
             name, parse = keys[section, key]
-            (kwargs if name in _RUN_FIELDS else cell)[name] = parse(raw)
-    if "b" in kwargs or "h" in kwargs:
-        if "taus" in kwargs:
-            raise ValueError("config must set either problem.tau or problem.b/h, not both")
-        kwargs["taus"] = None
-    return ExperimentConfig(**kwargs, cell=cell)
+            cell[name] = parse(raw)
+
+    taus, b, h = (cell.pop(name, None) for name in ("taus", "b", "h"))
+    if b is None and h is None:
+        problems = tuple(Problem.from_quantile(t) for t in taus or (0.5,))
+    elif taus is not None:
+        raise ValueError("config must set either problem.tau or problem.b/h, not both")
+    elif b is None or h is None:
+        raise ValueError("problem.b and problem.h must be given together")
+    else:
+        problems = (Problem(b=b, h=h),)
+    run = {name: cell.pop(name) for name in ("reps", "jobs") if name in cell}
+    dists, ns = cell.pop("dists", ("normal",)), cell.pop("ns", (400,))
+    covariance = datamod.ar1_covariance(len(datamod.DEFAULT_THETA_STAR) - 1, 0.5)
+    cells = tuple(
+        evaluation.ReplicationConfig(
+            problem=problem,
+            error_dist=datamod.ErrorDist.from_name(dist),
+            n=n,
+            theta_star=datamod.DEFAULT_THETA_STAR,
+            covariance=covariance,
+            **cell,
+        )
+        for dist in dists
+        for problem in problems
+        for n in ns
+    )
+    return ExperimentConfig(cells=cells, **run)
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +196,13 @@ def _problem_from_args(args) -> Problem:
     return Problem(b=args.b, h=args.h)
 
 
-def _certificate(mu, sigma, n_steps, clip_radius, tau_bar, round_up) -> PrivacyCertificate:
+def _certificate(mu, sigma, n_steps, clip_radius, tau_bar) -> PrivacyCertificate:
     """The certificate of a fit at these settings, the CLI's only certification.
 
-    ``sigma=None`` calibrates it.  Invalid settings raise ValueError; a
-    given ``sigma`` below the calibration bound raises PrivacyUnattainable.
+    ``sigma=None`` calibrates it, rounded up to an integer.  Invalid
+    settings raise ValueError; a ``sigma`` below the bound raises PrivacyUnattainable.
     """
-    required = calibrate_sigma(mu, clip_radius, n_steps, tau_bar, round_up=round_up)
+    required = calibrate_sigma(mu, clip_radius, n_steps, tau_bar, round_up=True)
     try:
         return PrivacyCertificate(
             mu=mu,
@@ -229,7 +224,7 @@ def cmd_fit(args) -> int:
     elif args.mu is None:
         raise ValueError("either --mu or --nonprivate is required")
     else:
-        cert = _certificate(args.mu, args.sigma, args.T, args.B, problem.tau_bar, round_up=True)
+        cert = _certificate(args.mu, args.sigma, args.T, args.B, problem.tau_bar)
     dataset = datamod.load_csv(args.input, args.demand_column)
     bandwidth = (
         optimizer.default_bandwidth(problem.tau, dataset.n, dataset.p)
@@ -312,60 +307,28 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_privacy(args) -> int:
-    if args.tau_bar is not None:
-        if any(v is not None for v in (args.tau, args.b, args.h)):
-            raise ValueError("give either --tau-bar or --tau/--b/--h, not both")
-        tau_bar = args.tau_bar
-    else:
-        tau_bar = _problem_from_args(args).tau_bar
-    cert = _certificate(args.mu, args.sigma, args.T, args.B, tau_bar, args.round_up)
+    cert = _certificate(args.mu, args.sigma, args.T, args.B, _problem_from_args(args).tau_bar)
     print(json.dumps(cert.as_dict(), indent=2))
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except FileNotFoundError:
-        print(f"config file not found: {args.config}", file=sys.stderr)
-        return EXIT_IO
-    config = parse_config(text)
-    reps = args.reps if args.reps is not None else config.reps
-    jobs = args.jobs if args.jobs is not None else config.jobs
-    rows_path = args.rows if args.rows is not None else config.rows_path
-    aggregates_path = (
-        args.aggregates if args.aggregates is not None else config.aggregates_path
-    )
-
-    all_rows = []
-    for dist in config.dists:
-        for problem in config.problems():
-            for n in config.ns:
-                cell = evaluation.ReplicationConfig(
-                    problem=problem,
-                    error_dist=datamod.ErrorDist.from_name(dist),
-                    n=n,
-                    theta_star=datamod.DEFAULT_THETA_STAR,
-                    covariance=datamod.ar1_covariance(
-                        len(datamod.DEFAULT_THETA_STAR) - 1, 0.5
-                    ),
-                    **config.cell,
-                )
-                report = evaluation.run_replications(cell, reps, jobs=jobs)
-                all_rows.extend(report.rows)
-                eta_desc = "auto" if cell.step_size is None else repr(cell.step_size)
-                print(
-                    f"cell dist={dist} tau={problem.tau:g} n={n}: {len(report.rows)} rows "
-                    f"(bandwidth={cell.resolved_bandwidth():.6g}, eta0={eta_desc}, "
-                    f"T={cell.n_steps}, B={cell.clip_radius:g})"
-                )
-    combined = evaluation.ReplicationReport(
-        rows=tuple(all_rows), aggregates=evaluation.aggregate_rows(all_rows)
-    )
-    evaluation.write_rows_csv(combined, rows_path)
-    evaluation.write_aggregates_csv(combined, aggregates_path)
-    print(f"wrote {rows_path} and {aggregates_path}")
+    with open(args.config, "r", encoding="utf-8") as fh:  # a missing file exits 3 in main
+        config = parse_config(fh.read())
+    rows = []
+    for cell in config.cells:
+        report = evaluation.run_replications(cell, config.reps, jobs=config.jobs)
+        rows.extend(report.rows)
+        eta_desc = "auto" if cell.step_size is None else repr(cell.step_size)
+        print(
+            f"cell dist={cell.error_dist.label} tau={cell.problem.tau:g} n={cell.n}: "
+            f"{len(report.rows)} rows (bandwidth={cell.resolved_bandwidth():.6g}, "
+            f"eta0={eta_desc}, T={cell.n_steps}, B={cell.clip_radius:g})"
+        )
+    combined = evaluation.ReplicationReport(rows=tuple(rows))
+    evaluation.write_rows_csv(combined, args.rows)
+    evaluation.write_aggregates_csv(combined, args.aggregates)
+    print(f"wrote {args.rows} and {args.aggregates}")
     return EXIT_OK
 
 
@@ -423,20 +386,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_priv.add_argument("--mu", type=float, required=True)
     p_priv.add_argument("--T", type=int, default=10)
     p_priv.add_argument("--B", type=float, default=2.0)
-    p_priv.add_argument("--tau-bar", type=float)
     p_priv.add_argument("--b", type=float)
     p_priv.add_argument("--h", type=float)
     p_priv.add_argument("--tau", type=float)
     p_priv.add_argument("--sigma", type=float)
-    p_priv.add_argument("--no-round-up", dest="round_up", action="store_false")
     p_priv.set_defaults(func=cmd_privacy)
 
     p_bench = sub.add_parser("bench", help="run a replication benchmark")
     p_bench.add_argument("--config", required=True)
-    p_bench.add_argument("--rows")
-    p_bench.add_argument("--aggregates")
-    p_bench.add_argument("--reps", type=int)
-    p_bench.add_argument("--jobs", type=int)
+    p_bench.add_argument("--rows", default="rows.csv")
+    p_bench.add_argument("--aggregates", default="aggregates.csv")
     p_bench.set_defaults(func=cmd_bench)
 
     return parser

@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 from scipy.special import ndtr, ndtri, stdtr
 
 from .errors import (
@@ -33,6 +32,7 @@ DIST_NAMES = ("normal", "t3", "mixture")  # the names ErrorDist.from_name takes
 
 _QUANTILE_BRACKET = 1e3
 _QUANTILE_XTOL = 1e-10
+_QUANTILE_RTOL = 4 * np.finfo(float).eps  # scipy.optimize.bisect's default rtol
 _COUNT_CHUNK_BYTES = 1 << 20
 _SEPARATOR_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
@@ -139,21 +139,25 @@ def error_quantile(dist: ErrorDist, tau: float) -> float:
     """Quantile of the noise law.
 
     Normal quantiles are closed form; Student t and mixtures are found
-    by bisecting the CDF over [-1e3, 1e3] to 1e-10.
+    by bisecting the CDF over [-1e3, 1e3] to 1e-10, step for step as
+    ``scipy.optimize.bisect`` does, so the values are its values.
     """
     tau = float(tau)
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must be in (0, 1), got {tau}")
     if dist.kind == "normal":
         return float(ndtri(tau))
-    return float(
-        optimize.bisect(
-            lambda x: error_cdf(dist, x) - tau,
-            -_QUANTILE_BRACKET,
-            _QUANTILE_BRACKET,
-            xtol=_QUANTILE_XTOL,
-        )
-    )
+    lo, step = -_QUANTILE_BRACKET, 2 * _QUANTILE_BRACKET
+    if not error_cdf(dist, lo) < tau < error_cdf(dist, lo + step):
+        raise ValueError(f"the {tau} quantile lies outside +-{_QUANTILE_BRACKET:g}")
+    while True:
+        step *= 0.5
+        mid = lo + step
+        gap = error_cdf(dist, mid) - tau
+        if gap <= 0:
+            lo = mid
+        if gap == 0 or step < _QUANTILE_XTOL + _QUANTILE_RTOL * abs(mid):
+            return mid
 
 
 def sample_errors(dist: ErrorDist, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -161,11 +165,15 @@ def sample_errors(dist: ErrorDist, n: int, rng: np.random.Generator) -> np.ndarr
         return rng.standard_normal(n)
     if dist.kind == "student_t":
         return rng.standard_t(dist.df, size=n)
+    # the stream and values of rng.normal(means[comp], sds[comp]),
+    # without building those per-row arrays
     comp = rng.choice(len(dist.weights), size=n, p=dist.weights)
-    means = np.asarray(dist.means)[comp]
-    sds = np.sqrt(np.asarray(dist.variances))[comp]
-    del comp  # n int64 labels, no longer needed while the normals are drawn
-    return rng.normal(means, sds)
+    eps = rng.standard_normal(n)
+    for k, (mean, variance) in enumerate(zip(dist.means, dist.variances)):
+        in_k = comp == k
+        np.multiply(eps, math.sqrt(variance), out=eps, where=in_k)
+        np.add(eps, mean, out=eps, where=in_k)
+    return eps
 
 
 @dataclass(frozen=True, eq=False)

@@ -169,7 +169,8 @@ class ReplicationConfig:
     ``mu_grid`` entries are GDP levels; ``None`` denotes the non-private
     smoothed-ERM baseline.  ``bandwidth=None`` resolves to the
     rule-of-thumb value, ``step_size=None`` to the per-iteration line
-    search.
+    search.  Each private fit's noise scale is the calibrated sigma
+    rounded up to an integer.
     """
 
     problem: Problem
@@ -185,7 +186,6 @@ class ReplicationConfig:
     step_size: float | None = None
     max_step_size: float = 4.0
     mode: str = "known_sigma_matrix"
-    round_up_sigma: bool = True
     eval_n: int = 1_000_000
     base_seed: int = 0
 
@@ -207,7 +207,10 @@ class ReplicationConfig:
 @dataclass(frozen=True, eq=False)
 class ReplicationReport:
     rows: tuple[ReplicationRow, ...]
-    aggregates: tuple[AggregateCell, ...]
+
+    @property
+    def aggregates(self) -> tuple[AggregateCell, ...]:
+        return aggregate_rows(self.rows)
 
 
 class ReplicationError(RuntimeError):
@@ -254,11 +257,7 @@ def _one_replication(
                 clip_radius=config.clip_radius,
                 step_size=config.step_size,
                 sigma=calibrate_sigma(
-                    mu,
-                    config.clip_radius,
-                    config.n_steps,
-                    problem.tau_bar,
-                    round_up=config.round_up_sigma,
+                    mu, config.clip_radius, config.n_steps, problem.tau_bar, round_up=True
                 ),
                 seed=derive_seed(config.base_seed, rep_id, 1 + j),
                 kernel=config.kernel,
@@ -344,17 +343,15 @@ def run_replications(config: ReplicationConfig, R: int, jobs: int = 1) -> Replic
         )
         for (rep_id, mu), beta, oos in zip(cells, betas, costs)
     )
-    return ReplicationReport(rows=rows, aggregates=aggregate_rows(rows))
+    return ReplicationReport(rows=rows)
 
 
 def sweep(config: ReplicationConfig, ns, R: int, jobs: int = 1) -> ReplicationReport:
     """Run the cell at several sample sizes and concatenate the reports."""
     rows = []
     for n in ns:
-        report = run_replications(replace(config, n=int(n)), R, jobs=jobs)
-        rows.extend(report.rows)
-    rows = tuple(rows)
-    return ReplicationReport(rows=rows, aggregates=aggregate_rows(rows))
+        rows.extend(run_replications(replace(config, n=int(n)), R, jobs=jobs).rows)
+    return ReplicationReport(rows=tuple(rows))
 
 
 def write_rows_csv(report: ReplicationReport, path) -> None:
@@ -372,9 +369,10 @@ def write_aggregates_csv(report: ReplicationReport, path) -> None:
     Rows come in (mean, std) pairs per (dist, tau, n, metric) group,
     mirroring the usual results-table layout.
     """
-    labels = dict.fromkeys(cell.mu_label for cell in report.aggregates)
+    aggregates = report.aggregates
+    labels = dict.fromkeys(cell.mu_label for cell in aggregates)
     keyed: dict[tuple, dict[str, AggregateCell]] = {}
-    for cell in report.aggregates:
+    for cell in aggregates:
         key = (cell.dist_label, cell.tau, cell.n, cell.metric)
         keyed.setdefault(key, {})[cell.mu_label] = cell
     with open(path, "w", encoding="utf-8", newline="") as fh:

@@ -39,44 +39,46 @@ mu = nonprivate, 0.5
 reps = 1
 base_seed = 3
 eval_n = 5000
-
-[output]
-rows = rows.csv
-aggregates = agg.csv
 """
 
 
 class TestConfig:
     def test_parse_defaults(self):
         cfg = parse_config(SMOKE_CONFIG)
-        assert cfg.taus == (0.5,)
-        assert cfg.ns == (100,)
-        assert cfg.cell["mu_grid"] == (None, 0.5)
-        assert cfg.cell["n_steps"] == 5
+        [cell] = cfg.cells
+        assert cell.problem == Problem.from_quantile(0.5)
+        assert cell.n == 100
+        assert cell.mu_grid == (None, 0.5)
+        assert cell.n_steps == 5
         assert cfg.reps == 1
 
     def test_readme_config_block_parses(self):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         [block] = re.findall(r"```ini\n(.*?)```", readme, re.DOTALL)
         cfg = parse_config(block)
-        assert cfg.taus == (0.25, 0.5, 0.75)
-        assert cfg.dists == ("normal", "t3", "mixture")
-        assert cfg.ns == (100, 200, 400)
-        assert cfg.cell == {
-            "n_steps": 10,
-            "clip_radius": 2.0,
-            "kernel": "gaussian",
-            "bandwidth": None,
-            "step_size": None,
-            "max_step_size": 4.0,
-            "mode": "known_sigma_matrix",
-            "mu_grid": (None, 0.9, 0.5, 0.3),
-            "round_up_sigma": True,
-            "base_seed": 1,
-            "eval_n": 1_000_000,
-        }
+        grid = [(c.error_dist.label, c.problem.tau, c.n) for c in cfg.cells]
+        assert grid == [
+            (dist, tau, n)
+            for dist in ("normal", "t3", "mixture")
+            for tau in (0.25, 0.5, 0.75)
+            for n in (100, 200, 400)
+        ]
+        defaults = evaluation.ReplicationConfig(
+            problem=Problem.from_quantile(0.5),
+            error_dist=datamod.ErrorDist.normal(),
+            n=400,
+            theta_star=datamod.DEFAULT_THETA_STAR,
+            covariance=datamod.ar1_covariance(4, 0.5),
+        )
+        for cell in cfg.cells:
+            assert cell.theta_star == datamod.DEFAULT_THETA_STAR
+            np.testing.assert_array_equal(cell.covariance, defaults.covariance)
+            for f in fields(evaluation.ReplicationConfig):
+                if f.name in ("problem", "error_dist", "n", "theta_star", "covariance"):
+                    continue
+                expected = 1 if f.name == "base_seed" else getattr(defaults, f.name)
+                assert getattr(cell, f.name) == expected, f.name
         assert (cfg.reps, cfg.jobs) == (300, 1)
-        assert (cfg.rows_path, cfg.aggregates_path) == ("rows.csv", "aggregates.csv")
 
     def test_unknown_key_rejected_by_name(self):
         with pytest.raises(ValueError, match="warmup"):
@@ -89,6 +91,11 @@ class TestConfig:
     def test_unknown_section_rejected(self):
         with pytest.raises(ValueError, match="plotting"):
             parse_config(SMOKE_CONFIG + "\n[plotting]\nstyle = dark\n")
+
+    def test_output_section_rejected(self):
+        # output paths are the --rows and --aggregates flags only
+        with pytest.raises(ValueError, match=r"unknown config section \[output\]"):
+            parse_config(SMOKE_CONFIG + "\n[output]\nrows = rows.csv\n")
 
     def test_tau_and_costs_conflict(self):
         with pytest.raises(ValueError, match="not both"):
@@ -315,7 +322,7 @@ class TestEvaluate:
 class TestPrivacyCmd:
     def test_prints_certificate(self, capsys):
         code = main(["privacy", "--mu", "0.5", "--T", "10", "--B", "2",
-                     "--tau-bar", "0.5"])
+                     "--tau", "0.5"])
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload == {
@@ -331,23 +338,17 @@ class TestPrivacyCmd:
 
     def test_insufficient_sigma_exits_4(self):
         code = main(["privacy", "--mu", "0.5", "--T", "10", "--B", "2",
-                     "--tau-bar", "0.5", "--sigma", "2.0"])
+                     "--tau", "0.5", "--sigma", "2.0"])
         assert code == EXIT_PRIVACY
 
     def test_nan_sigma_exits_4(self):
-        code = main(["privacy", "--mu", "0.5", "--tau-bar", "0.5", "--sigma", "nan"])
+        code = main(["privacy", "--mu", "0.5", "--tau", "0.5", "--sigma", "nan"])
         assert code == EXIT_PRIVACY
 
     def test_infinite_clip_radius_exits_2(self, capsys):
-        code = main(["privacy", "--mu", "0.5", "--B", "inf", "--tau-bar", "0.5"])
+        code = main(["privacy", "--mu", "0.5", "--B", "inf", "--tau", "0.5"])
         assert code == EXIT_USAGE
         assert "clip_radius must be finite" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flag", [["--tau", "0.9"], ["--b", "50"], ["--h", "30"]])
-    def test_tau_bar_with_cost_flag_exits_2(self, flag, capsys):
-        code = main(["privacy", "--mu", "0.5", "--tau-bar", "0.5", *flag])
-        assert code == EXIT_USAGE
-        assert "not both" in capsys.readouterr().err
 
 
 class TestBench:
@@ -364,6 +365,12 @@ class TestBench:
         header = rows.read_text().splitlines()[0]
         assert header == "rep_id,n,mu_label,tau,dist_label,l2_error,sigma_error,regret,oos_cost"
         assert agg.exists()
+
+    def test_default_output_paths(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bench.ini").write_text(SMOKE_CONFIG)
+        assert main(["bench", "--config", "bench.ini"]) == EXIT_OK
+        assert (tmp_path / "rows.csv").exists() and (tmp_path / "aggregates.csv").exists()
 
     def test_missing_config_exits_3(self, tmp_path):
         assert main(["bench", "--config", str(tmp_path / "nope.ini")]) == EXIT_IO
@@ -395,7 +402,7 @@ class TestBench:
 
         def capture(cell, R, jobs=1):
             seen.append((cell, R, jobs))
-            return evaluation.ReplicationReport(rows=(), aggregates=())
+            return evaluation.ReplicationReport(rows=())
 
         monkeypatch.setattr(evaluation, "run_replications", capture)
         cfg = tmp_path / "bench.ini"
@@ -403,7 +410,7 @@ class TestBench:
             "[problem]\ntau = 0.7\n[data]\ndist = t3\nn = 123\n"
             "[hyper]\nT = 7\nB = 3\nkernel = logistic\nbandwidth = 0.2\n"
             "eta0 = 0.5\nmax_step = 2\nmode = raw_covariates\n"
-            "[privacy]\nmu = 0.9, nonprivate\nround_up = false\n"
+            "[privacy]\nmu = 0.9, nonprivate\n"
             "[replication]\nreps = 4\nbase_seed = 5\neval_n = 777\njobs = 2\n"
         )
         code = main(["bench", "--config", str(cfg), "--rows", str(tmp_path / "r.csv"),
@@ -424,7 +431,6 @@ class TestBench:
             "step_size": 0.5,
             "max_step_size": 2.0,
             "mode": "raw_covariates",
-            "round_up_sigma": False,
             "eval_n": 777,
             "base_seed": 5,
         }
@@ -445,8 +451,13 @@ class TestBench:
             ("replication", "eval_n = 0", "eval_n must be >= 1, got 0"),
             ("replication", "base_seed = -1", "base_seed must be >= 0, got -1"),
             ("replication", "jobs = 0", "jobs must be >= 1, got 0"),
+            ("data", "n =", "config key data.n lists no values"),
+            ("problem", "tau =", "config key problem.tau lists no values"),
+            ("data", "dist =", "config key data.dist lists no values"),
+            ("privacy", "mu = ,", "config key privacy.mu lists no values"),
         ],
-        ids=["dist", "mode", "mu", "eval_n", "base_seed", "jobs"],
+        ids=["dist", "mode", "mu", "eval_n", "base_seed", "jobs",
+             "empty-n", "empty-tau", "empty-dist", "empty-mu"],
     )
     def test_bad_cell_setting_exits_2(self, tmp_path, capsys, section, setting, message):
         cfg = tmp_path / "bad.ini"

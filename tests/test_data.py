@@ -1,7 +1,13 @@
 """Synthetic generation, noise quantiles, CSV ingestion, whitening, splits."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import optimize
 
 from dpnewsvendor import data as datamod
 from dpnewsvendor.cli import main
@@ -15,6 +21,7 @@ from dpnewsvendor.data import (
     error_quantile,
     generate_synthetic,
     load_csv,
+    sample_errors,
     train_test_split,
     true_beta_star,
     whitener_from,
@@ -75,9 +82,37 @@ class TestErrorQuantile:
             q = error_quantile(dist, tau)
             assert error_cdf(dist, q) == pytest.approx(tau, abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "dist",
+        [ErrorDist.student_t(3), ErrorDist.student_t(1.5), ErrorDist.from_name("mixture"),
+         ErrorDist.gaussian_mixture((0.2, 0.5, 0.3), (-1.0, 0.5, 3.0), (0.5, 2.0, 9.0))],
+        ids=["t3", "t1.5", "mixture", "mixture3"],
+    )
+    def test_matches_scipy_root_finders(self, dist):
+        for tau in np.linspace(0.01, 0.99, 25):
+            q = error_quantile(dist, tau)
+            gap = lambda x: error_cdf(dist, x) - tau  # noqa: E731
+            # bitwise the bisection the library ran before, so rows stay byte-identical
+            assert q == optimize.bisect(gap, -1e3, 1e3, xtol=1e-10)
+            assert q == pytest.approx(optimize.brentq(gap, -1e3, 1e3, xtol=1e-14), abs=1e-9)
+
+    def test_quantile_outside_bracket_rejected(self):
+        with pytest.raises(ValueError, match="outside"):
+            error_quantile(ErrorDist.student_t(1.0), 1e-4)  # Cauchy: about -3183
+
     def test_invalid_tau(self):
         with pytest.raises(ValueError):
             error_quantile(ErrorDist.normal(), 0.0)
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, dpnewsvendor.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "False"
 
 
 class TestGenerateSynthetic:
@@ -124,6 +159,22 @@ class TestGenerateSynthetic:
         ds = generate_synthetic(spec)
         assert np.array_equal(ds.features, x)
         assert np.array_equal(ds.demands, d)
+
+    @pytest.mark.parametrize(
+        "dist",
+        [ErrorDist.from_name("mixture"),
+         ErrorDist.gaussian_mixture((0.2, 0.5, 0.3), (-1.0, 0.5, 3.0), (0.5, 2.0, 9.0))],
+        ids=["mixture", "mixture3"],
+    )
+    def test_mixture_noise_matches_per_row_normal(self, dist):
+        for seed in range(5):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            comp = ref_rng.choice(len(dist.weights), size=10_001, p=dist.weights)
+            expected = ref_rng.normal(
+                np.asarray(dist.means)[comp], np.sqrt(np.asarray(dist.variances))[comp]
+            )
+            assert np.array_equal(sample_errors(dist, 10_001, rng), expected)
+            assert rng.random() == ref_rng.random()  # the stream is left where it was
 
     def test_mixture_has_heavy_tails(self):
         spec = default_spec(50_000, "mixture", seed=1)

@@ -18,7 +18,6 @@ from dpnewsvendor.data import (
 from dpnewsvendor.errors import DimensionMismatch
 from dpnewsvendor.evaluation import (
     ReplicationConfig,
-    aggregate_rows,
     derive_seed,
     estimation_error,
     out_of_sample_cost,
@@ -246,12 +245,13 @@ class TestRunReplications:
 
     def test_aggregates_recomputable(self, small_config):
         report = run_replications(small_config, R=5)
-        again = aggregate_rows(report.rows)
-        assert len(again) == len(report.aggregates)
-        for a, b in zip(again, report.aggregates):
-            assert a.mean == pytest.approx(b.mean, abs=1e-12)
-            assert a.std == pytest.approx(b.std, abs=1e-12)
-            assert (a.n, a.mu_label, a.metric) == (b.n, b.mu_label, b.metric)
+        assert len(report.aggregates) == len(small_config.mu_grid) * 4
+        for cell in report.aggregates:
+            vals = [getattr(r, cell.metric) for r in report.rows if r.mu_label == cell.mu_label]
+            assert len(vals) == 5
+            assert cell.mean == pytest.approx(np.mean(vals), abs=1e-12)
+            assert cell.std == pytest.approx(np.std(vals, ddof=1), abs=1e-12)
+            assert (cell.n, cell.tau, cell.dist_label) == (120, 0.5, "normal")
 
 
 class TestCsvOutput:
