@@ -34,6 +34,7 @@ _QUANTILE_BRACKET = 1e3
 _QUANTILE_XTOL = 1e-10
 _QUANTILE_RTOL = 4 * np.finfo(float).eps  # scipy.optimize.bisect's default rtol
 _COUNT_CHUNK_BYTES = 1 << 20
+_MIXTURE_BLOCK = 4096
 _SEPARATOR_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
@@ -165,14 +166,24 @@ def sample_errors(dist: ErrorDist, n: int, rng: np.random.Generator) -> np.ndarr
         return rng.standard_normal(n)
     if dist.kind == "student_t":
         return rng.standard_t(dist.df, size=n)
-    # the stream and values of rng.normal(means[comp], sds[comp]),
-    # without building those per-row arrays
-    comp = rng.choice(len(dist.weights), size=n, p=dist.weights)
+    # the stream and values of rng.normal(means[comp], sds[comp]) with
+    # comp = rng.choice(k, size=n, p=weights): choice inverts uniforms
+    # against the weights' CDF, and uniforms drawn block by block are the
+    # same stream.  The labels take one byte a row, and the per-row means
+    # and sds exist one block at a time.
+    cdf = np.cumsum(dist.weights)
+    cdf /= cdf[-1]
+    comp = np.empty(n, dtype=np.min_scalar_type(len(cdf) - 1))
+    for start in range(0, n, _MIXTURE_BLOCK):
+        stop = min(start + _MIXTURE_BLOCK, n)
+        comp[start:stop] = cdf.searchsorted(rng.random(stop - start), side="right")
+    means, sds = np.asarray(dist.means), np.sqrt(dist.variances)
     eps = rng.standard_normal(n)
-    for k, (mean, variance) in enumerate(zip(dist.means, dist.variances)):
-        in_k = comp == k
-        np.multiply(eps, math.sqrt(variance), out=eps, where=in_k)
-        np.add(eps, mean, out=eps, where=in_k)
+    for start in range(0, n, _MIXTURE_BLOCK):
+        block = eps[start : start + _MIXTURE_BLOCK]
+        labels = comp[start : start + _MIXTURE_BLOCK]
+        block *= sds[labels]
+        block += means[labels]
     return eps
 
 

@@ -4,10 +4,20 @@
 seeds and reports, per estimator, the L2 and whitened estimation errors,
 the regret against the clairvoyant policy on a large held-out evaluation
 set, and the out-of-sample cost.  Fitting comes first; every policy of
-the run, the clairvoyant one included, is then scored in one blocked
-pass by ``out_of_sample_cost``, which draws the evaluation rows from
-their ``SyntheticSpec`` block by block and scores each block as it is
-drawn, so the evaluation set is never held whole as a ``Dataset``.
+the run (of every sample size, for ``sweep``), the clairvoyant one
+included, is then scored in one blocked pass by ``out_of_sample_cost``,
+which draws the evaluation rows from their ``SyntheticSpec`` block by
+block and scores each block as it is drawn, so the evaluation set is
+never held whole as a ``Dataset``.
+
+The private fits of a cell advance in lockstep: the replications are cut
+into contiguous chunks, ``jobs`` of them or more so that none holds over
+``_STACK_ROWS`` training rows, which run on ``jobs`` threads; every
+private fit of a chunk, all replications at all privacy levels, takes
+each noisy step together in ``optimizer._lockstep_fits``.  A fit
+rounds the same whichever replications share its chunk, so rows do not
+depend on ``jobs`` or on the chunking.  The noise scale of each privacy
+level is calibrated once per cell.
 
 Seeding is splittable and documented: replication ``r`` derives its
 streams from ``SeedSequence((base_seed, r, k))`` where ``k = 0`` is the
@@ -37,7 +47,7 @@ from .data import (
 )
 from .errors import DimensionMismatch
 from .model import Dataset, Problem, coefficients
-from .optimizer import HyperParams, default_bandwidth
+from .optimizer import HyperParams, NoiseSource, default_bandwidth
 from .privacy import calibrate_sigma
 
 ROW_FIELDS = (
@@ -237,35 +247,47 @@ def _synthetic_spec(config: ReplicationConfig, n: int, seed: int) -> SyntheticSp
     )
 
 
-def _one_replication(
-    config: ReplicationConfig, rep_id: int, whitener: Whitener
+# Training rows per lockstep chunk: a chunk's stacked designs and
+# residuals stay a few megabytes however many replications a cell has.
+_STACK_ROWS = 1 << 15
+
+
+def _fit_chunk(
+    config: ReplicationConfig, rep_ids: range, whitener: Whitener, sigmas: dict
 ) -> list[np.ndarray]:
-    """Fit every estimator of the privacy grid on one replication's data."""
+    """Fit every estimator of the privacy grid on a run of replications,
+    the private ones in lockstep; betas in (rep_id, mu_grid) order.
+    ``sigmas`` maps the index of each private level in ``mu_grid`` to
+    its noise scale."""
     problem = config.problem
     bandwidth = config.resolved_bandwidth()
-    spec = _synthetic_spec(config, config.n, derive_seed(config.base_seed, rep_id, 0))
-    train = generate_synthetic(spec)
-
+    p = len(config.theta_star)
+    train = []
+    noise = np.empty((config.n_steps, len(rep_ids), p, len(sigmas)))
+    for r, rep_id in enumerate(rep_ids):
+        spec = _synthetic_spec(config, config.n, derive_seed(config.base_seed, rep_id, 0))
+        train.append(generate_synthetic(spec))
+        for m, (j, sigma) in enumerate(sigmas.items()):
+            draws = NoiseSource(derive_seed(config.base_seed, rep_id, 1 + j))
+            noise[:, r, :, m] = sigma * draws.standard_normal((config.n_steps, p))
+    hp = HyperParams(
+        bandwidth=bandwidth,
+        n_steps=config.n_steps,
+        clip_radius=config.clip_radius,
+        step_size=config.step_size,
+        kernel=config.kernel,
+        mode=config.mode,
+        max_step_size=config.max_step_size,
+    )
+    private = optimizer._lockstep_fits(train, problem, hp, whitener, noise)
     betas = []
-    for j, mu in enumerate(config.mu_grid):
-        if mu is None:
-            beta = optimizer.smoothed_erm(train, problem, config.kernel, bandwidth)
-        else:
-            hp = HyperParams(
-                bandwidth=bandwidth,
-                n_steps=config.n_steps,
-                clip_radius=config.clip_radius,
-                step_size=config.step_size,
-                sigma=calibrate_sigma(
-                    mu, config.clip_radius, config.n_steps, problem.tau_bar, round_up=True
-                ),
-                seed=derive_seed(config.base_seed, rep_id, 1 + j),
-                kernel=config.kernel,
-                mode=config.mode,
-                max_step_size=config.max_step_size,
-            )
-            beta = optimizer.fit(train, problem, hp, whitener=whitener).beta_final
-        betas.append(beta)
+    for data, levels in zip(train, private):
+        columns = iter(levels.T)
+        for mu in config.mu_grid:
+            if mu is None:
+                betas.append(optimizer.smoothed_erm(data, problem, config.kernel, bandwidth))
+            else:
+                betas.append(next(columns))
     return betas
 
 
@@ -300,58 +322,81 @@ def aggregate_rows(rows) -> tuple[AggregateCell, ...]:
 def run_replications(config: ReplicationConfig, R: int, jobs: int = 1) -> ReplicationReport:
     """Run R independent replications of the experiment cell.
 
-    Deterministic given ``config.base_seed``; replications may run
-    concurrently but rows are always assembled in rep_id order.
+    Deterministic given ``config.base_seed``.  ``jobs`` threads fit
+    contiguous chunks of replications concurrently; rows are always
+    assembled in rep_id order and do not depend on ``jobs``.
+    """
+    return sweep(config, (config.n,), R, jobs=jobs)
+
+
+def sweep(config: ReplicationConfig, ns, R: int, jobs: int = 1) -> ReplicationReport:
+    """Run the cell at several sample sizes and concatenate the reports.
+
+    Every sample size is fitted first; the policies of all of them are
+    then scored in one pass over the shared evaluation set.
     """
     if not R >= 1:
         raise ValueError(f"R must be >= 1, got {R}")
     if not jobs >= 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    problem = config.problem
     eval_spec = _synthetic_spec(config, config.eval_n, derive_seed(config.base_seed, 0, 0))
     whitener = whitener_from(eval_spec)
+    sigmas = {
+        j: calibrate_sigma(
+            mu, config.clip_radius, config.n_steps, problem.tau_bar, round_up=True
+        )
+        for j, mu in enumerate(config.mu_grid)
+        if mu is not None
+    }
+    cells = [replace(config, n=int(n)) for n in ns]
 
-    def job(rep_id: int) -> list[np.ndarray]:
+    def job(cell: ReplicationConfig, rep_ids: range) -> list[np.ndarray]:
         try:
-            return _one_replication(config, rep_id, whitener)
+            return _fit_chunk(cell, rep_ids, whitener, sigmas)
         except Exception as exc:
-            raise ReplicationError(rep_id, exc) from exc
+            if len(rep_ids) == 1:
+                raise ReplicationError(rep_ids[0], exc) from exc
+        # rows do not depend on the chunking: refit one replication at a
+        # time to name the one that failed
+        return [beta for rep_id in rep_ids for beta in job(cell, range(rep_id, rep_id + 1))]
 
-    rep_ids = range(1, R + 1)
+    chunks = []
+    for cell in cells:
+        size = max(1, min(-(-R // jobs), _STACK_ROWS // cell.n))
+        chunks += [(cell, range(a, min(a + size, R + 1))) for a in range(1, R + 1, size)]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_rep = list(pool.map(job, rep_ids))
+            per_chunk = list(pool.map(lambda chunk: job(*chunk), chunks))
     else:
-        per_rep = [job(r) for r in rep_ids]
+        per_chunk = [job(*chunk) for chunk in chunks]
 
-    beta_star = true_beta_star(eval_spec, config.problem.tau)
-    betas = [beta for chunk in per_rep for beta in chunk]
+    beta_star = true_beta_star(eval_spec, problem.tau)
+    betas = [beta for chunk in per_chunk for beta in chunk]
     clairvoyant_cost, *costs = out_of_sample_cost(
-        config.problem, np.column_stack([beta_star, *betas]), eval_spec
+        problem, np.column_stack([beta_star, *betas]), eval_spec
     ).tolist()
-    cells = [(rep_id, mu) for rep_id in rep_ids for mu in config.mu_grid]
+    keys = [
+        (cell.n, rep_id, mu)
+        for cell in cells
+        for rep_id in range(1, R + 1)
+        for mu in config.mu_grid
+    ]
     rows = tuple(
         ReplicationRow(
             rep_id=rep_id,
-            n=config.n,
+            n=n,
             mu_label=config.mu_label(mu),
-            tau=config.problem.tau,
+            tau=problem.tau,
             dist_label=config.error_dist.label,
             l2_error=estimation_error(beta, beta_star),
             sigma_error=estimation_error(beta, beta_star, whitener),
             regret=oos - clairvoyant_cost,
             oos_cost=oos,
         )
-        for (rep_id, mu), beta, oos in zip(cells, betas, costs)
+        for (n, rep_id, mu), beta, oos in zip(keys, betas, costs)
     )
     return ReplicationReport(rows=rows)
-
-
-def sweep(config: ReplicationConfig, ns, R: int, jobs: int = 1) -> ReplicationReport:
-    """Run the cell at several sample sizes and concatenate the reports."""
-    rows = []
-    for n in ns:
-        rows.extend(run_replications(replace(config, n=int(n)), R, jobs=jobs).rows)
-    return ReplicationReport(rows=tuple(rows))
 
 
 def write_rows_csv(report: ReplicationReport, path) -> None:

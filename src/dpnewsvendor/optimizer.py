@@ -23,13 +23,23 @@ along the clipped update direction, with the search grid expanded up to
 gradient, so it sits outside the formal privacy accounting; runs that
 must match the certificate exactly should fix ``step_size`` by hand.
 
-The clip does not depend on beta, so a fit clips (and in
-``known_sigma_matrix`` mode whitens) the covariates once, before the
-first step.  Each step then evaluates the kernel once, giving one weight
-per observation; that single weight vector serves the line search (its
-slope and direction) and the noisy update.
+Fits advance in lockstep.  One step loop, ``_lockstep_fits``, moves a
+stack of fits together: R datasets of the same shape, each fitted at M
+noise levels, as ``(R, p, M)`` coefficients.  The clip does not depend
+on beta, so each dataset's covariates are clipped (and in
+``known_sigma_matrix`` mode whitened) once, before the first step.  Each
+step then makes one batched residual product, evaluates the kernel once
+over all ``(R, n, M)`` residuals, giving one weight per observation and
+fit, and makes one batched clipped sum; with the line search, that
+weight serves each fit's slope and direction, searched fit by fit.
+``fit`` is the stack of one dataset at one level.  numpy hands each
+item of a stacked product to BLAS on its own, so a fit's iterates do
+not depend on the other datasets of its stack.  A single column goes to
+the matrix-vector routine, so ``fit`` rounds as a plain loop of
+matrix-vector steps; with M > 1 levels the matrix-matrix products may
+round the last bits differently.
 
-One Armijo search, ``backtracking_step_size``, serves both this
+One Armijo search, ``backtracking_step_size``, serves both the
 line-search fit and the non-private baseline ``smoothed_erm``, a damped
 Newton method on the smoothed objective.
 """
@@ -43,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model
+from . import kernels, model
 from .data import Whitener
 from .errors import (
     DimensionMismatch,
@@ -53,7 +63,6 @@ from .errors import (
     NonPositiveBandwidth,
     NonPositiveMu,
 )
-from .kernels import check_kernel
 from .model import Dataset, Problem
 from .privacy import PrivacyCertificate
 
@@ -117,7 +126,7 @@ class HyperParams:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not self.max_step_size >= 1.0:
             raise ValueError(f"max_step_size must be >= 1, got {self.max_step_size}")
-        check_kernel(self.kernel)
+        kernels.check_kernel(self.kernel)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,17 +143,18 @@ class FitResult:
 
 
 class NoiseSource:
-    """Standard normal vectors from a seeded counter-based generator.
+    """Standard normal arrays from a seeded counter-based generator.
 
     Deterministic given the seed: the Philox bit generator feeds numpy's
-    ziggurat normal transform.
+    ziggurat normal transform.  One ``(T, p)`` draw is bitwise the same
+    as T draws of ``p``.
     """
 
     def __init__(self, seed):
         self._gen = np.random.Generator(np.random.Philox(seed))
 
-    def standard_normal(self, p: int) -> np.ndarray:
-        return self._gen.standard_normal(p)
+    def standard_normal(self, shape) -> np.ndarray:
+        return self._gen.standard_normal(shape)
 
 
 class SecureNoiseSource:
@@ -168,8 +178,10 @@ class SecureNoiseSource:
     def __init__(self):
         self._gen = random.SystemRandom()
 
-    def standard_normal(self, p: int) -> np.ndarray:
-        return np.array([self._gen.normalvariate(0.0, 1.0) for _ in range(p)])
+    def standard_normal(self, shape) -> np.ndarray:
+        out = np.empty(shape)
+        out.flat = [self._gen.normalvariate(0.0, 1.0) for _ in range(out.size)]
+        return out
 
 
 def clip(u: np.ndarray, radius: float) -> np.ndarray:
@@ -189,13 +201,13 @@ def clip(u: np.ndarray, radius: float) -> np.ndarray:
     raise ValueError("clip expects a vector or a matrix of row vectors")
 
 
-def _warn_if_flat_kernel(kernel: str):
+def _warn_if_flat_kernel(kernel: str, stacklevel: int = 3):
     if kernel == "epanechnikov":
         warnings.warn(
             "the epanechnikov kernel has zero minimum density on [-1, 1]; "
             "curvature-based convergence guarantees do not apply",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
 
 
@@ -266,13 +278,6 @@ def _clipped_design(
     return clip(data.features @ whitener.inv_sqrt, hp.clip_radius), whitener.inv_sqrt
 
 
-def _clipped_sum(design, weights: np.ndarray, noise) -> np.ndarray:
-    """``back @ (sum_i weights_i * clipped_i + noise)``; no ``back`` when None."""
-    clipped, back = design
-    summed = clipped.T @ weights + noise
-    return summed if back is None else back @ summed
-
-
 def noisy_step(
     beta: np.ndarray,
     data: Dataset,
@@ -301,9 +306,70 @@ def noisy_step(
     if g.shape != (data.p,):
         raise DimensionMismatch(f"noise vector must have shape ({data.p},)")
 
-    design = _clipped_design(data, hp, whitener)
+    clipped, back = _clipped_design(data, hp, whitener)
     w = model.gradient_weights(problem, data, beta, hp.kernel, hp.bandwidth)
-    return beta - (hp.step_size / data.n) * _clipped_sum(design, w, hp.sigma * g)
+    summed = clipped.T @ w + hp.sigma * g
+    return beta - (hp.step_size / data.n) * (summed if back is None else back @ summed)
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays as one ``(R, ...)`` stack; a view when R = 1, so that a
+    single fit on a large dataset copies none of it."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _lockstep_fits(
+    data: list[Dataset],
+    problem: Problem,
+    hp: HyperParams,
+    whitener: Whitener | None,
+    noise: np.ndarray,
+    keep_trajectory: bool = False,
+) -> np.ndarray:
+    """Run ``hp.n_steps`` noisy updates of a stack of fits from zero.
+
+    ``data`` holds R datasets of one shape and ``noise`` the ``(T, R, p, M)``
+    noise already scaled by each fit's sigma: ``noise[t, r, :, m]`` is
+    added to the clipped sum of fit ``(r, m)`` at step ``t``.  ``hp``
+    gives every other setting; its ``sigma`` and ``seed`` are not read.
+    Returns the final ``(R, p, M)`` coefficients, or the ``(T + 1, R, p,
+    M)`` iterates with ``keep_trajectory``.
+    """
+    _warn_if_flat_kernel(hp.kernel, stacklevel=4)
+    designs = [_clipped_design(d, hp, whitener) for d in data]
+    clipped_t = _stack([rows for rows, _ in designs]).transpose(0, 2, 1)
+    back = designs[0][1]
+    x = _stack([d.features for d in data])
+    demands = _stack([d.demands for d in data])[:, :, None]
+    n_sets, n, p = x.shape
+    n_levels = noise.shape[-1]
+    betas = np.zeros((n_sets, p, n_levels))
+    trajectory = [betas]
+    for t in range(hp.n_steps):
+        residuals = demands - x @ betas
+        weights = kernels.scaled_cdf(hp.kernel, -residuals, hp.bandwidth) - problem.tau
+        summed = clipped_t @ weights
+        eta = hp.step_size
+        if eta is None:
+            grads = x.transpose(0, 2, 1) @ weights / n
+            directions = (summed if back is None else back @ summed) / n
+            eta = np.empty((n_sets, 1, n_levels))
+            for r, m in np.ndindex(n_sets, n_levels):
+                eta[r, 0, m] = backtracking_step_size(
+                    data[r],
+                    problem,
+                    hp.kernel,
+                    hp.bandwidth,
+                    betas[r, :, m],
+                    directions[r, :, m],
+                    float(grads[r, :, m] @ directions[r, :, m]),
+                    hp.max_step_size,
+                )
+        summed = summed + noise[t]
+        betas = betas - (eta / n) * (summed if back is None else back @ summed)
+        if keep_trajectory:
+            trajectory.append(betas)
+    return np.stack(trajectory) if keep_trajectory else betas
 
 
 def fit(
@@ -316,6 +382,7 @@ def fit(
 ) -> FitResult:
     """Run exactly ``hp.n_steps`` noisy updates from the zero vector.
 
+    The fit is the lockstep stack of one dataset at one noise level.
     Deterministic given ``hp.seed`` (unless a secure noise source is
     supplied).  A privacy certificate is attached when ``hp.mu`` is set
     and ``PrivacyCertificate`` accepts ``hp.sigma`` for the fit's
@@ -323,33 +390,13 @@ def fit(
     None.  ``known_sigma_matrix`` mode without a whitener raises
     ``MissingWhitener`` before any step.
     """
-    _warn_if_flat_kernel(hp.kernel)
-    beta = np.zeros(data.p)
-    design = _clipped_design(data, hp, whitener)
     if noise is None:
         noise = NoiseSource(hp.seed)
-
-    trajectory = [beta.copy()] if keep_trajectory else None
-    for _ in range(hp.n_steps):
-        w = model.gradient_weights(problem, data, beta, hp.kernel, hp.bandwidth)
-        eta = hp.step_size
-        if eta is None:
-            grad = data.features.T @ w / data.n
-            direction = _clipped_sum(design, w, 0.0) / data.n
-            eta = backtracking_step_size(
-                data,
-                problem,
-                hp.kernel,
-                hp.bandwidth,
-                beta,
-                direction,
-                float(grad @ direction),
-                hp.max_step_size,
-            )
-        g = noise.standard_normal(data.p)
-        beta = beta - (eta / data.n) * _clipped_sum(design, w, hp.sigma * g)
-        if keep_trajectory:
-            trajectory.append(beta.copy())
+    g = hp.sigma * noise.standard_normal((hp.n_steps, data.p))
+    path = _lockstep_fits(
+        [data], problem, hp, whitener, g[:, None, :, None], keep_trajectory
+    )
+    path = path[..., 0, :, 0]
 
     certificate = None
     if hp.mu is not None:
@@ -365,8 +412,8 @@ def fit(
             pass
 
     return FitResult(
-        beta_final=beta,
-        trajectory=np.asarray(trajectory) if keep_trajectory else None,
+        beta_final=path[-1] if keep_trajectory else path,
+        trajectory=path if keep_trajectory else None,
         certificate=certificate,
     )
 

@@ -6,8 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dpnewsvendor import evaluation, kernels, optimizer
 from dpnewsvendor.data import (
     ErrorDist,
+    SyntheticSpec,
     ar1_covariance,
     default_spec,
     generate_synthetic,
@@ -15,18 +17,21 @@ from dpnewsvendor.data import (
     true_beta_star,
     whitener_from,
 )
-from dpnewsvendor.errors import DimensionMismatch
+from dpnewsvendor.errors import DimensionMismatch, MaxIterExceeded
 from dpnewsvendor.evaluation import (
     ReplicationConfig,
     derive_seed,
     estimation_error,
     out_of_sample_cost,
     run_replications,
+    sweep,
     write_aggregates_csv,
     write_rows_csv,
 )
 from dpnewsvendor.kernels import check_loss
 from dpnewsvendor.model import Problem
+from dpnewsvendor.optimizer import HyperParams
+from dpnewsvendor.privacy import calibrate_sigma
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +178,8 @@ class TestStreamedEvaluation:
 
     @pytest.mark.parametrize("dist", ["normal", "t3", "mixture"])
     def test_harness_never_holds_the_evaluation_set(self, small_config, dist):
-        # the evaluation set as a Dataset costs over 100 bytes a row
+        # the evaluation set as a Dataset costs over 100 bytes a row, and
+        # 8-byte mixture labels would take mixture noise past 50
         config = replace(
             small_config, error_dist=ErrorDist.from_name(dist), n=200, eval_n=200_000
         )
@@ -184,7 +190,7 @@ class TestStreamedEvaluation:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak / config.eval_n <= 64
+        assert peak / config.eval_n <= 50
 
 
 class TestSeedDerivation:
@@ -252,6 +258,134 @@ class TestRunReplications:
             assert cell.mean == pytest.approx(np.mean(vals), abs=1e-12)
             assert cell.std == pytest.approx(np.std(vals, ddof=1), abs=1e-12)
             assert (cell.n, cell.tau, cell.dist_label) == (120, 0.5, "normal")
+
+
+def _rows_from_single_fits(config: ReplicationConfig, R: int) -> np.ndarray:
+    """The rows of ``run_replications`` from one ``optimizer.fit`` per
+    (replication, privacy level), written out by hand."""
+    eval_spec = SyntheticSpec(
+        theta_star=config.theta_star,
+        covariance=config.covariance,
+        error_dist=config.error_dist,
+        n=config.eval_n,
+        seed=derive_seed(config.base_seed, 0, 0),
+    )
+    whitener = whitener_from(eval_spec)
+    betas = []
+    for rep_id in range(1, R + 1):
+        train = generate_synthetic(
+            replace(eval_spec, n=config.n, seed=derive_seed(config.base_seed, rep_id, 0))
+        )
+        for j, mu in enumerate(config.mu_grid):
+            hp = HyperParams(
+                bandwidth=config.resolved_bandwidth(),
+                n_steps=config.n_steps,
+                clip_radius=config.clip_radius,
+                step_size=config.step_size,
+                sigma=calibrate_sigma(
+                    mu, config.clip_radius, config.n_steps, config.problem.tau_bar,
+                    round_up=True,
+                ),
+                seed=derive_seed(config.base_seed, rep_id, 1 + j),
+                kernel=config.kernel,
+                mode=config.mode,
+                max_step_size=config.max_step_size,
+            )
+            betas.append(optimizer.fit(train, config.problem, hp, whitener=whitener).beta_final)
+    beta_star = true_beta_star(eval_spec, config.problem.tau)
+    clairvoyant, *costs = out_of_sample_cost(
+        config.problem, np.column_stack([beta_star, *betas]), eval_spec
+    )
+    return np.array(
+        [
+            [
+                estimation_error(beta, beta_star),
+                estimation_error(beta, beta_star, whitener),
+                oos - clairvoyant,
+                oos,
+            ]
+            for beta, oos in zip(betas, costs)
+        ]
+    )
+
+
+def _metrics(report) -> np.ndarray:
+    return np.array([[getattr(r, m) for m in evaluation.METRICS] for r in report.rows])
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("dist", ["normal", "t3"])
+    @pytest.mark.parametrize("mode", ["known_sigma_matrix", "raw_covariates"])
+    @pytest.mark.parametrize("step_size", [None, 0.7], ids=["linesearch", "fixed"])
+    def test_rows_match_one_fit_at_a_time(self, small_config, dist, mode, step_size):
+        config = replace(
+            small_config,
+            error_dist=ErrorDist.from_name(dist),
+            mode=mode,
+            step_size=step_size,
+            mu_grid=(0.9, 0.5, 0.3),
+            n=80,
+            eval_n=5_000,
+        )
+        report = run_replications(config, R=3)
+        np.testing.assert_allclose(
+            _metrics(report), _rows_from_single_fits(config, 3), rtol=1e-12, atol=0.0
+        )
+
+    @pytest.mark.parametrize("step_size", [None, 0.7], ids=["linesearch", "fixed"])
+    def test_rows_ignore_the_chunking(self, small_config, monkeypatch, step_size):
+        config = replace(small_config, step_size=step_size)
+        whole = run_replications(config, R=5)
+        # two replications of 120 rows a chunk: chunks of 2, 2 and 1
+        monkeypatch.setattr(evaluation, "_STACK_ROWS", 250)
+        assert run_replications(config, R=5).rows == whole.rows
+        assert run_replications(config, R=5, jobs=2).rows == whole.rows
+
+    @pytest.mark.parametrize("stack_rows, chunks", [(1 << 15, 1), (250, 3)])
+    def test_fixed_step_cell_weighs_once_per_step_and_chunk(
+        self, small_config, monkeypatch, stack_rows, chunks
+    ):
+        calls = {"clip": 0, "scaled_cdf": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(evaluation, "_STACK_ROWS", stack_rows)
+        monkeypatch.setattr(optimizer, "clip", counted("clip", optimizer.clip))
+        monkeypatch.setattr(kernels, "scaled_cdf", counted("scaled_cdf", kernels.scaled_cdf))
+        config = replace(small_config, mu_grid=(0.9, 0.5, 0.3), step_size=0.5, n_steps=7)
+        run_replications(config, R=5)
+        assert calls == {"clip": 5, "scaled_cdf": 7 * chunks}
+
+    def test_failure_names_its_replication(self, small_config, monkeypatch):
+        spec = SyntheticSpec(
+            theta_star=small_config.theta_star,
+            covariance=small_config.covariance,
+            error_dist=small_config.error_dist,
+            n=small_config.n,
+            seed=derive_seed(small_config.base_seed, 3, 0),
+        )
+        bad = generate_synthetic(spec).demands
+        erm = optimizer.smoothed_erm
+
+        def failing_erm(data, *args, **kwargs):
+            if np.array_equal(data.demands, bad):
+                raise MaxIterExceeded("stuck")
+            return erm(data, *args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "smoothed_erm", failing_erm)
+        with pytest.raises(evaluation.ReplicationError) as failure:
+            run_replications(small_config, R=5)
+        assert failure.value.rep_id == 3
+        assert isinstance(failure.value.__cause__, MaxIterExceeded)
+
+    def test_sweep_rows_equal_separate_runs(self, small_config):
+        ns = (60, 120)
+        rows = sum((run_replications(replace(small_config, n=n), R=2).rows for n in ns), ())
+        assert sweep(small_config, ns, R=2).rows == rows
 
 
 class TestCsvOutput:
