@@ -1,8 +1,10 @@
 """Synthetic demand generation, CSV ingestion, whitening, splitting.
 
-The synthetic generator draws features ``z ~ N(0, covariance)``,
-prepends an intercept, and sets ``d = x @ theta_star + eps`` with the
-noise law chosen from three families: standard normal, Student t, and a
+The synthetic generator draws standard normals ``z`` and the noise
+``eps`` in one place, ``_synthetic_draws``; the features are ``z``
+mapped to ``N(0, covariance)`` by the covariance's Cholesky factor with
+an intercept prepended, and ``d = x @ theta_star + eps``.  The noise law
+is one of three families: standard normal, Student t, and a
 two-or-more component Gaussian mixture.  The clairvoyant coefficient
 vector for a quantile level ``tau`` is ``theta_star`` with the noise
 quantile added to the intercept.
@@ -10,6 +12,7 @@ quantile added to the intercept.
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 import warnings
@@ -192,7 +195,9 @@ class SyntheticSpec:
     """Recipe for a synthetic dataset.
 
     ``covariance`` governs the non-intercept features, so it has one
-    fewer dimension than ``theta_star``.
+    fewer dimension than ``theta_star``.  It is checked, and its
+    Cholesky factor ``_chol`` computed, once per recipe; ``_with`` gives
+    the recipe at another size and seed without doing either again.
     """
 
     theta_star: tuple[float, ...]
@@ -218,12 +223,25 @@ class SyntheticSpec:
         if not self.n >= 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         cov.setflags(write=False)
+        chol = np.linalg.cholesky(cov)
+        chol.setflags(write=False)
         object.__setattr__(self, "theta_star", theta)
         object.__setattr__(self, "covariance", cov)
+        object.__setattr__(self, "_chol", chol)
 
     @property
     def p(self) -> int:
         return len(self.theta_star)
+
+    def _with(self, n: int, seed: int) -> "SyntheticSpec":
+        """The recipe at another size and seed.  Its covariance is not
+        checked again, and the Cholesky factor is shared."""
+        if not n >= 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        spec = copy.copy(self)
+        object.__setattr__(spec, "n", n)
+        object.__setattr__(spec, "seed", seed)
+        return spec
 
 
 def default_spec(n: int, dist: str | ErrorDist = "normal", seed: int = 0) -> SyntheticSpec:
@@ -239,40 +257,47 @@ def default_spec(n: int, dist: str | ErrorDist = "normal", seed: int = 0) -> Syn
     )
 
 
-def synthetic_blocks(spec: SyntheticSpec, rows: int):
-    """Yield the recipe's rows as ``(features, demands)`` blocks of
-    ``rows`` rows, the last one possibly shorter.
+def _synthetic_draws(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The recipe's random stream: the standard normals ``z``, one row of
+    ``p - 1`` per observation, then the noise ``eps``, both drawn whole
+    from ``default_rng(seed)`` (the mixture law draws every component
+    label before any normal, so the stream cannot be split by rows).
 
-    Features are ``x = (1, z)`` with ``z ~ N(0, covariance)`` via a
-    Cholesky factor, and ``d = x @ theta_star + eps``.  The standard
-    normals ``z`` and the noise ``eps`` are drawn whole, in that order,
-    before the first block: the mixture law draws every component label
-    before any normal, so the stream cannot be split by rows.  Only the
-    features and demands are built block by block.
+    ``generate_synthetic`` builds the rows from this draw, and
+    ``evaluation.out_of_sample_cost`` scores a recipe straight from it.
     """
-    if not rows >= 1:
-        raise ValueError(f"rows must be >= 1, got {rows}")
     rng = np.random.default_rng(spec.seed)
-    chol = np.linalg.cholesky(spec.covariance)
-    theta = np.asarray(spec.theta_star)
     z = rng.standard_normal((spec.n, spec.p - 1))
-    eps = sample_errors(spec.error_dist, spec.n, rng)
-    for start in range(0, spec.n, rows):
-        stop = min(start + rows, spec.n)
-        x = np.empty((stop - start, spec.p))
-        x[:, 0] = 1.0
-        x[:, 1:] = z[start:stop] @ chol.T
-        yield x, x @ theta + eps[start:stop]
+    return z, sample_errors(spec.error_dist, spec.n, rng)
+
+
+def _overage_coefficients(spec: SyntheticSpec, betas: np.ndarray) -> np.ndarray:
+    """Per policy column of ``betas``, the row ``c`` with
+    ``q - d = c @ (1, z, eps)`` on every row of the recipe's draw.
+
+    With ``a = beta - theta_star``, ``c = (a_0, chol.T @ a_1:, -1)``, so a
+    policy is scored without building the features or the demands.
+    """
+    a = betas - np.asarray(spec.theta_star)[:, None]
+    c = np.empty((betas.shape[1], spec.p + 1))
+    c[:, 0] = a[0]
+    c[:, 1 : spec.p] = (spec._chol.T @ a[1:]).T
+    c[:, spec.p] = -1.0
+    return c
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Draw a dataset from the recipe; deterministic given the seed.
 
-    The dataset is the single block of ``spec.n`` rows of
-    ``synthetic_blocks``.
+    Features are ``x = (1, z @ chol.T)``, with ``chol`` the Cholesky
+    factor of the covariance, and demands ``d = x @ theta_star + eps``,
+    from the draw of ``_synthetic_draws``.
     """
-    [(x, d)] = synthetic_blocks(spec, spec.n)
-    return Dataset(demands=d, features=x)
+    z, eps = _synthetic_draws(spec)
+    x = np.empty((spec.n, spec.p))
+    x[:, 0] = 1.0
+    x[:, 1:] = z @ spec._chol.T
+    return Dataset(demands=x @ np.asarray(spec.theta_star) + eps, features=x)
 
 
 def true_beta_star(spec: SyntheticSpec, tau: float) -> np.ndarray:

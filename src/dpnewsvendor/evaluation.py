@@ -3,12 +3,13 @@
 ``run_replications`` repeats a generate -> fit cycle with independent
 seeds and reports, per estimator, the L2 and whitened estimation errors,
 the regret against the clairvoyant policy on a large held-out evaluation
-set, and the out-of-sample cost.  Fitting comes first; every policy of
-the run (of every sample size, for ``sweep``), the clairvoyant one
-included, is then scored in one blocked pass by ``out_of_sample_cost``,
-which draws the evaluation rows from their ``SyntheticSpec`` block by
-block and scores each block as it is drawn, so the evaluation set is
-never held whole as a ``Dataset``.
+set, and the out-of-sample cost.  The evaluation set's random stream
+(the standard normals and the noise of its ``SyntheticSpec``) is drawn
+on one helper thread while the fits run.  Every policy of the run (of
+every sample size, for ``sweep``), the clairvoyant one included, is
+then scored in one blocked pass by ``out_of_sample_cost`` straight from
+that draw: neither the set's features nor its demands are built, so it
+is never held as a ``Dataset``.
 
 The private fits of a cell advance in lockstep: the replications are cut
 into contiguous chunks, ``jobs`` of them or more so that none holds over
@@ -40,8 +41,9 @@ from .data import (
     ErrorDist,
     SyntheticSpec,
     Whitener,
+    _overage_coefficients,
+    _synthetic_draws,
     generate_synthetic,
-    synthetic_blocks,
     true_beta_star,
     whitener_from,
 )
@@ -91,42 +93,72 @@ _BLOCK_ROWS = 4096
 _GROUP_POLICIES = 16
 
 
+@dataclass(frozen=True, eq=False)
+class _DrawnSpec:
+    """A ``SyntheticSpec`` with its random stream already drawn by
+    ``data._synthetic_draws``."""
+
+    spec: SyntheticSpec
+    z: np.ndarray
+    eps: np.ndarray
+
+
 def out_of_sample_cost(problem: Problem, policy, test_data: Dataset | SyntheticSpec):
     """Average newsvendor cost of one or several policies on held-out data.
 
     ``policy`` is a coefficient vector, which gives a float, or a
     ``(p, K)`` matrix with one policy per column, which gives the K costs
     as an array from a single pass over the data.  The data is a
-    ``Dataset`` or a ``SyntheticSpec``; a spec's rows are drawn by
-    ``synthetic_blocks`` one block at a time and scored as they are
-    drawn, so its ``n``-row feature matrix is never built.  The pass
+    ``Dataset`` or a ``SyntheticSpec``.  A spec is scored straight from
+    its random stream (``sweep`` hands over one drawn beside its fits):
+    a row's overage ``q - d`` is linear in its normals and noise
+    (``data._overage_coefficients``), so the spec's ``n``-row features
+    and demands are never built.  The pass
     takes rows in blocks of ``_BLOCK_ROWS`` and policies in zero-padded
     groups of ``_GROUP_POLICIES`` and sums the cost
     ``b * (d - q) + (b + h) * (q - d)^+`` block by block.
     """
+    source = test_data.spec if isinstance(test_data, _DrawnSpec) else test_data
     single = np.ndim(policy) == 1
     betas = coefficients(policy)[:, None] if single else np.asarray(policy, dtype=float)
     if betas.ndim != 2:
         raise ValueError("policies must form a coefficient vector or a (p, K) matrix")
-    if betas.shape[0] != test_data.p:
+    if betas.shape[0] != source.p:
         raise DimensionMismatch(
-            f"policy has {betas.shape[0]} coefficients but data has {test_data.p} features"
+            f"policy has {betas.shape[0]} coefficients but data has {source.p} features"
         )
-    k, p, n = betas.shape[1], test_data.p, test_data.n
+    k, p, n = betas.shape[1], source.p, source.n
     width = -(-k // _GROUP_POLICIES) * _GROUP_POLICIES
-    # The demand rides along as a last feature with coefficient -1, so
-    # one product gives the overage q - d of every policy in a group.
-    groups = np.zeros((width, p + 1))
-    groups[:k, :p] = betas.T
-    groups[:, p] = -1.0
+    # A block holds p + 1 rows, the features and the demand, scored with
+    # coefficients (beta, -1), or for a spec (1, z, eps), scored with the
+    # coefficients of data._overage_coefficients.  One product then gives
+    # the overage q - d of every policy in a group.
+    policies = np.zeros((p, width))
+    policies[:, :k] = betas
     block = np.empty((p + 1, _BLOCK_ROWS))
+    if isinstance(source, Dataset):
+        groups = np.empty((width, p + 1))
+        groups[:, :p] = policies.T
+        groups[:, p] = -1.0
+        features, demands, first = source.features, source.demands, 0
+    else:
+        if not isinstance(test_data, _DrawnSpec):
+            test_data = _DrawnSpec(source, *_synthetic_draws(source))
+        groups = np.concatenate(
+            [
+                _overage_coefficients(source, policies[:, g : g + _GROUP_POLICIES])
+                for g in range(0, width, _GROUP_POLICIES)
+            ]
+        )
+        block[0] = 1.0
+        features, demands, first = test_data.z, test_data.eps, 1
     over = np.empty((_GROUP_POLICIES, _BLOCK_ROWS))
     over_sum = np.zeros(width)  # sum of q - d
     excess_sum = np.zeros(width)  # sum of (q - d)^+
-    for features, demands in _row_blocks(test_data):
-        m = len(demands)
-        block[:p, :m] = features.T
-        block[p, :m] = demands
+    for start in range(0, n, _BLOCK_ROWS):
+        m = min(_BLOCK_ROWS, n - start)
+        block[first:p, :m] = features[start : start + m].T
+        block[p, :m] = demands[start : start + m]
         for g in range(0, width, _GROUP_POLICIES):
             o = np.matmul(groups[g : g + _GROUP_POLICIES], block[:, :m], out=over[:, :m])
             over_sum[g : g + _GROUP_POLICIES] += o.sum(axis=1)
@@ -135,17 +167,6 @@ def out_of_sample_cost(problem: Problem, policy, test_data: Dataset | SyntheticS
     total = (problem.b + problem.h) * excess_sum - problem.b * over_sum
     costs = total[:k] / n
     return float(costs[0]) if single else costs
-
-
-def _row_blocks(source: Dataset | SyntheticSpec):
-    """``(features, demands)`` blocks of ``_BLOCK_ROWS`` rows of a dataset
-    or a synthetic recipe."""
-    if isinstance(source, SyntheticSpec):
-        yield from synthetic_blocks(source, _BLOCK_ROWS)
-        return
-    for start in range(0, source.n, _BLOCK_ROWS):
-        stop = start + _BLOCK_ROWS
-        yield source.features[start:stop], source.demands[start:stop]
 
 
 @dataclass(frozen=True)
@@ -237,36 +258,31 @@ def derive_seed(base_seed: int, rep_id: int, stream: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _synthetic_spec(config: ReplicationConfig, n: int, seed: int) -> SyntheticSpec:
-    return SyntheticSpec(
-        theta_star=config.theta_star,
-        covariance=config.covariance,
-        error_dist=config.error_dist,
-        n=n,
-        seed=seed,
-    )
-
-
 # Training rows per lockstep chunk: a chunk's stacked designs and
 # residuals stay a few megabytes however many replications a cell has.
 _STACK_ROWS = 1 << 15
 
 
 def _fit_chunk(
-    config: ReplicationConfig, rep_ids: range, whitener: Whitener, sigmas: dict
+    config: ReplicationConfig,
+    rep_ids: range,
+    spec: SyntheticSpec,
+    whitener: Whitener,
+    sigmas: dict,
 ) -> list[np.ndarray]:
     """Fit every estimator of the privacy grid on a run of replications,
     the private ones in lockstep; betas in (rep_id, mu_grid) order.
-    ``sigmas`` maps the index of each private level in ``mu_grid`` to
-    its noise scale."""
+    Each training set is ``spec`` at ``config.n`` rows and the
+    replication's seed.  ``sigmas`` maps the index of each private level
+    in ``mu_grid`` to its noise scale."""
     problem = config.problem
     bandwidth = config.resolved_bandwidth()
     p = len(config.theta_star)
     train = []
     noise = np.empty((config.n_steps, len(rep_ids), p, len(sigmas)))
     for r, rep_id in enumerate(rep_ids):
-        spec = _synthetic_spec(config, config.n, derive_seed(config.base_seed, rep_id, 0))
-        train.append(generate_synthetic(spec))
+        seed = derive_seed(config.base_seed, rep_id, 0)
+        train.append(generate_synthetic(spec._with(n=config.n, seed=seed)))
         for m, (j, sigma) in enumerate(sigmas.items()):
             draws = NoiseSource(derive_seed(config.base_seed, rep_id, 1 + j))
             noise[:, r, :, m] = sigma * draws.standard_normal((config.n_steps, p))
@@ -332,53 +348,37 @@ def run_replications(config: ReplicationConfig, R: int, jobs: int = 1) -> Replic
 def sweep(config: ReplicationConfig, ns, R: int, jobs: int = 1) -> ReplicationReport:
     """Run the cell at several sample sizes and concatenate the reports.
 
-    Every sample size is fitted first; the policies of all of them are
-    then scored in one pass over the shared evaluation set.
+    The evaluation set's random stream is drawn on a helper thread while
+    every sample size is fitted; the policies of all of them are then
+    scored in one pass over that draw.
     """
     if not R >= 1:
         raise ValueError(f"R must be >= 1, got {R}")
     if not jobs >= 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     problem = config.problem
-    eval_spec = _synthetic_spec(config, config.eval_n, derive_seed(config.base_seed, 0, 0))
+    eval_spec = SyntheticSpec(
+        theta_star=config.theta_star,
+        covariance=config.covariance,
+        error_dist=config.error_dist,
+        n=config.eval_n,
+        seed=derive_seed(config.base_seed, 0, 0),
+    )
     whitener = whitener_from(eval_spec)
-    sigmas = {
-        j: calibrate_sigma(
-            mu, config.clip_radius, config.n_steps, problem.tau_bar, round_up=True
-        )
-        for j, mu in enumerate(config.mu_grid)
-        if mu is not None
-    }
-    cells = [replace(config, n=int(n)) for n in ns]
-
-    def job(cell: ReplicationConfig, rep_ids: range) -> list[np.ndarray]:
-        try:
-            return _fit_chunk(cell, rep_ids, whitener, sigmas)
-        except Exception as exc:
-            if len(rep_ids) == 1:
-                raise ReplicationError(rep_ids[0], exc) from exc
-        # rows do not depend on the chunking: refit one replication at a
-        # time to name the one that failed
-        return [beta for rep_id in rep_ids for beta in job(cell, range(rep_id, rep_id + 1))]
-
-    chunks = []
-    for cell in cells:
-        size = max(1, min(-(-R // jobs), _STACK_ROWS // cell.n))
-        chunks += [(cell, range(a, min(a + size, R + 1))) for a in range(1, R + 1, size)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_chunk = list(pool.map(lambda chunk: job(*chunk), chunks))
-    else:
-        per_chunk = [job(*chunk) for chunk in chunks]
+    # numpy releases the GIL while it fills the draw's arrays; leaving
+    # the block joins the thread, whether the fits succeed or raise
+    with ThreadPoolExecutor(max_workers=1) as drawer:
+        drawing = drawer.submit(_synthetic_draws, eval_spec)
+        betas = _fit_cells(config, ns, R, jobs, eval_spec, whitener)
+        drawn = _DrawnSpec(eval_spec, *drawing.result())
 
     beta_star = true_beta_star(eval_spec, problem.tau)
-    betas = [beta for chunk in per_chunk for beta in chunk]
     clairvoyant_cost, *costs = out_of_sample_cost(
-        problem, np.column_stack([beta_star, *betas]), eval_spec
+        problem, np.column_stack([beta_star, *betas]), drawn
     ).tolist()
     keys = [
-        (cell.n, rep_id, mu)
-        for cell in cells
+        (int(n), rep_id, mu)
+        for n in ns
         for rep_id in range(1, R + 1)
         for mu in config.mu_grid
     ]
@@ -397,6 +397,42 @@ def sweep(config: ReplicationConfig, ns, R: int, jobs: int = 1) -> ReplicationRe
         for (n, rep_id, mu), beta, oos in zip(keys, betas, costs)
     )
     return ReplicationReport(rows=rows)
+
+
+def _fit_cells(
+    config: ReplicationConfig, ns, R: int, jobs: int, spec: SyntheticSpec, whitener: Whitener
+) -> list[np.ndarray]:
+    """Every policy of the sweep in (n, rep_id, mu_grid) order, fitted
+    in chunks of replications on ``jobs`` threads."""
+    sigmas = {
+        j: calibrate_sigma(
+            mu, config.clip_radius, config.n_steps, config.problem.tau_bar, round_up=True
+        )
+        for j, mu in enumerate(config.mu_grid)
+        if mu is not None
+    }
+
+    def job(cell: ReplicationConfig, rep_ids: range) -> list[np.ndarray]:
+        try:
+            return _fit_chunk(cell, rep_ids, spec, whitener, sigmas)
+        except Exception as exc:
+            if len(rep_ids) == 1:
+                raise ReplicationError(rep_ids[0], exc) from exc
+        # rows do not depend on the chunking: refit one replication at a
+        # time to name the one that failed
+        return [beta for rep_id in rep_ids for beta in job(cell, range(rep_id, rep_id + 1))]
+
+    chunks = []
+    for n in ns:
+        cell = replace(config, n=int(n))
+        size = max(1, min(-(-R // jobs), _STACK_ROWS // cell.n))
+        chunks += [(cell, range(a, min(a + size, R + 1))) for a in range(1, R + 1, size)]
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            per_chunk = list(pool.map(lambda chunk: job(*chunk), chunks))
+    else:
+        per_chunk = [job(*chunk) for chunk in chunks]
+    return [beta for chunk in per_chunk for beta in chunk]
 
 
 def write_rows_csv(report: ReplicationReport, path) -> None:

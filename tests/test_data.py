@@ -176,6 +176,22 @@ class TestGenerateSynthetic:
             assert np.array_equal(sample_errors(dist, 10_001, rng), expected)
             assert rng.random() == ref_rng.random()  # the stream is left where it was
 
+    def test_resized_spec_draws_as_a_new_one(self, monkeypatch):
+        spec = default_spec(100, "mixture", seed=1)
+        checks = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: checks.append(m) or eigvalsh(m))
+        resized = spec._with(n=300, seed=4)
+        assert checks == []  # the covariance is not checked again
+        assert resized._chol is spec._chol
+        fresh = generate_synthetic(default_spec(300, "mixture", seed=4))
+        ds = generate_synthetic(resized)
+        assert np.array_equal(ds.features, fresh.features)
+        assert np.array_equal(ds.demands, fresh.demands)
+        assert (spec.n, spec.seed) == (100, 1)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            spec._with(n=0, seed=4)
+
     def test_mixture_has_heavy_tails(self):
         spec = default_spec(50_000, "mixture", seed=1)
         ds = generate_synthetic(spec)

@@ -1,19 +1,21 @@
 """Metrics and the replication harness."""
 
+import threading
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dpnewsvendor import evaluation, kernels, optimizer
+from dpnewsvendor import data, evaluation, kernels, optimizer
 from dpnewsvendor.data import (
     ErrorDist,
     SyntheticSpec,
+    _synthetic_draws,
     ar1_covariance,
     default_spec,
     generate_synthetic,
-    synthetic_blocks,
+    sample_errors,
     true_beta_star,
     whitener_from,
 )
@@ -164,17 +166,43 @@ class TestStreamedEvaluation:
 
     @pytest.mark.parametrize("eval_n", [1, 1_000, 10_001])
     @pytest.mark.parametrize("dist", ["normal", "t3", "mixture"])
-    def test_blocks_concatenate_to_the_dataset(self, dist, eval_n):
+    def test_draws_build_the_dataset(self, dist, eval_n):
         spec = default_spec(eval_n, dist, seed=9)
-        blocks = list(synthetic_blocks(spec, 4096))
-        assert [len(d) for _, d in blocks][:-1] == [4096] * (len(blocks) - 1)
-        data = generate_synthetic(spec)
-        np.testing.assert_array_equal(np.concatenate([x for x, _ in blocks]), data.features)
-        np.testing.assert_array_equal(np.concatenate([d for _, d in blocks]), data.demands)
+        rng = np.random.default_rng(spec.seed)
+        z = rng.standard_normal((eval_n, spec.p - 1))
+        eps = sample_errors(spec.error_dist, eval_n, rng)
+        drawn_z, drawn_eps = _synthetic_draws(spec)
+        np.testing.assert_array_equal(drawn_z, z)
+        np.testing.assert_array_equal(drawn_eps, eps)
+        x = np.column_stack([np.ones(eval_n), z @ np.linalg.cholesky(spec.covariance).T])
+        dataset = generate_synthetic(spec)
+        np.testing.assert_array_equal(dataset.features, x)
+        np.testing.assert_array_equal(dataset.demands, x @ np.asarray(spec.theta_star) + eps)
 
-    def test_block_rows_must_be_positive(self):
-        with pytest.raises(ValueError, match="rows must be >= 1"):
-            next(synthetic_blocks(default_spec(10, "normal"), 0))
+    def test_spec_cost_of_a_policy_ignores_its_neighbours(self):
+        spec = default_spec(10_000, "t3", seed=5)
+        prob = Problem.from_quantile(0.3)
+        rng = np.random.default_rng(2)
+        beta = true_beta_star(spec, prob.tau) + rng.normal(scale=0.3, size=5)
+        alone = out_of_sample_cost(prob, beta[:, None], spec)[0]
+        for k in (1, 15, 16, 17, 40):
+            for pos in sorted({0, k // 2, k - 1}):
+                betas = rng.normal(size=(5, k))
+                betas[:, pos] = beta
+                assert out_of_sample_cost(prob, betas, spec)[pos] == alone, (k, pos)
+
+    @pytest.mark.parametrize("dist", ["normal", "t3", "mixture"])
+    def test_rows_match_scoring_the_materialised_set(self, small_config, dist):
+        config = replace(
+            small_config, error_dist=ErrorDist.from_name(dist), mu_grid=(0.9, 0.3),
+            n=80, eval_n=10_001,
+        )
+        np.testing.assert_allclose(
+            _metrics(run_replications(config, R=2)),
+            _rows_from_single_fits(config, 2, materialise=True),
+            rtol=1e-12,
+            atol=0.0,
+        )
 
     @pytest.mark.parametrize("dist", ["normal", "t3", "mixture"])
     def test_harness_never_holds_the_evaluation_set(self, small_config, dist):
@@ -249,6 +277,13 @@ class TestRunReplications:
         par = run_replications(small_config, R=4, jobs=3)
         assert seq.rows == par.rows
 
+    def test_covariance_is_checked_once_per_sweep(self, small_config, monkeypatch):
+        checks = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: checks.append(m) or eigvalsh(m))
+        sweep(replace(small_config, eval_n=1_000), (60, 120), R=3)
+        assert len(checks) == 1
+
     def test_aggregates_recomputable(self, small_config):
         report = run_replications(small_config, R=5)
         assert len(report.aggregates) == len(small_config.mu_grid) * 4
@@ -260,9 +295,13 @@ class TestRunReplications:
             assert (cell.n, cell.tau, cell.dist_label) == (120, 0.5, "normal")
 
 
-def _rows_from_single_fits(config: ReplicationConfig, R: int) -> np.ndarray:
+def _rows_from_single_fits(
+    config: ReplicationConfig, R: int, materialise: bool = False
+) -> np.ndarray:
     """The rows of ``run_replications`` from one ``optimizer.fit`` per
-    (replication, privacy level), written out by hand."""
+    (replication, privacy level), written out by hand.  With
+    ``materialise`` the evaluation set is scored as the ``Dataset``
+    ``generate_synthetic`` builds, not from its spec."""
     eval_spec = SyntheticSpec(
         theta_star=config.theta_star,
         covariance=config.covariance,
@@ -294,7 +333,9 @@ def _rows_from_single_fits(config: ReplicationConfig, R: int) -> np.ndarray:
             betas.append(optimizer.fit(train, config.problem, hp, whitener=whitener).beta_final)
     beta_star = true_beta_star(eval_spec, config.problem.tau)
     clairvoyant, *costs = out_of_sample_cost(
-        config.problem, np.column_stack([beta_star, *betas]), eval_spec
+        config.problem,
+        np.column_stack([beta_star, *betas]),
+        generate_synthetic(eval_spec) if materialise else eval_spec,
     )
     return np.array(
         [
@@ -386,6 +427,44 @@ class TestLockstep:
         ns = (60, 120)
         rows = sum((run_replications(replace(small_config, n=n), R=2).rows for n in ns), ())
         assert sweep(small_config, ns, R=2).rows == rows
+
+
+class TestEvaluationDraw:
+    """The evaluation set is drawn on a helper thread beside the fits."""
+
+    def test_thread_is_joined_after_success(self, small_config):
+        before = threading.active_count()
+        run_replications(replace(small_config, eval_n=1_000), R=2)
+        assert threading.active_count() == before
+
+    def test_thread_is_joined_after_a_failed_fit(self, small_config, monkeypatch):
+        def failing_erm(*args, **kwargs):
+            raise MaxIterExceeded("stuck")
+
+        monkeypatch.setattr(optimizer, "smoothed_erm", failing_erm)
+        before = threading.active_count()
+        with pytest.raises(evaluation.ReplicationError):
+            run_replications(replace(small_config, eval_n=1_000), R=2)
+        assert threading.active_count() == before
+
+    def test_draw_failure_propagates(self, small_config, monkeypatch):
+        class DrawFailed(Exception):
+            pass
+
+        config = replace(small_config, eval_n=1_000)
+        sample = data.sample_errors
+
+        def failing_sample(dist, n, rng):
+            # training sets (60 and 120 rows) draw as usual
+            if n == config.eval_n:
+                raise DrawFailed
+            return sample(dist, n, rng)
+
+        monkeypatch.setattr(data, "sample_errors", failing_sample)
+        before = threading.active_count()
+        with pytest.raises(DrawFailed):
+            sweep(config, (60, 120), R=2)
+        assert threading.active_count() == before
 
 
 class TestCsvOutput:

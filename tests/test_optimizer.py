@@ -5,9 +5,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from dpnewsvendor import kernels, optimizer
-from dpnewsvendor.data import default_spec, generate_synthetic, whitener_from
+from dpnewsvendor.data import (
+    ErrorDist,
+    SyntheticSpec,
+    default_spec,
+    generate_synthetic,
+    whitener_from,
+)
 from dpnewsvendor.errors import LineSearchFailed, MaxIterExceeded, MissingWhitener
 from dpnewsvendor import model
 from dpnewsvendor.model import Dataset, Problem, smoothed_empirical_cost, smoothed_gradient
@@ -424,6 +431,72 @@ class TestFit:
         sigma = calibrate_sigma(mu, 2.0, steps, 0.5)
         per_step = 2 * 0.5 * 2.0 / sigma  # each step is (2 tau_bar B / sigma)-GDP
         assert compose_gdp([per_step] * steps) == pytest.approx(mu, abs=1e-12)
+
+
+def _armijo_by_hand(q, beta, direction, slope, max_step):
+    """Armijo backtracking written out: halve from 1 until accepted, or
+    double an accepted unit step while accepted, up to ``max_step``."""
+    if slope <= 0.0:
+        return 1.0
+
+    def accepted(eta):
+        return q(beta - eta * direction) <= q(beta) - 1e-4 * eta * slope
+
+    eta = 1.0
+    if not accepted(eta):
+        for _ in range(60):
+            eta *= 0.5
+            if accepted(eta):
+                return eta
+        raise AssertionError("no acceptable step")
+    while 2.0 * eta <= max_step and accepted(2.0 * eta):
+        eta *= 2.0
+    return eta
+
+
+class TestLineSearchDirection:
+    def test_known_sigma_matrix_searches_along_the_mapped_direction(self):
+        # a strongly anisotropic Sigma: the whitened direction S^{-1/2} v
+        # and the unmapped v take different steps
+        spec = SyntheticSpec(
+            theta_star=(1.0, 0.5, -2.0, 3.0),
+            covariance=np.diag([25.0, 1.0, 0.01]),
+            error_dist=ErrorDist.normal(),
+            n=300,
+            seed=6,
+        )
+        data = generate_synthetic(spec)
+        problem = Problem.from_quantile(0.7)
+        whitener = whitener_from(spec)
+        hp = HyperParams(
+            bandwidth=0.3, n_steps=8, clip_radius=2.0, sigma=1.0, seed=3,
+            mode="known_sigma_matrix", max_step_size=8.0,
+        )
+        path = fit(data, problem, hp, whitener=whitener, keep_trajectory=True).trajectory
+        x, d, n, h, tau = data.features, data.demands, data.n, hp.bandwidth, problem.tau
+        s_inv_sqrt = whitener.inv_sqrt
+        rows = x @ s_inv_sqrt
+        rows = rows / np.maximum(1.0, np.linalg.norm(rows, axis=1) / hp.clip_radius)[:, None]
+        noise = hp.sigma * NoiseSource(hp.seed).standard_normal((hp.n_steps, data.p))
+
+        def q(beta):
+            # the gaussian-smoothed check loss in closed form
+            u = d - x @ beta
+            density = np.exp(-0.5 * (u / h) ** 2) / np.sqrt(2 * np.pi)
+            return np.mean(u * (tau - ndtr(-u / h)) + h * density)
+
+        steps = []
+        for t in range(hp.n_steps):
+            beta = path[t]
+            w = ndtr((x @ beta - d) / h) - tau
+            direction = s_inv_sqrt @ (rows.T @ w) / n
+            slope = float((x.T @ w / n) @ direction)
+            eta = _armijo_by_hand(q, beta, direction, slope, hp.max_step_size)
+            update = s_inv_sqrt @ (rows.T @ w + noise[t]) / n
+            taken = (beta - path[t + 1]) @ update / (update @ update)
+            assert taken == pytest.approx(eta, rel=1e-9), t
+            steps.append(eta)
+        assert len(set(steps)) > 1
 
 
 class TestSmoothedErm:
