@@ -292,8 +292,12 @@ def cmd_evaluate(args) -> int:
     with open(args.fit, "r", encoding="utf-8") as fh:
         try:
             beta = coefficients(json.load(fh)["beta"])
+            if not (abs(beta) < float("inf")).all():
+                raise ValueError(f"non-finite coefficients {beta.tolist()}")
         except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"{args.fit}: not a fit file with a 1-d 'beta' list ({exc})") from exc
+            raise ValueError(
+                f"{args.fit}: not a fit file with a finite 1-d 'beta' list ({exc})"
+            ) from exc
     dataset = datamod.load_csv(args.test, args.demand_column)
     problem = _problem_from_args(args)
     cost = evaluation.out_of_sample_cost(problem, beta, dataset)

@@ -271,21 +271,6 @@ def _synthetic_draws(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
     return z, sample_errors(spec.error_dist, spec.n, rng)
 
 
-def _overage_coefficients(spec: SyntheticSpec, betas: np.ndarray) -> np.ndarray:
-    """Per policy column of ``betas``, the row ``c`` with
-    ``q - d = c @ (1, z, eps)`` on every row of the recipe's draw.
-
-    With ``a = beta - theta_star``, ``c = (a_0, chol.T @ a_1:, -1)``, so a
-    policy is scored without building the features or the demands.
-    """
-    a = betas - np.asarray(spec.theta_star)[:, None]
-    c = np.empty((betas.shape[1], spec.p + 1))
-    c[:, 0] = a[0]
-    c[:, 1 : spec.p] = (spec._chol.T @ a[1:]).T
-    c[:, spec.p] = -1.0
-    return c
-
-
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Draw a dataset from the recipe; deterministic given the seed.
 

@@ -7,9 +7,9 @@ set, and the out-of-sample cost.  The evaluation set's random stream
 (the standard normals and the noise of its ``SyntheticSpec``) is drawn
 on one helper thread while the fits run.  Every policy of the run (of
 every sample size, for ``sweep``), the clairvoyant one included, is
-then scored in one blocked pass by ``out_of_sample_cost`` straight from
-that draw: neither the set's features nor its demands are built, so it
-is never held as a ``Dataset``.
+then scored in one blocked pass, ``_mean_costs``, straight from that
+draw: neither the set's features nor its demands are built, so it is
+never held as a ``Dataset``.
 
 The private fits of a cell advance in lockstep: the replications are cut
 into contiguous chunks, ``jobs`` of them or more so that none holds over
@@ -41,7 +41,6 @@ from .data import (
     ErrorDist,
     SyntheticSpec,
     Whitener,
-    _overage_coefficients,
     _synthetic_draws,
     generate_synthetic,
     true_beta_star,
@@ -93,80 +92,74 @@ _BLOCK_ROWS = 4096
 _GROUP_POLICIES = 16
 
 
-@dataclass(frozen=True, eq=False)
-class _DrawnSpec:
-    """A ``SyntheticSpec`` with its random stream already drawn by
-    ``data._synthetic_draws``."""
-
-    spec: SyntheticSpec
-    z: np.ndarray
-    eps: np.ndarray
-
-
 def out_of_sample_cost(problem: Problem, policy, test_data: Dataset | SyntheticSpec):
     """Average newsvendor cost of one or several policies on held-out data.
 
     ``policy`` is a coefficient vector, which gives a float, or a
     ``(p, K)`` matrix with one policy per column, which gives the K costs
     as an array from a single pass over the data.  The data is a
-    ``Dataset`` or a ``SyntheticSpec``.  A spec is scored straight from
-    its random stream (``sweep`` hands over one drawn beside its fits):
-    a row's overage ``q - d`` is linear in its normals and noise
-    (``data._overage_coefficients``), so the spec's ``n``-row features
-    and demands are never built.  The pass
-    takes rows in blocks of ``_BLOCK_ROWS`` and policies in zero-padded
-    groups of ``_GROUP_POLICIES`` and sums the cost
-    ``b * (d - q) + (b + h) * (q - d)^+`` block by block.
+    ``Dataset``, whose rows ``(1, z, last)`` are its features and demand,
+    scored with coefficients ``(beta, -1)``, or a ``SyntheticSpec``, whose
+    drawn normals and noise are scored with ``_overage_coefficients``, so
+    its features and demands are never built.
     """
-    source = test_data.spec if isinstance(test_data, _DrawnSpec) else test_data
     single = np.ndim(policy) == 1
     betas = coefficients(policy)[:, None] if single else np.asarray(policy, dtype=float)
     if betas.ndim != 2:
         raise ValueError("policies must form a coefficient vector or a (p, K) matrix")
-    if betas.shape[0] != source.p:
+    if betas.shape[0] != test_data.p:
         raise DimensionMismatch(
-            f"policy has {betas.shape[0]} coefficients but data has {source.p} features"
+            f"policy has {betas.shape[0]} coefficients but data has {test_data.p} features"
         )
-    k, p, n = betas.shape[1], source.p, source.n
-    width = -(-k // _GROUP_POLICIES) * _GROUP_POLICIES
-    # A block holds p + 1 rows, the features and the demand, scored with
-    # coefficients (beta, -1), or for a spec (1, z, eps), scored with the
-    # coefficients of data._overage_coefficients.  One product then gives
-    # the overage q - d of every policy in a group.
-    policies = np.zeros((p, width))
-    policies[:, :k] = betas
-    block = np.empty((p + 1, _BLOCK_ROWS))
-    if isinstance(source, Dataset):
-        groups = np.empty((width, p + 1))
-        groups[:, :p] = policies.T
-        groups[:, p] = -1.0
-        features, demands, first = source.features, source.demands, 0
+    if isinstance(test_data, Dataset):
+        coefs = np.vstack([betas, np.full(betas.shape[1], -1.0)]).T
+        costs = _mean_costs(problem, coefs, test_data.features[:, 1:], test_data.demands)
     else:
-        if not isinstance(test_data, _DrawnSpec):
-            test_data = _DrawnSpec(source, *_synthetic_draws(source))
-        groups = np.concatenate(
-            [
-                _overage_coefficients(source, policies[:, g : g + _GROUP_POLICIES])
-                for g in range(0, width, _GROUP_POLICIES)
-            ]
-        )
-        block[0] = 1.0
-        features, demands, first = test_data.z, test_data.eps, 1
-    over = np.empty((_GROUP_POLICIES, _BLOCK_ROWS))
-    over_sum = np.zeros(width)  # sum of q - d
-    excess_sum = np.zeros(width)  # sum of (q - d)^+
-    for start in range(0, n, _BLOCK_ROWS):
-        m = min(_BLOCK_ROWS, n - start)
-        block[first:p, :m] = features[start : start + m].T
-        block[p, :m] = demands[start : start + m]
-        for g in range(0, width, _GROUP_POLICIES):
-            o = np.matmul(groups[g : g + _GROUP_POLICIES], block[:, :m], out=over[:, :m])
-            over_sum[g : g + _GROUP_POLICIES] += o.sum(axis=1)
-            np.maximum(o, 0.0, out=o)
-            excess_sum[g : g + _GROUP_POLICIES] += o.sum(axis=1)
-    total = (problem.b + problem.h) * excess_sum - problem.b * over_sum
-    costs = total[:k] / n
+        coefs = _overage_coefficients(test_data, betas)
+        costs = _mean_costs(problem, coefs, *_synthetic_draws(test_data))
     return float(costs[0]) if single else costs
+
+
+def _overage_coefficients(spec: SyntheticSpec, betas: np.ndarray) -> np.ndarray:
+    """Per policy column of ``betas``, the row ``c = (a_0, chol.T @ a_1:, -1)``,
+    ``a = beta - theta_star``, with ``q - d = c @ (1, z, eps)`` on every row
+    of the spec's draw; mapped in zero-padded groups of ``_GROUP_POLICIES``."""
+    k, p = betas.shape[1], spec.p
+    a = np.zeros((p, -(-k // _GROUP_POLICIES) * _GROUP_POLICIES))
+    a[:, :k] = betas - np.asarray(spec.theta_star)[:, None]
+    c = np.full((a.shape[1], p + 1), -1.0)
+    c[:, 0] = a[0]
+    for g in range(0, a.shape[1], _GROUP_POLICIES):
+        c[g : g + _GROUP_POLICIES, 1:p] = (spec._chol.T @ a[1:, g : g + _GROUP_POLICIES]).T
+    return c[:k]
+
+
+def _mean_costs(problem: Problem, coefs: np.ndarray, z: np.ndarray, last: np.ndarray):
+    """Mean cost ``b * (d - q) + (b + h) * (q - d)^+`` of each row ``c`` of
+    ``coefs`` over the rows ``r_i = (1, z_i, last_i)``, ``q - d = c @ r_i``.
+
+    Rows go in blocks of ``_BLOCK_ROWS`` and policies in zero-padded groups
+    of ``_GROUP_POLICIES``, one product per group and block.  The linear
+    half, the sum of ``q - d``, is ``c`` times the column sums of the rows.
+    """
+    k, cols = coefs.shape
+    groups = np.zeros((-(-k // _GROUP_POLICIES) * _GROUP_POLICIES, cols))
+    groups[:k] = coefs
+    starts = range(0, len(groups), _GROUP_POLICIES)
+    block = np.ones((cols, _BLOCK_ROWS))
+    sums = np.zeros(cols)  # column sums of the rows
+    over = np.empty((_GROUP_POLICIES, _BLOCK_ROWS))
+    excess = np.zeros(len(groups))  # sum of (q - d)^+
+    for start in range(0, len(last), _BLOCK_ROWS):
+        m = min(_BLOCK_ROWS, len(last) - start)
+        block[1:-1, :m] = z[start : start + m].T
+        block[-1, :m] = last[start : start + m]
+        sums += block[:, :m].sum(axis=1)
+        for g in starts:
+            o = np.matmul(groups[g : g + _GROUP_POLICIES], block[:, :m], out=over[:, :m])
+            excess[g : g + _GROUP_POLICIES] += np.maximum(o, 0.0, out=o).sum(axis=1)
+    linear = np.concatenate([groups[g : g + _GROUP_POLICIES] @ sums for g in starts])
+    return ((problem.b + problem.h) * excess[:k] - problem.b * linear[:k]) / len(last)
 
 
 @dataclass(frozen=True)
@@ -201,7 +194,8 @@ class ReplicationConfig:
     smoothed-ERM baseline.  ``bandwidth=None`` resolves to the
     rule-of-thumb value, ``step_size=None`` to the per-iteration line
     search.  Each private fit's noise scale is the calibrated sigma
-    rounded up to an integer.
+    rounded up to an integer.  The fit settings are checked, and the
+    cell's ``HyperParams`` built, on construction.
     """
 
     problem: Problem
@@ -225,6 +219,16 @@ class ReplicationConfig:
             raise ValueError(f"eval_n must be >= 1, got {self.eval_n}")
         if not self.base_seed >= 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        hp = HyperParams(
+            bandwidth=self.resolved_bandwidth(),
+            n_steps=self.n_steps,
+            clip_radius=self.clip_radius,
+            step_size=self.step_size,
+            kernel=self.kernel,
+            mode=self.mode,
+            max_step_size=self.max_step_size,
+        )
+        object.__setattr__(self, "_hyper", hp)  # not a field: replace() builds it anew
 
     def resolved_bandwidth(self) -> float:
         if self.bandwidth is not None:
@@ -275,8 +279,7 @@ def _fit_chunk(
     Each training set is ``spec`` at ``config.n`` rows and the
     replication's seed.  ``sigmas`` maps the index of each private level
     in ``mu_grid`` to its noise scale."""
-    problem = config.problem
-    bandwidth = config.resolved_bandwidth()
+    problem, hp = config.problem, config._hyper
     p = len(config.theta_star)
     train = []
     noise = np.empty((config.n_steps, len(rep_ids), p, len(sigmas)))
@@ -286,22 +289,13 @@ def _fit_chunk(
         for m, (j, sigma) in enumerate(sigmas.items()):
             draws = NoiseSource(derive_seed(config.base_seed, rep_id, 1 + j))
             noise[:, r, :, m] = sigma * draws.standard_normal((config.n_steps, p))
-    hp = HyperParams(
-        bandwidth=bandwidth,
-        n_steps=config.n_steps,
-        clip_radius=config.clip_radius,
-        step_size=config.step_size,
-        kernel=config.kernel,
-        mode=config.mode,
-        max_step_size=config.max_step_size,
-    )
     private = optimizer._lockstep_fits(train, problem, hp, whitener, noise)
     betas = []
     for data, levels in zip(train, private):
         columns = iter(levels.T)
         for mu in config.mu_grid:
             if mu is None:
-                betas.append(optimizer.smoothed_erm(data, problem, config.kernel, bandwidth))
+                betas.append(optimizer.smoothed_erm(data, problem, hp.kernel, hp.bandwidth))
             else:
                 betas.append(next(columns))
     return betas
@@ -370,12 +364,11 @@ def sweep(config: ReplicationConfig, ns, R: int, jobs: int = 1) -> ReplicationRe
     with ThreadPoolExecutor(max_workers=1) as drawer:
         drawing = drawer.submit(_synthetic_draws, eval_spec)
         betas = _fit_cells(config, ns, R, jobs, eval_spec, whitener)
-        drawn = _DrawnSpec(eval_spec, *drawing.result())
+        draw = drawing.result()
 
     beta_star = true_beta_star(eval_spec, problem.tau)
-    clairvoyant_cost, *costs = out_of_sample_cost(
-        problem, np.column_stack([beta_star, *betas]), drawn
-    ).tolist()
+    coefs = _overage_coefficients(eval_spec, np.column_stack([beta_star, *betas]))
+    clairvoyant_cost, *costs = _mean_costs(problem, coefs, *draw).tolist()
     keys = [
         (int(n), rep_id, mu)
         for n in ns

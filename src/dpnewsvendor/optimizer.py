@@ -116,8 +116,8 @@ class HyperParams:
             raise ValueError(f"n_steps must be >= 0, got {self.n_steps}")
         if not self.clip_radius >= 1.0:
             raise ValueError(f"clip_radius must be >= 1, got {self.clip_radius}")
-        if self.step_size is not None and not self.step_size > 0.0:
-            raise ValueError(f"step_size must be > 0, got {self.step_size}")
+        if self.step_size is not None and not 0.0 < self.step_size < math.inf:
+            raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
         if self.mu is not None and not self.mu > 0.0:
             raise NonPositiveMu(f"mu must be > 0, got {self.mu}")
         if not self.sigma >= 0.0:

@@ -106,6 +106,23 @@ class TestConfig:
         with pytest.raises(ValueError, match="must be given together"):
             parse_config("[problem]\n" + costs)
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ("[data]\nn = 1\n", "n must be >= 2, got 1"),
+            ("[hyper]\nmax_step = 0.5\n", "max_step_size must be >= 1, got 0.5"),
+            ("[hyper]\nbandwidth = 0\n", "bandwidth must be > 0, got 0.0"),
+            ("[hyper]\nB = 0.5\n[privacy]\nmu = nonprivate\n",
+             "clip_radius must be >= 1, got 0.5"),
+            ("[hyper]\neta0 = inf\n", "step_size must be finite and > 0, got inf"),
+        ],
+        ids=["n", "max_step", "bandwidth", "B-nonprivate", "eta0-inf"],
+    )
+    def test_bad_fit_setting_rejected_when_parsed(self, config, message):
+        # checked when the cell is built, not when a replication first fits
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_config(config)
+
 
 class TestSimulate:
     def test_writes_csv(self, tmp_path, capsys):
@@ -220,6 +237,16 @@ class TestFit:
         assert code == EXIT_USAGE
         assert "clip_radius must be finite" in capsys.readouterr().err
 
+    def test_infinite_step_size_exits_2(self, synth_csv, tmp_path, capsys):
+        out = tmp_path / "f.json"
+        code = main([
+            "fit", "--input", str(synth_csv), "--tau", "0.5", "--mu", "0.5",
+            "--eta0", "inf", "--out", str(out),
+        ])
+        assert code == EXIT_USAGE
+        assert "step_size must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", [["--mu", "0.5"], ["--sigma", "20"]])
     def test_nonprivate_with_privacy_flag_exits_2(self, synth_csv, tmp_path, capsys, flag):
         out = tmp_path / "f.json"
@@ -289,8 +316,9 @@ def test_tau_and_cost_flags_conflict_exits_2(command, synth_csv, tmp_path, capsy
 class TestEvaluate:
     @pytest.mark.parametrize(
         "payload",
-        [{"certificate": None}, [[1.0, 2.0]], {"beta": [[1.0, 2.0]]}, {"beta": "abc"}],
-        ids=["no-beta", "list", "2d-beta", "text-beta"],
+        [{"certificate": None}, [[1.0, 2.0]], {"beta": [[1.0, 2.0]]}, {"beta": "abc"},
+         {"beta": [1.0, float("nan"), 0.0, 0.0, 0.0]}],
+        ids=["no-beta", "list", "2d-beta", "text-beta", "nan-beta"],
     )
     def test_bad_fit_file_exits_2(self, synth_csv, tmp_path, capsys, payload):
         fit_path = tmp_path / "fit.json"
@@ -455,12 +483,19 @@ class TestBench:
             ("problem", "tau =", "config key problem.tau lists no values"),
             ("data", "dist =", "config key data.dist lists no values"),
             ("privacy", "mu = ,", "config key privacy.mu lists no values"),
+            ("data", "n = 1", "n must be >= 2, got 1"),
+            ("hyper", "max_step = 0.5", "max_step_size must be >= 1, got 0.5"),
+            ("hyper", "bandwidth = 0", "bandwidth must be > 0, got 0.0"),
+            ("hyper", "B = 0.5\n[privacy]\nmu = nonprivate", "clip_radius must be >= 1, got 0.5"),
         ],
         ids=["dist", "mode", "mu", "eval_n", "base_seed", "jobs",
-             "empty-n", "empty-tau", "empty-dist", "empty-mu"],
+             "empty-n", "empty-tau", "empty-dist", "empty-mu",
+             "n", "max_step", "bandwidth", "B-nonprivate"],
     )
     def test_bad_cell_setting_exits_2(self, tmp_path, capsys, section, setting, message):
         cfg = tmp_path / "bad.ini"
         cfg.write_text(f"[{section}]\n{setting}\n")
         assert main(["bench", "--config", str(cfg)]) == EXIT_USAGE
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert "replication" not in err  # refused before any replication runs
