@@ -140,14 +140,14 @@ def _mean_costs(problem: Problem, coefs: np.ndarray, z: np.ndarray, last: np.nda
 
     Rows go in blocks of ``_BLOCK_ROWS`` and policies in zero-padded groups
     of ``_GROUP_POLICIES``, one product per group and block.  The linear
-    half, the sum of ``q - d``, is ``c`` times the column sums of the rows.
+    half, the sum of ``q - d``, is ``c @ sum_i r_i``.
     """
     k, cols = coefs.shape
     groups = np.zeros((-(-k // _GROUP_POLICIES) * _GROUP_POLICIES, cols))
     groups[:k] = coefs
     starts = range(0, len(groups), _GROUP_POLICIES)
     block = np.ones((cols, _BLOCK_ROWS))
-    sums = np.zeros(cols)  # column sums of the rows
+    sums = np.zeros(cols)  # sum_i r_i
     over = np.empty((_GROUP_POLICIES, _BLOCK_ROWS))
     excess = np.zeros(len(groups))  # sum of (q - d)^+
     for start in range(0, len(last), _BLOCK_ROWS):

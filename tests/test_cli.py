@@ -106,23 +106,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="must be given together"):
             parse_config("[problem]\n" + costs)
 
-    @pytest.mark.parametrize(
-        "config, message",
-        [
-            ("[data]\nn = 1\n", "n must be >= 2, got 1"),
-            ("[hyper]\nmax_step = 0.5\n", "max_step_size must be >= 1, got 0.5"),
-            ("[hyper]\nbandwidth = 0\n", "bandwidth must be > 0, got 0.0"),
-            ("[hyper]\nB = 0.5\n[privacy]\nmu = nonprivate\n",
-             "clip_radius must be >= 1, got 0.5"),
-            ("[hyper]\neta0 = inf\n", "step_size must be finite and > 0, got inf"),
-        ],
-        ids=["n", "max_step", "bandwidth", "B-nonprivate", "eta0-inf"],
-    )
-    def test_bad_fit_setting_rejected_when_parsed(self, config, message):
-        # checked when the cell is built, not when a replication first fits
-        with pytest.raises(ValueError, match=re.escape(message)):
-            parse_config(config)
-
 
 class TestSimulate:
     def test_writes_csv(self, tmp_path, capsys):
@@ -487,10 +470,11 @@ class TestBench:
             ("hyper", "max_step = 0.5", "max_step_size must be >= 1, got 0.5"),
             ("hyper", "bandwidth = 0", "bandwidth must be > 0, got 0.0"),
             ("hyper", "B = 0.5\n[privacy]\nmu = nonprivate", "clip_radius must be >= 1, got 0.5"),
+            ("hyper", "eta0 = inf", "step_size must be finite and > 0, got inf"),
         ],
         ids=["dist", "mode", "mu", "eval_n", "base_seed", "jobs",
              "empty-n", "empty-tau", "empty-dist", "empty-mu",
-             "n", "max_step", "bandwidth", "B-nonprivate"],
+             "n", "max_step", "bandwidth", "B-nonprivate", "eta0-inf"],
     )
     def test_bad_cell_setting_exits_2(self, tmp_path, capsys, section, setting, message):
         cfg = tmp_path / "bad.ini"
