@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 from . import data as datamod
 from . import evaluation, optimizer
-from .errors import NonPositiveMu
-from .kernels import KERNEL_NAMES, check_kernel
+from .kernels import KERNEL_NAMES
 from .model import Problem, coefficients
-from .optimizer import MODES, HyperParams
+from .optimizer import HyperParams
 from .privacy import PrivacyCertificate, calibrate_sigma
 
 EXIT_OK = 0
@@ -72,43 +71,28 @@ def _list_of(cast, key: str):
     return parse
 
 
-def _dist(name: str) -> str:
-    if name not in datamod.DIST_NAMES:
-        raise ValueError(f"unknown dist {name!r}; valid: {', '.join(datamod.DIST_NAMES)}")
-    return name
-
-
-def _mode(name: str) -> str:
-    if name not in MODES:
-        raise ValueError(f"unknown mode {name!r}; valid: {', '.join(MODES)}")
-    return name
-
-
 def _mu(item: str) -> float | None:
-    if item == "nonprivate":
-        return None
-    mu = float(item)
-    if not mu > 0:
-        raise NonPositiveMu(f"privacy levels must be > 0, got {mu}")
-    return mu
+    return None if item == "nonprivate" else float(item)
 
 
 # (section, key, field, parse), in file order.  taus, b, h, dists and ns
 # span the grid, reps and jobs set the run, and any other field names
-# the ReplicationConfig setting of every cell.
+# the ReplicationConfig setting of every cell.  Only the syntax is read
+# here: ErrorDist.from_name, Problem and each cell's ReplicationConfig
+# check the values when parse_config builds the cells.
 _CONFIG_KEYS = (
     ("problem", "tau", "taus", _list_of(float, "problem.tau")),
     ("problem", "b", "b", float),
     ("problem", "h", "h", float),
-    ("data", "dist", "dists", _list_of(_dist, "data.dist")),
+    ("data", "dist", "dists", _list_of(str, "data.dist")),
     ("data", "n", "ns", _list_of(int, "data.n")),
     ("hyper", "T", "n_steps", int),
     ("hyper", "B", "clip_radius", float),
-    ("hyper", "kernel", "kernel", check_kernel),
+    ("hyper", "kernel", "kernel", str),
     ("hyper", "bandwidth", "bandwidth", _float_or_auto),
     ("hyper", "eta0", "step_size", _float_or_auto),
     ("hyper", "max_step", "max_step_size", float),
-    ("hyper", "mode", "mode", _mode),
+    ("hyper", "mode", "mode", str),
     ("privacy", "mu", "mu_grid", _list_of(_mu, "privacy.mu")),
     ("replication", "reps", "reps", int),
     ("replication", "base_seed", "base_seed", int),
@@ -226,10 +210,23 @@ def cmd_fit(args) -> int:
     else:
         cert = _certificate(args.mu, args.sigma, args.T, args.B, problem.tau_bar)
     dataset = datamod.load_csv(args.input, args.demand_column)
-    bandwidth = (
-        optimizer.default_bandwidth(problem.tau, dataset.n, dataset.p)
-        if args.bandwidth is None
-        else args.bandwidth
+    # the settings of both fits, checked before either runs; raw
+    # covariates: whitening would read the private rows' X'X/n, which
+    # the certificate does not cover
+    hp = HyperParams(
+        bandwidth=(
+            optimizer.default_bandwidth(problem.tau, dataset.n, dataset.p)
+            if args.bandwidth is None
+            else args.bandwidth
+        ),
+        n_steps=args.T,
+        clip_radius=args.B,
+        step_size=args.eta0,
+        sigma=0.0 if cert is None else cert.sigma,
+        seed=args.seed,
+        kernel=args.kernel,
+        mode="raw_covariates",
+        max_step_size=args.max_step,
     )
 
     resolved = {
@@ -239,39 +236,28 @@ def cmd_fit(args) -> int:
         "b": problem.b,
         "h": problem.h,
         "tau": problem.tau,
-        "kernel": args.kernel,
-        "bandwidth": bandwidth,
-        "eta0": args.eta0,
-        "max_step": args.max_step,
-        "seed": args.seed,
+        "kernel": hp.kernel,
+        "bandwidth": hp.bandwidth,
+        "eta0": hp.step_size,
+        "max_step": hp.max_step_size,
+        "seed": hp.seed,
     }
 
     if cert is None:
-        beta = optimizer.smoothed_erm(dataset, problem, args.kernel, bandwidth)
+        beta = optimizer.smoothed_erm(dataset, problem, hp.kernel, hp.bandwidth)
         resolved |= {"mode": "nonprivate", "T": None, "B": None, "sigma": None, "mu": None}
         print("non-private smoothed ERM fit (no privacy certificate)")
     else:
-        # raw covariates: whitening would read the private rows' X'X/n,
-        # which the certificate does not cover
-        hp = HyperParams(
-            bandwidth=bandwidth,
-            n_steps=args.T,
-            clip_radius=args.B,
-            step_size=args.eta0,
-            sigma=cert.sigma,
-            seed=args.seed,
-            kernel=args.kernel,
-            mode="raw_covariates",
-            max_step_size=args.max_step,
-        )
         beta = optimizer.fit(dataset, problem, hp).beta_final
-        resolved |= {"mode": hp.mode, "T": args.T, "B": args.B, "sigma": cert.sigma, "mu": args.mu}
+        resolved |= {
+            "mode": hp.mode, "T": hp.n_steps, "B": hp.clip_radius, "sigma": hp.sigma, "mu": cert.mu
+        }
         ed = cert.eps_delta
         print(
             f"fit is {cert.mu}-GDP (sigma={cert.sigma}); equivalently "
             f"({ed.epsilon:g}, {ed.delta:.6g})-DP"
         )
-        if args.eta0 is None:
+        if hp.step_size is None:
             print(
                 "note: step sizes came from a data-driven line search, which is "
                 "outside the certificate's accounting; pass --eta0 to fix them"

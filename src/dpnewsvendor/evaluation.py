@@ -18,7 +18,7 @@ private fit of a chunk, all replications at all privacy levels, takes
 each noisy step together in ``optimizer._lockstep_fits``.  A fit
 rounds the same whichever replications share its chunk, so rows do not
 depend on ``jobs`` or on the chunking.  The noise scale of each privacy
-level is calibrated once per cell.
+level is calibrated when the cell is built.
 
 Seeding is splittable and documented: replication ``r`` derives its
 streams from ``SeedSequence((base_seed, r, k))`` where ``k = 0`` is the
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -50,21 +50,6 @@ from .errors import DimensionMismatch
 from .model import Dataset, Problem, coefficients
 from .optimizer import HyperParams, NoiseSource, default_bandwidth
 from .privacy import calibrate_sigma
-
-ROW_FIELDS = (
-    "rep_id",
-    "n",
-    "mu_label",
-    "tau",
-    "dist_label",
-    "l2_error",
-    "sigma_error",
-    "regret",
-    "oos_cost",
-)
-
-METRICS = ("l2_error", "sigma_error", "regret", "oos_cost")
-
 
 def estimation_error(beta, beta_star, whitener: Whitener | None = None) -> float:
     """L2 distance, or the quadratic-form distance induced by a whitener."""
@@ -175,6 +160,10 @@ class ReplicationRow:
     oos_cost: float
 
 
+ROW_FIELDS = tuple(f.name for f in fields(ReplicationRow))
+METRICS = ROW_FIELDS[-4:]
+
+
 @dataclass(frozen=True)
 class AggregateCell:
     n: int
@@ -194,8 +183,9 @@ class ReplicationConfig:
     smoothed-ERM baseline.  ``bandwidth=None`` resolves to the
     rule-of-thumb value, ``step_size=None`` to the per-iteration line
     search.  Each private fit's noise scale is the calibrated sigma
-    rounded up to an integer.  The fit settings are checked, and the
-    cell's ``HyperParams`` built, on construction.
+    rounded up to an integer.  The fit settings are checked, the cell's
+    ``HyperParams`` built and each private level's sigma calibrated, on
+    construction.
     """
 
     problem: Problem
@@ -228,7 +218,16 @@ class ReplicationConfig:
             mode=self.mode,
             max_step_size=self.max_step_size,
         )
-        object.__setattr__(self, "_hyper", hp)  # not a field: replace() builds it anew
+        sigmas = {  # index of each private level in mu_grid -> its noise scale
+            j: calibrate_sigma(
+                mu, self.clip_radius, self.n_steps, self.problem.tau_bar, round_up=True
+            )
+            for j, mu in enumerate(self.mu_grid)
+            if mu is not None
+        }
+        # not fields: replace() builds them anew
+        object.__setattr__(self, "_hyper", hp)
+        object.__setattr__(self, "_sigmas", sigmas)
 
     def resolved_bandwidth(self) -> float:
         if self.bandwidth is not None:
@@ -268,18 +267,13 @@ _STACK_ROWS = 1 << 15
 
 
 def _fit_chunk(
-    config: ReplicationConfig,
-    rep_ids: range,
-    spec: SyntheticSpec,
-    whitener: Whitener,
-    sigmas: dict,
+    config: ReplicationConfig, rep_ids: range, spec: SyntheticSpec, whitener: Whitener
 ) -> list[np.ndarray]:
     """Fit every estimator of the privacy grid on a run of replications,
     the private ones in lockstep; betas in (rep_id, mu_grid) order.
     Each training set is ``spec`` at ``config.n`` rows and the
-    replication's seed.  ``sigmas`` maps the index of each private level
-    in ``mu_grid`` to its noise scale."""
-    problem, hp = config.problem, config._hyper
+    replication's seed."""
+    problem, hp, sigmas = config.problem, config._hyper, config._sigmas
     p = len(config.theta_star)
     train = []
     noise = np.empty((config.n_steps, len(rep_ids), p, len(sigmas)))
@@ -397,17 +391,10 @@ def _fit_cells(
 ) -> list[np.ndarray]:
     """Every policy of the sweep in (n, rep_id, mu_grid) order, fitted
     in chunks of replications on ``jobs`` threads."""
-    sigmas = {
-        j: calibrate_sigma(
-            mu, config.clip_radius, config.n_steps, config.problem.tau_bar, round_up=True
-        )
-        for j, mu in enumerate(config.mu_grid)
-        if mu is not None
-    }
 
     def job(cell: ReplicationConfig, rep_ids: range) -> list[np.ndarray]:
         try:
-            return _fit_chunk(cell, rep_ids, spec, whitener, sigmas)
+            return _fit_chunk(cell, rep_ids, spec, whitener)
         except Exception as exc:
             if len(rep_ids) == 1:
                 raise ReplicationError(rep_ids[0], exc) from exc

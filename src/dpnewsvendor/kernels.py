@@ -52,8 +52,20 @@ def check_kernel(name: str) -> str:
     return name
 
 
+def check_bandwidth(bandwidth: float) -> float:
+    """Return ``bandwidth`` as a float if it is finite and > 0, else raise
+    NonPositiveBandwidth."""
+    bandwidth = float(bandwidth)
+    if not 0.0 < bandwidth < math.inf:
+        raise NonPositiveBandwidth(f"bandwidth must be finite and > 0, got {bandwidth}")
+    return bandwidth
+
+
 def _gaussian_pdf(u):
-    return _INV_SQRT2PI * np.exp(-0.5 * u * u)
+    # u * u overflows to inf for |u| > ~1e154, where the density is
+    # exactly 0.0, as it already is for |u| > 38.6
+    with np.errstate(over="ignore"):
+        return _INV_SQRT2PI * np.exp(-0.5 * u * u)
 
 
 def _laplacian_pdf(u):
@@ -143,16 +155,9 @@ def _maybe_scalar(out, u):
     return out
 
 
-def _check_bandwidth(bandwidth: float) -> float:
-    bandwidth = float(bandwidth)
-    if not bandwidth > 0.0:
-        raise NonPositiveBandwidth(f"bandwidth must be > 0, got {bandwidth}")
-    return bandwidth
-
-
 def scaled_density(kernel: str, u, bandwidth: float):
     """Density of the kernel rescaled to the given bandwidth."""
-    bandwidth = _check_bandwidth(bandwidth)
+    bandwidth = check_bandwidth(bandwidth)
     pdf = _PDF[check_kernel(kernel)]
     u = np.asarray(u, dtype=float)
     return _maybe_scalar(pdf(u / bandwidth) / bandwidth, u)
@@ -160,7 +165,7 @@ def scaled_density(kernel: str, u, bandwidth: float):
 
 def scaled_cdf(kernel: str, u, bandwidth: float):
     """CDF of the bandwidth-rescaled kernel."""
-    bandwidth = _check_bandwidth(bandwidth)
+    bandwidth = check_bandwidth(bandwidth)
     cdf = _CDF[check_kernel(kernel)]
     u = np.asarray(u, dtype=float)
     return _maybe_scalar(cdf(u / bandwidth), u)
@@ -198,7 +203,7 @@ def smoothed_check_loss(kernel: str, u, tau: float, bandwidth: float):
     The result always dominates the check loss and exceeds it by at most
     ``kappa_1 * bandwidth / 2``.
     """
-    bandwidth = _check_bandwidth(bandwidth)
+    bandwidth = check_bandwidth(bandwidth)
     kernel = check_kernel(kernel)
     tau = float(tau)
     if not 0.0 < tau < 1.0:

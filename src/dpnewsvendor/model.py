@@ -17,6 +17,7 @@ of the same inputs give identical floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +52,8 @@ class Problem:
         b, h = float(self.b), float(self.h)
         if b < 0 or h < 0:
             raise ValueError(f"costs must be non-negative, got b={b}, h={h}")
-        if b + h <= 0:
-            raise ValueError("b + h must be positive")
+        if not 0.0 < b + h < math.inf:
+            raise ValueError(f"b + h must be finite and > 0, got {b + h}")
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "tau", b / (b + h))

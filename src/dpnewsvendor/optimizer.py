@@ -60,7 +60,6 @@ from .errors import (
     LineSearchFailed,
     MaxIterExceeded,
     MissingWhitener,
-    NonPositiveBandwidth,
     NonPositiveMu,
 )
 from .model import Dataset, Problem
@@ -110,8 +109,7 @@ class HyperParams:
     max_step_size: float = 4.0
 
     def __post_init__(self):
-        if not self.bandwidth > 0.0:
-            raise NonPositiveBandwidth(f"bandwidth must be > 0, got {self.bandwidth}")
+        kernels.check_bandwidth(self.bandwidth)
         if not self.n_steps >= 0:
             raise ValueError(f"n_steps must be >= 0, got {self.n_steps}")
         if not self.clip_radius >= 1.0:
@@ -120,12 +118,12 @@ class HyperParams:
             raise ValueError(f"step_size must be finite and > 0, got {self.step_size}")
         if self.mu is not None and not self.mu > 0.0:
             raise NonPositiveMu(f"mu must be > 0, got {self.mu}")
-        if not self.sigma >= 0.0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not self.max_step_size >= 1.0:
-            raise ValueError(f"max_step_size must be >= 1, got {self.max_step_size}")
+        if not 1.0 <= self.max_step_size < math.inf:
+            raise ValueError(f"max_step_size must be finite and >= 1, got {self.max_step_size}")
         kernels.check_kernel(self.kernel)
 
 

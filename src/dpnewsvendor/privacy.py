@@ -133,8 +133,6 @@ def gdp_delta_at_eps(mu: float, eps: float) -> float:
 
 def gdp_to_eps_delta(mu: float) -> EpsDelta:
     """The (mu, delta(mu)) guarantee equivalent to mu-GDP at eps = mu."""
-    if not mu > 0.0:
-        raise NonPositiveMu(f"mu must be > 0, got {mu}")
     return EpsDelta(epsilon=mu, delta=gdp_delta_at_eps(mu, mu))
 
 
@@ -171,14 +169,14 @@ class PrivacyCertificate:
     eps_delta: EpsDelta = field(init=False)
 
     def __post_init__(self):
-        if not self.mu > 0.0:
-            raise NonPositiveMu(f"mu must be > 0, got {self.mu}")
         required = calibrate_sigma(self.mu, self.clip_radius, self.n_steps, self.tau_bar)
         if not self.sigma >= required * (1.0 - 1e-12):
             raise ValueError(
                 f"sigma={self.sigma} is below the calibration bound {required} "
                 f"for mu={self.mu}"
             )
+        if self.sigma == math.inf:
+            raise ValueError(f"sigma must be finite, got {self.sigma}")
         object.__setattr__(self, "eps_delta", gdp_to_eps_delta(self.mu))
 
     def as_dict(self) -> dict:

@@ -220,14 +220,40 @@ class TestFit:
         assert code == EXIT_USAGE
         assert "clip_radius must be finite" in capsys.readouterr().err
 
-    def test_infinite_step_size_exits_2(self, synth_csv, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "privacy", [["--nonprivate"], ["--mu", "0.5"]], ids=["nonprivate", "private"]
+    )
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (["--eta0", "inf"], "step_size must be finite and > 0, got inf"),
+            (["--eta0", "0"], "step_size must be finite and > 0, got 0.0"),
+            (["--max-step", "nan"], "max_step_size must be finite and >= 1, got nan"),
+            (["--max-step", "inf"], "max_step_size must be finite and >= 1, got inf"),
+            (["--bandwidth", "inf"], "bandwidth must be finite and > 0, got inf"),
+            (["--bandwidth", "0"], "bandwidth must be finite and > 0, got 0.0"),
+        ],
+        ids=["eta0-inf", "eta0-0", "max_step-nan", "max_step-inf", "bandwidth-inf",
+             "bandwidth-0"],
+    )
+    def test_bad_fit_setting_exits_2(self, synth_csv, tmp_path, capsys, privacy, flag, message):
+        # both fits read their settings from one HyperParams, built before either runs
+        out = tmp_path / "f.json"
+        code = main(["fit", "--input", str(synth_csv), "--tau", "0.5", *privacy, *flag,
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_sigma_exits_4(self, synth_csv, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(datamod, "load_csv", _not_called)
         out = tmp_path / "f.json"
         code = main([
             "fit", "--input", str(synth_csv), "--tau", "0.5", "--mu", "0.5",
-            "--eta0", "inf", "--out", str(out),
+            "--sigma", "inf", "--eta0", "1", "--out", str(out),
         ])
-        assert code == EXIT_USAGE
-        assert "step_size must be finite" in capsys.readouterr().err
+        assert code == EXIT_PRIVACY
+        assert "sigma must be finite, got inf" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", [["--mu", "0.5"], ["--sigma", "20"]])
@@ -311,6 +337,17 @@ class TestEvaluate:
         assert code == EXIT_USAGE
         assert str(fit_path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("costs", [["inf", "1"], ["1e308", "1e308"]], ids=["inf", "overflow"])
+    def test_non_finite_total_cost_exits_2(self, synth_csv, tmp_path, capsys, costs):
+        fit_path = tmp_path / "fit.json"
+        fit_path.write_text(json.dumps({"beta": [0.0] * 5}))
+        code = main(["evaluate", "--fit", str(fit_path), "--test", str(synth_csv),
+                     "--b", costs[0], "--h", costs[1]])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "b + h must be finite and > 0, got inf" in captured.err
+        assert captured.out == ""
+
     def test_oos_cost(self, synth_csv, tmp_path, capsys):
         fit_path = tmp_path / "fit.json"
         main([
@@ -355,6 +392,13 @@ class TestPrivacyCmd:
     def test_nan_sigma_exits_4(self):
         code = main(["privacy", "--mu", "0.5", "--tau", "0.5", "--sigma", "nan"])
         assert code == EXIT_PRIVACY
+
+    def test_infinite_sigma_exits_4(self, capsys):
+        code = main(["privacy", "--mu", "0.5", "--tau", "0.5", "--sigma", "inf"])
+        assert code == EXIT_PRIVACY
+        captured = capsys.readouterr()
+        assert "sigma must be finite, got inf" in captured.err
+        assert captured.out == ""
 
     def test_infinite_clip_radius_exits_2(self, capsys):
         code = main(["privacy", "--mu", "0.5", "--B", "inf", "--tau", "0.5"])
@@ -455,10 +499,11 @@ class TestBench:
     @pytest.mark.parametrize(
         "section, setting, message",
         [
-            ("data", "dist = normal, t9", "unknown dist 't9'; valid: normal, t3, mixture"),
+            ("data", "dist = normal, t9",
+             "unknown distribution name 't9'; valid: normal, t3, mixture"),
             ("hyper", "mode = whitened",
-             "unknown mode 'whitened'; valid: known_sigma_matrix, raw_covariates"),
-            ("privacy", "mu = nonprivate, 0", "privacy levels must be > 0, got 0.0"),
+             "mode must be one of ('known_sigma_matrix', 'raw_covariates'), got 'whitened'"),
+            ("privacy", "mu = nonprivate, 0", "mu must be > 0, got 0.0"),
             ("replication", "eval_n = 0", "eval_n must be >= 1, got 0"),
             ("replication", "base_seed = -1", "base_seed must be >= 0, got -1"),
             ("replication", "jobs = 0", "jobs must be >= 1, got 0"),
@@ -467,8 +512,8 @@ class TestBench:
             ("data", "dist =", "config key data.dist lists no values"),
             ("privacy", "mu = ,", "config key privacy.mu lists no values"),
             ("data", "n = 1", "n must be >= 2, got 1"),
-            ("hyper", "max_step = 0.5", "max_step_size must be >= 1, got 0.5"),
-            ("hyper", "bandwidth = 0", "bandwidth must be > 0, got 0.0"),
+            ("hyper", "max_step = 0.5", "max_step_size must be finite and >= 1, got 0.5"),
+            ("hyper", "bandwidth = 0", "bandwidth must be finite and > 0, got 0.0"),
             ("hyper", "B = 0.5\n[privacy]\nmu = nonprivate", "clip_radius must be >= 1, got 0.5"),
             ("hyper", "eta0 = inf", "step_size must be finite and > 0, got inf"),
         ],

@@ -1,5 +1,6 @@
 """Metrics and the replication harness."""
 
+import math
 import threading
 import tracemalloc
 from dataclasses import replace
@@ -19,7 +20,7 @@ from dpnewsvendor.data import (
     true_beta_star,
     whitener_from,
 )
-from dpnewsvendor.errors import DimensionMismatch, MaxIterExceeded
+from dpnewsvendor.errors import DimensionMismatch, MaxIterExceeded, NonPositiveMu
 from dpnewsvendor.evaluation import (
     ReplicationConfig,
     derive_seed,
@@ -283,6 +284,22 @@ class TestRunReplications:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: checks.append(m) or eigvalsh(m))
         sweep(replace(small_config, eval_n=1_000), (60, 120), R=3)
         assert len(checks) == 1
+
+    def test_nonpositive_mu_refused_on_construction(self, small_config):
+        with pytest.raises(NonPositiveMu, match="mu must be > 0, got 0.0"):
+            replace(small_config, mu_grid=(None, 0.0))
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [({"n_steps": 0}, "n_steps must be >= 1"),
+         ({"clip_radius": math.inf}, "clip_radius must be finite")],
+        ids=["T-0", "B-inf"],
+    )
+    def test_private_level_settings_refused_on_construction(self, small_config, setting, message):
+        with pytest.raises(ValueError, match=message):
+            replace(small_config, **setting)
+        # without a private level there is no sigma to calibrate
+        replace(small_config, mu_grid=(None,), **setting)
 
     def test_aggregates_recomputable(self, small_config):
         report = run_replications(small_config, R=5)

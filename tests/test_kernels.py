@@ -123,6 +123,9 @@ class TestScaled:
             scaled_cdf("gaussian", 0.0, -1.0)
         with pytest.raises(NonPositiveBandwidth):
             smoothed_check_loss("gaussian", 0.0, 0.5, -0.5)
+        for bandwidth in (math.inf, math.nan):
+            with pytest.raises(NonPositiveBandwidth, match="bandwidth must be finite and > 0"):
+                scaled_cdf("gaussian", 0.0, bandwidth)
 
 
 class TestConstants:

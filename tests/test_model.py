@@ -1,5 +1,7 @@
 """Cost structure, dataset validation, risks and their derivatives."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,9 @@ class TestProblem:
             Problem(b=0, h=0)
         with pytest.raises(ValueError):
             Problem.from_quantile(1.0)
+        for b, h in ((math.inf, 1.0), (1.0, math.inf), (1e308, 1e308), (math.nan, 1.0)):
+            with pytest.raises(ValueError, match="b \\+ h must be finite and > 0"):
+                Problem(b=b, h=h)
 
 
 class TestDataset:

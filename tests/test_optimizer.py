@@ -79,6 +79,14 @@ class TestHyperParams:
             HyperParams(bandwidth=0.1, n_steps=1, clip_radius=0.5)
         with pytest.raises(ValueError):
             HyperParams(bandwidth=0.1, n_steps=1, mode="whitened")
+        for name, rule in (
+            ("bandwidth", "bandwidth must be finite and > 0"),
+            ("sigma", "sigma must be finite and >= 0"),
+            ("max_step_size", "max_step_size must be finite and >= 1"),
+        ):
+            for value in (math.inf, math.nan):
+                with pytest.raises(ValueError, match=f"{rule}, got {value}"):
+                    HyperParams(**{"bandwidth": 0.1, "n_steps": 1, name: value})
 
     def test_kernel_coerced(self):
         hp = HyperParams(bandwidth=0.1, n_steps=1, kernel="uniform")

@@ -159,8 +159,9 @@ class TestEpsDeltaConversion:
         assert gdp_delta_at_eps(mu, mu) == gdp_to_eps_delta(mu).delta
 
     def test_validation(self):
-        with pytest.raises(NonPositiveMu):
-            gdp_to_eps_delta(0.0)
+        for mu in (0.0, -0.5, math.nan):
+            with pytest.raises(NonPositiveMu, match="mu must be > 0"):
+                gdp_to_eps_delta(mu)
 
 
 class TestEpsDeltaTradeoff:
@@ -208,6 +209,18 @@ class TestTypes:
             PrivacyCertificate(
                 mu=0.5, sigma=math.nan, n_steps=10, clip_radius=2.0, tau_bar=0.5
             )
+
+    def test_certificate_rejects_infinite_sigma(self):
+        # meets the bound, but no finite release comes of it
+        with pytest.raises(ValueError, match="sigma must be finite, got inf"):
+            PrivacyCertificate(
+                mu=0.5, sigma=math.inf, n_steps=10, clip_radius=2.0, tau_bar=0.5
+            )
+
+    @pytest.mark.parametrize("mu", [0.0, -0.5, math.nan])
+    def test_certificate_rejects_nonpositive_mu(self, mu):
+        with pytest.raises(NonPositiveMu, match="mu must be > 0"):
+            PrivacyCertificate(mu=mu, sigma=20.0, n_steps=10, clip_radius=2.0, tau_bar=0.5)
 
     def test_certificate_exact_boundary(self):
         sigma = calibrate_sigma(0.9, 2, 10, 0.6)
