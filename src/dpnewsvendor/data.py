@@ -1,11 +1,14 @@
 """Synthetic demand generation, CSV ingestion, whitening, splitting.
 
 The synthetic generator draws standard normals ``z`` and the noise
-``eps`` in one place, ``_synthetic_draws``; the features are ``z``
-mapped to ``N(0, covariance)`` by the covariance's Cholesky factor with
-an intercept prepended, and ``d = x @ theta_star + eps``.  The noise law
-is one of three families: standard normal, Student t, and a
-two-or-more component Gaussian mixture.  The clairvoyant coefficient
+``eps`` in one place, ``_synthetic_stream``: ``z`` in one call, then
+``eps`` in chunks of ``_EPS_CHUNK`` rows, each chunk one step of a
+generator, so that a consumer can use the first rows while the rest are
+drawn.  Drawn in chunks or whole, the values are the same.  The features
+are ``z`` mapped to ``N(0, covariance)`` by the covariance's Cholesky
+factor with an intercept prepended, and ``d = x @ theta_star + eps``.
+The noise law is one of three families: standard normal, Student t, and
+a two-or-more component Gaussian mixture.  The clairvoyant coefficient
 vector for a quantile level ``tau`` is ``theta_star`` with the noise
 quantile added to the intercept.
 """
@@ -38,6 +41,9 @@ _QUANTILE_XTOL = 1e-10
 _QUANTILE_RTOL = 4 * np.finfo(float).eps  # scipy.optimize.bisect's default rtol
 _COUNT_CHUNK_BYTES = 1 << 20
 _MIXTURE_BLOCK = 4096
+# Noise rows per draw call of _noise_chunks: coarse, since every chunk
+# boundary can hand the interpreter lock to a thread that waits for it
+_EPS_CHUNK = 16 * _MIXTURE_BLOCK
 _SEPARATOR_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
@@ -165,29 +171,56 @@ def error_quantile(dist: ErrorDist, tau: float) -> float:
 
 
 def sample_errors(dist: ErrorDist, n: int, rng: np.random.Generator) -> np.ndarray:
-    if dist.kind == "normal":
-        return rng.standard_normal(n)
-    if dist.kind == "student_t":
-        return rng.standard_t(dist.df, size=n)
-    # the stream and values of rng.normal(means[comp], sds[comp]) with
-    # comp = rng.choice(k, size=n, p=weights): choice inverts uniforms
-    # against the weights' CDF, and uniforms drawn block by block are the
-    # same stream.  The labels take one byte a row, and the per-row means
-    # and sds exist one block at a time.
-    cdf = np.cumsum(dist.weights)
-    cdf /= cdf[-1]
-    comp = np.empty(n, dtype=np.min_scalar_type(len(cdf) - 1))
-    for start in range(0, n, _MIXTURE_BLOCK):
-        stop = min(start + _MIXTURE_BLOCK, n)
-        comp[start:stop] = cdf.searchsorted(rng.random(stop - start), side="right")
-    means, sds = np.asarray(dist.means), np.sqrt(dist.variances)
-    eps = rng.standard_normal(n)
-    for start in range(0, n, _MIXTURE_BLOCK):
-        block = eps[start : start + _MIXTURE_BLOCK]
-        labels = comp[start : start + _MIXTURE_BLOCK]
-        block *= sds[labels]
-        block += means[labels]
+    """``n`` draws of the noise law from ``rng``, as ``_noise_chunks`` draws them."""
+    eps = np.empty(n)
+    for _ in _noise_chunks(dist, eps, rng):
+        pass
     return eps
+
+
+def _chunk_stops(n: int) -> list[int]:
+    """The row at which each chunk of ``_noise_chunks`` ends, for ``n`` rows."""
+    return [*range(_EPS_CHUNK, n, _EPS_CHUNK), n]
+
+
+def _noise_chunks(dist: ErrorDist, eps: np.ndarray, rng: np.random.Generator):
+    """Fill ``eps`` with the noise law's draws from ``rng``, one chunk of
+    rows per step; a generator that yields each chunk's stop row, as
+    listed by ``_chunk_stops``.
+
+    Every value consumes the stream in row order, so the chunks give the
+    values of one whole call.  A mixture draws the component label of
+    every row first, then the normals chunk by chunk: the stream and
+    values of ``rng.normal(means[comp], sds[comp])`` with
+    ``comp = rng.choice(k, size=n, p=weights)``.  ``choice`` inverts
+    uniforms against the weights' CDF, and uniforms drawn block by block
+    are the same stream.  The labels take one byte a row, and the per-row
+    means and sds exist one block at a time.
+    """
+    n = len(eps)
+    if dist.kind == "gaussian_mixture":
+        cdf = np.cumsum(dist.weights)
+        cdf /= cdf[-1]
+        comp = np.empty(n, dtype=np.min_scalar_type(len(cdf) - 1))
+        for start in range(0, n, _MIXTURE_BLOCK):
+            stop = min(start + _MIXTURE_BLOCK, n)
+            comp[start:stop] = cdf.searchsorted(rng.random(stop - start), side="right")
+        means, sds = np.asarray(dist.means), np.sqrt(dist.variances)
+    start = 0
+    for stop in _chunk_stops(n):
+        chunk = eps[start:stop]
+        if dist.kind == "student_t":
+            chunk[:] = rng.standard_t(dist.df, size=stop - start)
+        else:
+            rng.standard_normal(out=chunk)
+        if dist.kind == "gaussian_mixture":
+            for lo in range(start, stop, _MIXTURE_BLOCK):
+                block = eps[lo : min(lo + _MIXTURE_BLOCK, stop)]
+                labels = comp[lo : lo + len(block)]
+                block *= sds[labels]
+                block += means[labels]
+        yield stop
+        start = stop
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,18 +290,39 @@ def default_spec(n: int, dist: str | ErrorDist = "normal", seed: int = 0) -> Syn
     )
 
 
+def _synthetic_stream(spec: SyntheticSpec):
+    """The recipe's random stream from ``default_rng(seed)``, to be drawn
+    step by step: the standard normals ``z``, one row of ``p - 1`` per
+    observation, then the noise ``eps``.
+
+    Returns ``z`` and ``eps``, not yet filled, their chunks' stop rows
+    ``_chunk_stops(spec.n)``, and a generator that fills them in stream
+    order: its first step draws all of ``z`` and the noise of the first
+    chunk, each later step the noise of the next chunk, and each step
+    yields its chunk's stop row.
+    """
+    rng = np.random.default_rng(spec.seed)
+    z = np.empty((spec.n, spec.p - 1))
+    eps = np.empty(spec.n)
+
+    def draw():
+        rng.standard_normal(out=z)
+        yield from _noise_chunks(spec.error_dist, eps, rng)
+
+    return z, eps, _chunk_stops(spec.n), draw()
+
+
 def _synthetic_draws(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The recipe's random stream: the standard normals ``z``, one row of
-    ``p - 1`` per observation, then the noise ``eps``, both drawn whole
-    from ``default_rng(seed)`` (the mixture law draws every component
-    label before any normal, so the stream cannot be split by rows).
+    """The recipe's random stream drawn whole: ``z`` and ``eps`` of
+    ``_synthetic_stream``.
 
     ``generate_synthetic`` builds the rows from this draw, and
     ``evaluation.out_of_sample_cost`` scores a recipe straight from it.
     """
-    rng = np.random.default_rng(spec.seed)
-    z = rng.standard_normal((spec.n, spec.p - 1))
-    return z, sample_errors(spec.error_dist, spec.n, rng)
+    z, eps, _, stream = _synthetic_stream(spec)
+    for _ in stream:
+        pass
+    return z, eps
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:

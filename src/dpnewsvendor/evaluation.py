@@ -3,13 +3,18 @@
 ``run_replications`` repeats a generate -> fit cycle with independent
 seeds and reports, per estimator, the L2 and whitened estimation errors,
 the regret against the clairvoyant policy on a large held-out evaluation
-set, and the out-of-sample cost.  The evaluation set's random stream
-(the standard normals and the noise of its ``SyntheticSpec``) is drawn
-on one helper thread while the fits run.  Every policy of the run (of
-every sample size, for ``sweep``), the clairvoyant one included, is
-then scored in one blocked pass, ``_mean_costs``, straight from that
-draw: neither the set's features nor its demands are built, so it is
-never held as a ``Dataset``.
+set, and the out-of-sample cost.  Every policy of the run (of every
+sample size, for ``sweep``), the clairvoyant one included, is scored in
+one blocked pass, ``_CostPartials``, straight from the evaluation set's
+random stream (the standard normals and the noise of its
+``SyntheticSpec``): neither the set's features nor its demands are
+built, so it is never held as a ``Dataset``.  The stream is drawn on one
+helper thread while the fits run, the noise in chunks of rows, one task
+each, in stream order.  After the fits, the pass scores each block of
+rows as soon as its chunk is drawn, on the main thread, but for the last
+quarter of the blocks, which the helper scores after the draw.  Each
+block keeps its own partial sums, added in block order at the end, so
+the costs are bitwise those of one pass on one thread.
 
 The private fits of a cell advance in lockstep: the replications are cut
 into contiguous chunks, ``jobs`` of them or more so that none holds over
@@ -42,6 +47,7 @@ from .data import (
     SyntheticSpec,
     Whitener,
     _synthetic_draws,
+    _synthetic_stream,
     generate_synthetic,
     true_beta_star,
     whitener_from,
@@ -121,30 +127,60 @@ def _overage_coefficients(spec: SyntheticSpec, betas: np.ndarray) -> np.ndarray:
 
 def _mean_costs(problem: Problem, coefs: np.ndarray, z: np.ndarray, last: np.ndarray):
     """Mean cost ``b * (d - q) + (b + h) * (q - d)^+`` of each row ``c`` of
-    ``coefs`` over the rows ``r_i = (1, z_i, last_i)``, ``q - d = c @ r_i``.
+    ``coefs`` over the rows ``r_i = (1, z_i, last_i)``, ``q - d = c @ r_i``:
+    every block scored by ``_CostPartials`` on this thread."""
+    partials = _CostPartials(coefs, z, last)
+    partials.score(range(partials.n_blocks))
+    return partials.costs(problem)
+
+
+class _CostPartials:
+    """The blocked cost pass of the rows of ``coefs`` over the rows
+    ``r_i = (1, z_i, last_i)``, kept as per-block partials.
 
     Rows go in blocks of ``_BLOCK_ROWS`` and policies in zero-padded groups
-    of ``_GROUP_POLICIES``, one product per group and block.  The linear
-    half, the sum of ``q - d``, is ``c @ sum_i r_i``.
+    of ``_GROUP_POLICIES``, one product per group and block.  Each block
+    keeps its own partials, the row sum ``sum_i r_i`` and, per policy, the
+    sum of ``(q - d)^+``, and ``costs`` adds them in block order, so the
+    costs are bitwise the same whichever thread scored which blocks.  The
+    linear half, the sum of ``q - d``, is ``c @ sum_i r_i``.
     """
-    k, cols = coefs.shape
-    groups = np.zeros((-(-k // _GROUP_POLICIES) * _GROUP_POLICIES, cols))
-    groups[:k] = coefs
-    starts = range(0, len(groups), _GROUP_POLICIES)
-    block = np.ones((cols, _BLOCK_ROWS))
-    sums = np.zeros(cols)  # sum_i r_i
-    over = np.empty((_GROUP_POLICIES, _BLOCK_ROWS))
-    excess = np.zeros(len(groups))  # sum of (q - d)^+
-    for start in range(0, len(last), _BLOCK_ROWS):
-        m = min(_BLOCK_ROWS, len(last) - start)
-        block[1:-1, :m] = z[start : start + m].T
-        block[-1, :m] = last[start : start + m]
-        sums += block[:, :m].sum(axis=1)
-        for g in starts:
-            o = np.matmul(groups[g : g + _GROUP_POLICIES], block[:, :m], out=over[:, :m])
-            excess[g : g + _GROUP_POLICIES] += np.maximum(o, 0.0, out=o).sum(axis=1)
-    linear = np.concatenate([groups[g : g + _GROUP_POLICIES] @ sums for g in starts])
-    return ((problem.b + problem.h) * excess[:k] - problem.b * linear[:k]) / len(last)
+
+    def __init__(self, coefs: np.ndarray, z: np.ndarray, last: np.ndarray):
+        k, cols = coefs.shape
+        self.k, self.z, self.last = k, z, last
+        self.groups = np.zeros((-(-k // _GROUP_POLICIES) * _GROUP_POLICIES, cols))
+        self.groups[:k] = coefs
+        self.n_blocks = -(-len(last) // _BLOCK_ROWS)
+        self.sums = np.empty((self.n_blocks, cols))
+        self.excess = np.empty((self.n_blocks, len(self.groups)))
+
+    def score(self, blocks: range) -> None:
+        """Fill the partials of ``blocks``, whose rows must be drawn."""
+        groups, z, last = self.groups, self.z, self.last
+        block = np.ones((groups.shape[1], _BLOCK_ROWS))
+        over = np.empty((_GROUP_POLICIES, _BLOCK_ROWS))
+        for b in blocks:
+            start = b * _BLOCK_ROWS
+            m = min(_BLOCK_ROWS, len(last) - start)
+            block[1:-1, :m] = z[start : start + m].T
+            block[-1, :m] = last[start : start + m]
+            block[:, :m].sum(axis=1, out=self.sums[b])
+            for g in range(0, len(groups), _GROUP_POLICIES):
+                o = np.matmul(groups[g : g + _GROUP_POLICIES], block[:, :m], out=over[:, :m])
+                np.maximum(o, 0.0, out=o).sum(axis=1, out=self.excess[b, g : g + _GROUP_POLICIES])
+
+    def costs(self, problem: Problem) -> np.ndarray:
+        """The mean costs, once every block is scored."""
+        sums = np.zeros(self.sums.shape[1])
+        excess = np.zeros(self.excess.shape[1])
+        for block_sums, block_excess in zip(self.sums, self.excess):
+            sums += block_sums
+            excess += block_excess
+        starts = range(0, len(self.groups), _GROUP_POLICIES)
+        linear = np.concatenate([self.groups[g : g + _GROUP_POLICIES] @ sums for g in starts])
+        k = self.k
+        return ((problem.b + problem.h) * excess[:k] - problem.b * linear[:k]) / len(self.last)
 
 
 @dataclass(frozen=True)
@@ -336,9 +372,10 @@ def run_replications(config: ReplicationConfig, R: int, jobs: int = 1) -> Replic
 def sweep(config: ReplicationConfig, ns, R: int, jobs: int = 1) -> ReplicationReport:
     """Run the cell at several sample sizes and concatenate the reports.
 
-    The evaluation set's random stream is drawn on a helper thread while
-    every sample size is fitted; the policies of all of them are then
-    scored in one pass over that draw.
+    The evaluation set's random stream is drawn on a helper thread, one
+    chunk of rows a task, while every sample size is fitted; the policies
+    of all of them are then scored in one pass over that draw, each block
+    as soon as its rows are drawn (see ``_score_as_drawn``).
     """
     if not R >= 1:
         raise ValueError(f"R must be >= 1, got {R}")
@@ -353,16 +390,23 @@ def sweep(config: ReplicationConfig, ns, R: int, jobs: int = 1) -> ReplicationRe
         seed=derive_seed(config.base_seed, 0, 0),
     )
     whitener = whitener_from(eval_spec)
-    # numpy releases the GIL while it fills the draw's arrays; leaving
-    # the block joins the thread, whether the fits succeed or raise
-    with ThreadPoolExecutor(max_workers=1) as drawer:
-        drawing = drawer.submit(_synthetic_draws, eval_spec)
-        betas = _fit_cells(config, ns, R, jobs, eval_spec, whitener)
-        draw = drawing.result()
-
-    beta_star = true_beta_star(eval_spec, problem.tau)
-    coefs = _overage_coefficients(eval_spec, np.column_stack([beta_star, *betas]))
-    clairvoyant_cost, *costs = _mean_costs(problem, coefs, *draw).tolist()
+    # numpy releases the interpreter lock while it fills the draw's arrays
+    # and multiplies the blocks; leaving the block joins the thread
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        try:
+            z, eps, stops, stream = _synthetic_stream(eval_spec)
+            # one task per chunk: the one worker runs them in stream order
+            drawn = [helper.submit(next, stream) for _ in stops]
+            betas = _fit_cells(config, ns, R, jobs, eval_spec, whitener)
+            beta_star = true_beta_star(eval_spec, problem.tau)
+            coefs = _overage_coefficients(eval_spec, np.column_stack([beta_star, *betas]))
+            partials = _CostPartials(coefs, z, eps)
+            _score_as_drawn(partials, stops, drawn, helper)
+        except BaseException:
+            # a failed fit or draw need not wait for the rest of the draw
+            helper.shutdown(cancel_futures=True)
+            raise
+    clairvoyant_cost, *costs = partials.costs(problem).tolist()
     keys = [
         (int(n), rep_id, mu)
         for n in ns
@@ -384,6 +428,35 @@ def sweep(config: ReplicationConfig, ns, R: int, jobs: int = 1) -> ReplicationRe
         for (n, rep_id, mu), beta, oos in zip(keys, betas, costs)
     )
     return ReplicationReport(rows=rows)
+
+
+def _score_as_drawn(partials: _CostPartials, stops, drawn, helper: ThreadPoolExecutor) -> None:
+    """Score every block of ``partials`` while its rows are still being drawn.
+
+    ``drawn[i]`` is the helper's task that draws the rows up to
+    ``stops[i]``.  This thread scores each block once its chunk is
+    drawn, but for the last quarter of the blocks, which the helper
+    scores behind the last chunk, so that both threads score while this
+    one catches up with the draw.  The partials are the same whichever
+    thread scores a block.
+    """
+    n_blocks = partials.n_blocks
+    tail = n_blocks - n_blocks // 4
+
+    def score_tail():
+        # a failed chunk ends the stream, so the last chunk's task fails
+        # too: never score rows that were not drawn
+        drawn[-1].result()
+        partials.score(range(tail, n_blocks))
+
+    tail_scored = helper.submit(score_tail)
+    scored = 0
+    for stop, chunk in zip(stops, drawn):
+        chunk.result()
+        ready = min(tail, n_blocks if stop == stops[-1] else stop // _BLOCK_ROWS)
+        partials.score(range(scored, ready))
+        scored = ready
+    tail_scored.result()
 
 
 def _fit_cells(

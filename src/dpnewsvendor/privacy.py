@@ -81,10 +81,13 @@ def calibrate_sigma(
     Returns ``2 * tau_bar * clip_radius * sqrt(n_steps) / mu``.  With
     ``round_up`` the value is ceiled to the next integer, the convention
     used in the experiment harness.  ``clip_radius`` must be finite: no
-    noise scale covers unclipped gradients.
+    noise scale covers unclipped gradients.  ``mu`` must be finite too:
+    it would give ``sigma = 0``, a release with no noise.
     """
     if not mu > 0.0:
         raise NonPositiveMu(f"mu must be > 0, got {mu}")
+    if not math.isfinite(mu):
+        raise NonPositiveMu(f"mu must be finite and > 0, got {mu}")
     if not clip_radius >= 1.0:
         raise ValueError(f"clip_radius must be >= 1, got {clip_radius}")
     if not math.isfinite(clip_radius):

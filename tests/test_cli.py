@@ -192,6 +192,16 @@ class TestFit:
         assert code == EXIT_USAGE
         assert "mu" in capsys.readouterr().err
 
+    def test_infinite_mu_exits_2(self, synth_csv, tmp_path, capsys):
+        # it would calibrate sigma = 0: a release with no noise
+        code = main([
+            "fit", "--input", str(synth_csv), "--tau", "0.5", "--mu", "inf",
+            "--out", str(tmp_path / "f.json"),
+        ])
+        assert code == EXIT_USAGE
+        assert "mu must be finite and > 0, got inf" in capsys.readouterr().err
+        assert not (tmp_path / "f.json").exists()
+
     def test_insufficient_sigma_exits_4(self, synth_csv, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(optimizer, "fit", _not_called)
         code = main([
@@ -400,6 +410,16 @@ class TestPrivacyCmd:
         assert "sigma must be finite, got inf" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "mu, message", [("0", "mu must be > 0"), ("inf", "mu must be finite and > 0, got inf")]
+    )
+    def test_unusable_mu_exits_2(self, capsys, mu, message):
+        code = main(["privacy", "--mu", mu, "--tau", "0.5"])
+        assert code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_infinite_clip_radius_exits_2(self, capsys):
         code = main(["privacy", "--mu", "0.5", "--B", "inf", "--tau", "0.5"])
         assert code == EXIT_USAGE
@@ -504,6 +524,7 @@ class TestBench:
             ("hyper", "mode = whitened",
              "mode must be one of ('known_sigma_matrix', 'raw_covariates'), got 'whitened'"),
             ("privacy", "mu = nonprivate, 0", "mu must be > 0, got 0.0"),
+            ("privacy", "mu = inf", "mu must be finite and > 0, got inf"),
             ("replication", "eval_n = 0", "eval_n must be >= 1, got 0"),
             ("replication", "base_seed = -1", "base_seed must be >= 0, got -1"),
             ("replication", "jobs = 0", "jobs must be >= 1, got 0"),
@@ -517,7 +538,7 @@ class TestBench:
             ("hyper", "B = 0.5\n[privacy]\nmu = nonprivate", "clip_radius must be >= 1, got 0.5"),
             ("hyper", "eta0 = inf", "step_size must be finite and > 0, got inf"),
         ],
-        ids=["dist", "mode", "mu", "eval_n", "base_seed", "jobs",
+        ids=["dist", "mode", "mu", "mu-inf", "eval_n", "base_seed", "jobs",
              "empty-n", "empty-tau", "empty-dist", "empty-mu",
              "n", "max_step", "bandwidth", "B-nonprivate", "eta0-inf"],
     )

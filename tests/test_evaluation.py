@@ -2,6 +2,7 @@
 
 import math
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -180,6 +181,31 @@ class TestStreamedEvaluation:
         np.testing.assert_array_equal(dataset.features, x)
         np.testing.assert_array_equal(dataset.demands, x @ np.asarray(spec.theta_star) + eps)
 
+    @pytest.mark.parametrize("dist", ["normal", "t3", "mixture"])
+    def test_pass_equals_one_loop_over_the_blocks(self, dist):
+        # the partials of each block, added in block order, give the bits
+        # of one running sum over the blocks, in the pass's block layout
+        rows, k = evaluation._BLOCK_ROWS, 20
+        spec = default_spec(12 * rows + 5, dist, seed=12)
+        prob = Problem(b=50, h=30)
+        rng = np.random.default_rng(4)
+        betas = true_beta_star(spec, prob.tau)[:, None] + rng.normal(scale=0.3, size=(5, k))
+        groups = np.zeros((32, spec.p + 1))
+        groups[:k] = evaluation._overage_coefficients(spec, betas)
+        z, eps = _synthetic_draws(spec)
+        block = np.ones((spec.p + 1, rows))
+        sums, excess = np.zeros(spec.p + 1), np.zeros(32)
+        for start in range(0, spec.n, rows):
+            m = min(rows, spec.n - start)
+            block[1:-1, :m] = z[start : start + m].T
+            block[-1, :m] = eps[start : start + m]
+            sums += block[:, :m].sum(axis=1)
+            for g in (0, 16):
+                excess[g : g + 16] += np.maximum(groups[g : g + 16] @ block[:, :m], 0.0).sum(axis=1)
+        linear = np.concatenate([groups[g : g + 16] @ sums for g in (0, 16)])
+        expected = ((prob.b + prob.h) * excess[:k] - prob.b * linear[:k]) / spec.n
+        assert out_of_sample_cost(prob, betas, spec).tolist() == expected.tolist()
+
     def test_spec_cost_of_a_policy_ignores_its_neighbours(self):
         spec = default_spec(10_000, "t3", seed=5)
         prob = Problem.from_quantile(0.3)
@@ -319,13 +345,7 @@ def _rows_from_single_fits(
     (replication, privacy level), written out by hand.  With
     ``materialise`` the evaluation set is scored as the ``Dataset``
     ``generate_synthetic`` builds, not from its spec."""
-    eval_spec = SyntheticSpec(
-        theta_star=config.theta_star,
-        covariance=config.covariance,
-        error_dist=config.error_dist,
-        n=config.eval_n,
-        seed=derive_seed(config.base_seed, 0, 0),
-    )
+    eval_spec = _eval_spec(config)
     whitener = whitener_from(eval_spec)
     betas = []
     for rep_id in range(1, R + 1):
@@ -364,6 +384,17 @@ def _rows_from_single_fits(
             ]
             for beta, oos in zip(betas, costs)
         ]
+    )
+
+
+def _eval_spec(config: ReplicationConfig) -> SyntheticSpec:
+    """The recipe of the cell's evaluation set."""
+    return SyntheticSpec(
+        theta_star=config.theta_star,
+        covariance=config.covariance,
+        error_dist=config.error_dist,
+        n=config.eval_n,
+        seed=derive_seed(config.base_seed, 0, 0),
     )
 
 
@@ -447,7 +478,85 @@ class TestLockstep:
 
 
 class TestEvaluationDraw:
-    """The evaluation set is drawn on a helper thread beside the fits."""
+    """The evaluation set is drawn on a helper thread beside the fits, a
+    chunk of rows a task, and scored while it is drawn."""
+
+    @pytest.mark.parametrize(
+        "eval_n, chunk",
+        [(2 * data._EPS_CHUNK + 5, data._EPS_CHUNK), (10_001, 1_000), (999, 1_000)],
+        ids=["default-chunk", "small-chunk", "one-chunk"],
+    )
+    @pytest.mark.parametrize("dist", ["normal", "t3", "mixture"])
+    def test_chunked_draw_equals_one_whole_draw(self, monkeypatch, dist, eval_n, chunk):
+        monkeypatch.setattr(data, "_EPS_CHUNK", chunk)
+        law = ErrorDist.from_name(dist)
+        spec = default_spec(eval_n, law, seed=11)
+        rng = np.random.default_rng(spec.seed)
+        z = rng.standard_normal((eval_n, spec.p - 1))
+        if dist == "normal":
+            eps = rng.standard_normal(eval_n)
+        elif dist == "t3":
+            eps = rng.standard_t(law.df, size=eval_n)
+        else:
+            comp = rng.choice(len(law.weights), size=eval_n, p=law.weights)
+            eps = rng.normal(np.asarray(law.means)[comp], np.sqrt(law.variances)[comp])
+        drawn_z, drawn_eps, stops, stream = data._synthetic_stream(spec)
+        assert stops == [*range(chunk, eval_n, chunk), eval_n]
+        assert list(stream) == stops
+        np.testing.assert_array_equal(drawn_z, z)
+        np.testing.assert_array_equal(drawn_eps, eps)
+
+    @pytest.mark.parametrize("slowed", ["draw", "helper-scoring"])
+    def test_rows_ignore_thread_timing(self, small_config, monkeypatch, slowed):
+        # 11 blocks, the helper's share being blocks 9 and 10, drawn in 14
+        # chunks that end inside blocks
+        config = replace(small_config, eval_n=10 * evaluation._BLOCK_ROWS + 7)
+        monkeypatch.setattr(data, "_EPS_CHUNK", 3_000)
+        rows = sweep(config, (60, 120), R=2).rows
+        chunks, score = data._noise_chunks, evaluation._CostPartials.score
+        scorers = []
+        scoring = threading.Event()  # set once the main thread scores
+
+        def slow_chunks(dist, eps, rng):
+            for stop in chunks(dist, eps, rng):
+                yield stop
+                if slowed == "draw" and len(eps) == config.eval_n:
+                    # every later chunk lands while the main thread waits for it
+                    assert scoring.wait(timeout=10)
+                    time.sleep(0.005)
+
+        def slow_score(partials, blocks):
+            helper = threading.current_thread() is not threading.main_thread()
+            if not helper:
+                scoring.set()
+            elif slowed == "helper-scoring":
+                time.sleep(0.05)
+            scorers.extend((helper, b) for b in blocks)
+            score(partials, blocks)
+
+        monkeypatch.setattr(data, "_noise_chunks", slow_chunks)
+        monkeypatch.setattr(evaluation._CostPartials, "score", slow_score)
+        assert sweep(config, (60, 120), R=2).rows == rows
+        assert sorted(scorers, key=lambda s: s[1]) == [(b >= 9, b) for b in range(11)]
+
+    @pytest.mark.parametrize("dist", ["normal", "mixture"])
+    def test_each_cost_is_one_pass_over_the_spec(self, small_config, monkeypatch, dist):
+        config = replace(
+            small_config, error_dist=ErrorDist.from_name(dist), eval_n=3 * data._EPS_CHUNK + 11
+        )
+        fitted = []
+        fit_cells = evaluation._fit_cells
+
+        def recorded(*args):
+            fitted.extend(fit_cells(*args))
+            return fitted
+
+        monkeypatch.setattr(evaluation, "_fit_cells", recorded)
+        rows = run_replications(config, R=2).rows
+        spec = _eval_spec(config)
+        assert [r.oos_cost for r in rows] == [
+            out_of_sample_cost(config.problem, beta, spec) for beta in fitted
+        ]
 
     def test_thread_is_joined_after_success(self, small_config):
         before = threading.active_count()
@@ -469,19 +578,72 @@ class TestEvaluationDraw:
             pass
 
         config = replace(small_config, eval_n=1_000)
-        sample = data.sample_errors
+        chunks = data._noise_chunks
 
-        def failing_sample(dist, n, rng):
+        def failing_chunks(dist, eps, rng):
             # training sets (60 and 120 rows) draw as usual
-            if n == config.eval_n:
+            if len(eps) == config.eval_n:
                 raise DrawFailed
-            return sample(dist, n, rng)
+            return chunks(dist, eps, rng)
 
-        monkeypatch.setattr(data, "sample_errors", failing_sample)
+        monkeypatch.setattr(data, "_noise_chunks", failing_chunks)
         before = threading.active_count()
         with pytest.raises(DrawFailed):
             sweep(config, (60, 120), R=2)
         assert threading.active_count() == before
+
+    def test_failure_in_a_later_chunk_propagates(self, small_config, monkeypatch):
+        class DrawFailed(Exception):
+            pass
+
+        # four chunks; the third fails, so the helper must not score the tail
+        config = replace(small_config, eval_n=4 * evaluation._BLOCK_ROWS)
+        monkeypatch.setattr(data, "_EPS_CHUNK", evaluation._BLOCK_ROWS)
+        chunks = data._noise_chunks
+
+        def failing_chunks(dist, eps, rng):
+            for i, stop in enumerate(chunks(dist, eps, rng)):
+                if i == 2 and len(eps) == config.eval_n:
+                    raise DrawFailed
+                yield stop
+
+        monkeypatch.setattr(data, "_noise_chunks", failing_chunks)
+        scored = []
+        score = evaluation._CostPartials.score
+
+        def recorded(partials, blocks):
+            scored.extend(blocks)
+            score(partials, blocks)
+
+        monkeypatch.setattr(evaluation._CostPartials, "score", recorded)
+        before = threading.active_count()
+        with pytest.raises(DrawFailed):
+            sweep(config, (60, 120), R=2)
+        assert threading.active_count() == before
+        assert scored == [0, 1]
+
+    def test_failed_fit_cancels_the_rest_of_the_draw(self, small_config, monkeypatch):
+        def failing_erm(*args, **kwargs):
+            raise MaxIterExceeded("stuck")
+
+        config = replace(small_config, eval_n=10_000)
+        monkeypatch.setattr(data, "_EPS_CHUNK", 1_000)
+        monkeypatch.setattr(optimizer, "smoothed_erm", failing_erm)
+        chunks = data._noise_chunks
+        drawn = []
+
+        def slow_chunks(dist, eps, rng):
+            for stop in chunks(dist, eps, rng):
+                if len(eps) == config.eval_n:
+                    drawn.append(stop)
+                    time.sleep(0.05)
+                yield stop
+
+        monkeypatch.setattr(data, "_noise_chunks", slow_chunks)
+        with pytest.raises(evaluation.ReplicationError):
+            sweep(config, (60, 120), R=2)
+        # the ten chunks would take 0.5 s; the fits fail long before
+        assert len(drawn) < 10
 
 
 class TestCsvOutput:

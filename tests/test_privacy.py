@@ -105,6 +105,9 @@ class TestCalibrateSigma:
     def test_validation(self):
         with pytest.raises(NonPositiveMu):
             calibrate_sigma(0.0, 2, 10, 0.5)
+        for round_up in (False, True):
+            with pytest.raises(NonPositiveMu, match="mu must be finite and > 0, got inf"):
+                calibrate_sigma(math.inf, 2, 10, 0.5, round_up=round_up)
         with pytest.raises(ValueError):
             calibrate_sigma(0.5, 0.5, 10, 0.5)
         with pytest.raises(ValueError):
@@ -221,6 +224,10 @@ class TestTypes:
     def test_certificate_rejects_nonpositive_mu(self, mu):
         with pytest.raises(NonPositiveMu, match="mu must be > 0"):
             PrivacyCertificate(mu=mu, sigma=20.0, n_steps=10, clip_radius=2.0, tau_bar=0.5)
+
+    def test_certificate_rejects_infinite_mu(self):
+        with pytest.raises(NonPositiveMu, match="mu must be finite and > 0, got inf"):
+            PrivacyCertificate(mu=math.inf, sigma=20.0, n_steps=10, clip_radius=2.0, tau_bar=0.5)
 
     def test_certificate_exact_boundary(self):
         sigma = calibrate_sigma(0.9, 2, 10, 0.6)
