@@ -170,14 +170,6 @@ def error_quantile(dist: ErrorDist, tau: float) -> float:
             return mid
 
 
-def sample_errors(dist: ErrorDist, n: int, rng: np.random.Generator) -> np.ndarray:
-    """``n`` draws of the noise law from ``rng``, as ``_noise_chunks`` draws them."""
-    eps = np.empty(n)
-    for _ in _noise_chunks(dist, eps, rng):
-        pass
-    return eps
-
-
 def _chunk_stops(n: int) -> list[int]:
     """The row at which each chunk of ``_noise_chunks`` ends, for ``n`` rows."""
     return [*range(_EPS_CHUNK, n, _EPS_CHUNK), n]

@@ -29,7 +29,6 @@ __all__ = [
     "Problem",
     "Dataset",
     "smoothed_empirical_cost",
-    "gradient_weights",
     "smoothed_gradient",
     "smoothed_hessian",
 ]
@@ -154,22 +153,6 @@ def smoothed_empirical_cost(
     return problem.total_cost * float(np.mean(loss))
 
 
-def gradient_weights(
-    problem: Problem,
-    data: Dataset,
-    policy,
-    kernel: str,
-    bandwidth: float,
-) -> np.ndarray:
-    """One weight per observation, ``Kbar((x_i @ beta - d_i) / bw) - tau``.
-
-    The smoothed gradient is ``X' w / n``; the private fit sums the same
-    weights against the clipped rows instead.
-    """
-    r = _residuals(data, policy)
-    return kernels.scaled_cdf(kernel, -r, bandwidth) - problem.tau
-
-
 def smoothed_gradient(
     problem: Problem,
     data: Dataset,
@@ -182,7 +165,8 @@ def smoothed_gradient(
     Returns ``(1/n) * sum_i (Kbar((x_i @ beta - d_i) / bw) - tau) * x_i``,
     the unclipped, noise-free gradient.
     """
-    w = gradient_weights(problem, data, policy, kernel, bandwidth)
+    r = _residuals(data, policy)
+    w = kernels.scaled_cdf(kernel, -r, bandwidth) - problem.tau
     return data.features.T @ w / data.n
 
 

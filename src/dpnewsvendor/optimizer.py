@@ -7,13 +7,17 @@ single record) and adds isotropic Gaussian noise of scale ``sigma``.
 With ``sigma >= 2 * tau_bar * B * sqrt(T) / mu`` the released
 coefficients satisfy mu-GDP.
 
-Two update forms are available.  ``known_sigma_matrix`` (the
-``HyperParams`` and replication-harness default) whitens the covariates
-with the inverse square root of a second-moment matrix before clipping;
-the certificate covers it when that matrix is public, such as the
-design's ``Sigma``.  ``raw_covariates`` clips the covariates as-is; the
-CLI always fits this way, because real data comes with no public
-``Sigma``.
+Every update goes through one public ``p x p`` map A: the step clips
+the rows ``A' x_i`` and maps the clipped sum back to coefficients with
+A, ``beta <- beta - (eta/n) A [sum_i w_i clip(A' x_i, B) + sigma g]``.
+``HyperParams.mode`` picks A.  In ``known_sigma_matrix`` mode (the
+``HyperParams`` and replication-harness default) A is the inverse
+square root of a second-moment matrix, so the rows are whitened before
+clipping; the certificate covers it when that matrix is public, such as
+the design's ``Sigma``.  In ``raw_covariates`` mode A is the identity,
+so the raw covariates are clipped as-is; the CLI always fits this way,
+because real data comes with no public ``Sigma``.  Products with the
+identity are exact, so this is bitwise the update without A.
 
 Step size policy: a fixed ``step_size`` reproduces the textbook
 algorithm.  When ``step_size`` is None the fit picks a step each
@@ -26,13 +30,13 @@ must match the certificate exactly should fix ``step_size`` by hand.
 Fits advance in lockstep.  One step loop, ``_lockstep_fits``, moves a
 stack of fits together: R datasets of the same shape, each fitted at M
 noise levels, as ``(R, p, M)`` coefficients.  The clip does not depend
-on beta, so each dataset's covariates are clipped (and in
-``known_sigma_matrix`` mode whitened) once, before the first step.  Each
-step then makes one batched residual product, evaluates the kernel once
-over all ``(R, n, M)`` residuals, giving one weight per observation and
-fit, and makes one batched clipped sum; with the line search, that
-weight serves each fit's slope and direction, searched fit by fit.
-``fit`` is the stack of one dataset at one level.  numpy hands each
+on beta, so each dataset's rows ``x A`` are clipped once, before the
+first step.  Each step then makes one batched residual product,
+evaluates the kernel once over all ``(R, n, M)`` residuals, giving one
+weight per observation and fit, and makes one batched clipped sum; with
+the line search, that weight serves each fit's slope and direction,
+searched fit by fit.  ``fit`` is the stack of one dataset at one level,
+and ``noisy_step`` is one step of that stack.  numpy hands each
 item of a stacked product to BLAS on its own, so a fit's iterates do
 not depend on the other datasets of its stack.  A single column goes to
 the matrix-vector routine, so ``fit`` rounds as a plain loop of
@@ -182,20 +186,21 @@ class SecureNoiseSource:
         return out
 
 
-def clip(u: np.ndarray, radius: float) -> np.ndarray:
+def clip(u: np.ndarray, radius: float, out: np.ndarray | None = None) -> np.ndarray:
     """Radial truncation u / max(1, ||u||_2 / radius).
 
     Preserves direction, is the identity inside the ball, and caps the
-    norm at ``radius``.  For a 2-d input each row is clipped.
+    norm at ``radius``.  For a 2-d input each row is clipped.  As in
+    numpy, ``out`` (which may be ``u`` itself) receives the result.
     """
     if not radius > 0.0:
         raise ValueError(f"radius must be > 0, got {radius}")
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
-        return u / max(1.0, np.linalg.norm(u) / radius)
+        return np.divide(u, max(1.0, np.linalg.norm(u) / radius), out=out)
     if u.ndim == 2:
         norms = np.linalg.norm(u, axis=1)
-        return u / np.maximum(1.0, norms / radius)[:, None]
+        return np.divide(u, np.maximum(1.0, norms / radius)[:, None], out=out)
     raise ValueError("clip expects a vector or a matrix of row vectors")
 
 
@@ -260,20 +265,15 @@ def backtracking_step_size(
     return eta
 
 
-def _clipped_design(
-    data: Dataset, hp: HyperParams, whitener: Whitener | None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The clipped rows of the update and the map back to coefficients.
-
-    ``known_sigma_matrix`` clips the whitened rows ``S^{-1/2} x_i`` and
-    maps sums back with ``S^{-1/2}``; ``raw_covariates`` clips the raw
-    ``x_i`` and needs no map (None).  The clip does not depend on beta.
-    """
+def _feature_map(hp: HyperParams, whitener: Whitener | None, p: int) -> np.ndarray:
+    """The update's ``p x p`` map A: the whitener's ``S^{-1/2}`` in
+    ``known_sigma_matrix`` mode, which requires one, the identity in
+    ``raw_covariates`` mode."""
     if hp.mode == "raw_covariates":
-        return clip(data.features, hp.clip_radius), None
+        return np.eye(p)
     if whitener is None:
         raise MissingWhitener("known_sigma_matrix mode requires a whitener")
-    return clip(data.features @ whitener.inv_sqrt, hp.clip_radius), whitener.inv_sqrt
+    return whitener.inv_sqrt
 
 
 def noisy_step(
@@ -284,14 +284,14 @@ def noisy_step(
     g: np.ndarray,
     whitener: Whitener | None = None,
 ) -> np.ndarray:
-    """One clipped, noised gradient update from ``beta``.
+    """One clipped, noised gradient update from ``beta``, with step size
+    ``hp.step_size``.
 
-    In ``known_sigma_matrix`` mode the whitener is required and the
-    update is
-    ``beta - (eta/n) * S^{-1/2} [ sum_i w_i_coef * clip(S^{-1/2} x_i, B) + sigma * g ]``;
-    ``raw_covariates`` mode clips the raw ``x_i`` and drops the
-    ``S^{-1/2}`` factors.  ``g`` is the standard normal noise vector for
-    this step.
+    The update is
+    ``beta - (eta/n) * A [ sum_i w_i_coef * clip(A' x_i, B) + sigma * g ]``
+    with the map A of the module docstring; the whitener is required in
+    ``known_sigma_matrix`` mode.  ``g`` is the standard normal noise
+    vector for this step.  This is one step of the loop every fit runs.
     """
     beta = np.asarray(beta, dtype=float)
     if len(beta) != data.p:
@@ -303,11 +303,10 @@ def noisy_step(
     g = np.asarray(g, dtype=float)
     if g.shape != (data.p,):
         raise DimensionMismatch(f"noise vector must have shape ({data.p},)")
-
-    clipped, back = _clipped_design(data, hp, whitener)
-    w = model.gradient_weights(problem, data, beta, hp.kernel, hp.bandwidth)
-    summed = clipped.T @ w + hp.sigma * g
-    return beta - (hp.step_size / data.n) * (summed if back is None else back @ summed)
+    noise = (hp.sigma * g)[None, None, :, None]
+    return _lockstep_fits(
+        [data], problem, hp, whitener, noise, start=beta[None, :, None]
+    )[0, :, 0]
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
@@ -323,34 +322,39 @@ def _lockstep_fits(
     whitener: Whitener | None,
     noise: np.ndarray,
     keep_trajectory: bool = False,
+    start: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Run ``hp.n_steps`` noisy updates of a stack of fits from zero.
+    """Run noisy updates of a stack of fits, one per step of ``noise``.
 
     ``data`` holds R datasets of one shape and ``noise`` the ``(T, R, p, M)``
     noise already scaled by each fit's sigma: ``noise[t, r, :, m]`` is
-    added to the clipped sum of fit ``(r, m)`` at step ``t``.  ``hp``
-    gives every other setting; its ``sigma`` and ``seed`` are not read.
-    Returns the final ``(R, p, M)`` coefficients, or the ``(T + 1, R, p,
-    M)`` iterates with ``keep_trajectory``.
+    added to the clipped sum of fit ``(r, m)`` at step ``t``, so the fits
+    take T steps.  They start from zero, or from the ``(R, p, M)``
+    coefficients ``start``.  ``hp`` gives every other setting; its
+    ``n_steps``, ``sigma`` and ``seed`` are not read.  Returns the final
+    ``(R, p, M)`` coefficients, or the ``(T + 1, R, p, M)`` iterates with
+    ``keep_trajectory``.
     """
     _warn_if_flat_kernel(hp.kernel, stacklevel=4)
-    designs = [_clipped_design(d, hp, whitener) for d in data]
-    clipped_t = _stack([rows for rows, _ in designs]).transpose(0, 2, 1)
-    back = designs[0][1]
     x = _stack([d.features for d in data])
-    demands = _stack([d.demands for d in data])[:, :, None]
     n_sets, n, p = x.shape
+    a = _feature_map(hp, whitener, p)
+    clipped = [d.features @ a for d in data]
+    for rows in clipped:
+        clip(rows, hp.clip_radius, out=rows)  # in place: no second n x p copy
+    clipped_t = _stack(clipped).transpose(0, 2, 1)
+    demands = _stack([d.demands for d in data])[:, :, None]
     n_levels = noise.shape[-1]
-    betas = np.zeros((n_sets, p, n_levels))
+    betas = np.zeros((n_sets, p, n_levels)) if start is None else start
     trajectory = [betas]
-    for t in range(hp.n_steps):
+    for step_noise in noise:
         residuals = demands - x @ betas
         weights = kernels.scaled_cdf(hp.kernel, -residuals, hp.bandwidth) - problem.tau
         summed = clipped_t @ weights
         eta = hp.step_size
         if eta is None:
             grads = x.transpose(0, 2, 1) @ weights / n
-            directions = (summed if back is None else back @ summed) / n
+            directions = a @ summed / n
             eta = np.empty((n_sets, 1, n_levels))
             for r, m in np.ndindex(n_sets, n_levels):
                 eta[r, 0, m] = backtracking_step_size(
@@ -363,8 +367,7 @@ def _lockstep_fits(
                     float(grads[r, :, m] @ directions[r, :, m]),
                     hp.max_step_size,
                 )
-        summed = summed + noise[t]
-        betas = betas - (eta / n) * (summed if back is None else back @ summed)
+        betas = betas - (eta / n) * (a @ (summed + step_noise))
         if keep_trajectory:
             trajectory.append(betas)
     return np.stack(trajectory) if keep_trajectory else betas

@@ -105,8 +105,8 @@ def calibrate_sigma(
 def one_step_sensitivity(step_size: float, clip_radius: float, tau_bar: float, n: int) -> float:
     """L2 sensitivity of a single clipped gradient update.
 
-    In the whitened metric, changing one datum moves a single update by
-    at most ``2 * tau_bar * clip_radius * step_size / n``.
+    In the metric of the update's map A, changing one datum moves a
+    single update by at most ``2 * tau_bar * clip_radius * step_size / n``.
     """
     for name, v in (
         ("step_size", step_size),

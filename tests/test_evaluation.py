@@ -17,7 +17,6 @@ from dpnewsvendor.data import (
     ar1_covariance,
     default_spec,
     generate_synthetic,
-    sample_errors,
     true_beta_star,
     whitener_from,
 )
@@ -172,7 +171,9 @@ class TestStreamedEvaluation:
         spec = default_spec(eval_n, dist, seed=9)
         rng = np.random.default_rng(spec.seed)
         z = rng.standard_normal((eval_n, spec.p - 1))
-        eps = sample_errors(spec.error_dist, eval_n, rng)
+        eps = np.empty(eval_n)
+        for _ in data._noise_chunks(spec.error_dist, eps, rng):
+            pass
         drawn_z, drawn_eps = _synthetic_draws(spec)
         np.testing.assert_array_equal(drawn_z, z)
         np.testing.assert_array_equal(drawn_eps, eps)

@@ -1,7 +1,6 @@
 """Clipping, noisy updates, the private fit, and the ERM baseline."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ from dpnewsvendor import kernels, optimizer
 from dpnewsvendor.data import (
     ErrorDist,
     SyntheticSpec,
+    Whitener,
     default_spec,
     generate_synthetic,
     whitener_from,
@@ -61,6 +61,13 @@ class TestClip:
             assert np.linalg.norm(v) <= 1.5 + 1e-12
             cos = u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
             assert cos == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("shape", [(6,), (40, 3)])
+    def test_in_place_equals_a_copy(self, shape):
+        u = np.random.default_rng(1).normal(scale=3.0, size=shape)
+        expected = clip(u, 2.0)
+        assert clip(u, 2.0, out=u) is u
+        assert u.tobytes() == expected.tobytes()
 
     def test_infinite_radius_is_identity(self):
         u = np.array([5.0, -7.0])
@@ -254,34 +261,32 @@ class TestBacktracking:
 
 
 def _reference_fit(data, problem, hp, whitener):
-    """The fit loop written out with the public per-step functions.
+    """The fit loop written out step by step, with the map A of the update
+    spelled out: ``S^{-1/2}`` with a whitener, the identity without.
 
     When the step size is not fixed, each step takes the full smoothed
-    gradient and searches along the noise-free clipped direction; every
-    step applies ``noisy_step``, clipping and weighting the rows afresh.
+    gradient and searches along the noise-free clipped direction.
     """
+    a = np.eye(data.p) if whitener is None else whitener.inv_sqrt
+    rows = clip(data.features @ a, hp.clip_radius)
     beta = np.zeros(data.p)
     noise = NoiseSource(hp.seed)
     trajectory = [beta]
     for _ in range(hp.n_steps):
-        step_hp = hp
-        if hp.step_size is None:
+        weights = kernels.scaled_cdf(
+            hp.kernel, data.features @ beta - data.demands, hp.bandwidth
+        ) - problem.tau
+        summed = rows.T @ weights
+        eta = hp.step_size
+        if eta is None:
             grad = smoothed_gradient(problem, data, beta, hp.kernel, hp.bandwidth)
-            weights = kernels.scaled_cdf(
-                hp.kernel, data.features @ beta - data.demands, hp.bandwidth
-            ) - problem.tau
-            if whitener is None:
-                direction = clip(data.features, hp.clip_radius).T @ weights / data.n
-            else:
-                rows = clip(data.features @ whitener.inv_sqrt, hp.clip_radius)
-                direction = whitener.inv_sqrt @ (rows.T @ weights) / data.n
+            direction = a @ summed / data.n
             eta = backtracking_step_size(
                 data, problem, hp.kernel, hp.bandwidth, beta, direction,
                 float(grad @ direction), hp.max_step_size,
             )
-            step_hp = replace(hp, step_size=eta)
         g = noise.standard_normal(data.p)
-        beta = noisy_step(beta, data, problem, step_hp, g, whitener)
+        beta = beta - (eta / data.n) * (a @ (summed + hp.sigma * g))
         trajectory.append(beta)
     return np.array(trajectory)
 
@@ -312,6 +317,18 @@ class TestFit:
         res = fit(data, problem, hp, whitener=whitener, keep_trajectory=True)
         trajectory = _reference_fit(data, problem, hp, whitener)
         assert res.trajectory.tobytes() == trajectory.tobytes()
+
+    @pytest.mark.parametrize("step_size", [None, 0.5], ids=["linesearch", "fixed"])
+    def test_raw_covariates_is_the_identity_map(self, instance, step_size):
+        data, problem, _ = instance
+        base = dict(bandwidth=0.15, n_steps=6, clip_radius=2.0, step_size=step_size,
+                    sigma=3.0, seed=4)
+        eye = Whitener(np.eye(data.p), np.eye(data.p))
+        raw = fit(data, problem, HyperParams(mode="raw_covariates", **base),
+                  keep_trajectory=True)
+        known = fit(data, problem, HyperParams(mode="known_sigma_matrix", **base),
+                    whitener=eye, keep_trajectory=True)
+        assert raw.trajectory.tobytes() == known.trajectory.tobytes()
 
     @pytest.mark.parametrize("mode", ["known_sigma_matrix", "raw_covariates"])
     def test_fixed_step_fit_clips_once_and_weighs_once_per_step(
@@ -431,6 +448,9 @@ class TestFit:
                          step_size=0.5, mode="raw_covariates")
         with pytest.warns(RuntimeWarning, match="epanechnikov"):
             fit(data, problem, hp)
+        # a single step is a step of the same loop, so it warns too
+        with pytest.warns(RuntimeWarning, match="epanechnikov"):
+            noisy_step(np.zeros(data.p), data, problem, hp, np.zeros(data.p))
 
     def test_per_step_budgets_compose_to_target(self):
         from dpnewsvendor.privacy import compose_gdp
