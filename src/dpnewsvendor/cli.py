@@ -181,7 +181,7 @@ def _problem_from_args(args) -> Problem:
 
 
 def _certificate(mu, sigma, n_steps, clip_radius, tau_bar) -> PrivacyCertificate:
-    """The certificate of a fit at these settings, the CLI's only certification.
+    """The certificate of a fit at these settings, checked before any CSV is read.
 
     ``sigma=None`` calibrates it, rounded up to an integer.  Invalid
     settings raise ValueError; a ``sigma`` below the bound raises PrivacyUnattainable.
@@ -204,11 +204,13 @@ def cmd_fit(args) -> int:
     if args.nonprivate:
         if args.mu is not None or args.sigma is not None:
             raise ValueError("give either --nonprivate or --mu/--sigma, not both")
-        cert = None
+        sigma = 0.0
     elif args.mu is None:
         raise ValueError("either --mu or --nonprivate is required")
     else:
-        cert = _certificate(args.mu, args.sigma, args.T, args.B, problem.tau_bar)
+        # calibrates sigma and refuses it before the CSV is read; the
+        # certificate written is the one the fit returns
+        sigma = _certificate(args.mu, args.sigma, args.T, args.B, problem.tau_bar).sigma
     dataset = datamod.load_csv(args.input, args.demand_column)
     # the settings of both fits, checked before either runs; raw
     # covariates: whitening would read the private rows' X'X/n, which
@@ -222,7 +224,8 @@ def cmd_fit(args) -> int:
         n_steps=args.T,
         clip_radius=args.B,
         step_size=args.eta0,
-        sigma=0.0 if cert is None else cert.sigma,
+        mu=args.mu,
+        sigma=sigma,
         seed=args.seed,
         kernel=args.kernel,
         mode="raw_covariates",
@@ -243,12 +246,14 @@ def cmd_fit(args) -> int:
         "seed": hp.seed,
     }
 
-    if cert is None:
+    if args.nonprivate:
+        cert = None
         beta = optimizer.smoothed_erm(dataset, problem, hp.kernel, hp.bandwidth)
         resolved |= {"mode": "nonprivate", "T": None, "B": None, "sigma": None, "mu": None}
         print("non-private smoothed ERM fit (no privacy certificate)")
     else:
-        beta = optimizer.fit(dataset, problem, hp).beta_final
+        result = optimizer.fit(dataset, problem, hp)
+        beta, cert = result.beta_final, result.certificate
         resolved |= {
             "mode": hp.mode, "T": hp.n_steps, "B": hp.clip_radius, "sigma": hp.sigma, "mu": cert.mu
         }
@@ -341,17 +346,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True)
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_fit = sub.add_parser("fit", help="fit an ordering policy from a CSV")
+    # flags shared by several commands, each defined once
+    column = argparse.ArgumentParser(add_help=False)
+    column.add_argument("--demand-column", default="demand")
+    costs = argparse.ArgumentParser(add_help=False)
+    for flag in ("--b", "--h", "--tau"):
+        costs.add_argument(flag, type=float)
+    steps = argparse.ArgumentParser(add_help=False)
+    steps.add_argument("--T", type=int, default=10)
+    steps.add_argument("--B", type=float, default=2.0)
+    steps.add_argument("--sigma", type=float)
+
+    p_fit = sub.add_parser(
+        "fit", parents=[column, costs, steps], help="fit an ordering policy from a CSV"
+    )
     p_fit.add_argument("--input", required=True)
-    p_fit.add_argument("--demand-column", default="demand")
-    p_fit.add_argument("--b", type=float)
-    p_fit.add_argument("--h", type=float)
-    p_fit.add_argument("--tau", type=float)
     p_fit.add_argument("--mu", type=float)
     p_fit.add_argument("--nonprivate", action="store_true")
-    p_fit.add_argument("--T", type=int, default=10)
-    p_fit.add_argument("--B", type=float, default=2.0)
-    p_fit.add_argument("--sigma", type=float)
     p_fit.add_argument("--kernel", choices=KERNEL_NAMES, default="gaussian")
     p_fit.add_argument("--bandwidth", type=_float_or_auto, default=None,
                        help="positive float or 'auto' (default)")
@@ -362,24 +373,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--out", required=True)
     p_fit.set_defaults(func=cmd_fit)
 
-    p_eval = sub.add_parser("evaluate", help="out-of-sample cost of a saved fit")
+    p_eval = sub.add_parser(
+        "evaluate", parents=[column, costs], help="out-of-sample cost of a saved fit"
+    )
     p_eval.add_argument("--fit", required=True)
     p_eval.add_argument("--test", required=True)
-    p_eval.add_argument("--demand-column", default="demand")
-    p_eval.add_argument("--b", type=float)
-    p_eval.add_argument("--h", type=float)
-    p_eval.add_argument("--tau", type=float)
     p_eval.add_argument("--out")
     p_eval.set_defaults(func=cmd_evaluate)
 
-    p_priv = sub.add_parser("privacy", help="print a privacy certificate as JSON")
+    p_priv = sub.add_parser(
+        "privacy", parents=[costs, steps], help="print a privacy certificate as JSON"
+    )
     p_priv.add_argument("--mu", type=float, required=True)
-    p_priv.add_argument("--T", type=int, default=10)
-    p_priv.add_argument("--B", type=float, default=2.0)
-    p_priv.add_argument("--b", type=float)
-    p_priv.add_argument("--h", type=float)
-    p_priv.add_argument("--tau", type=float)
-    p_priv.add_argument("--sigma", type=float)
     p_priv.set_defaults(func=cmd_privacy)
 
     p_bench = sub.add_parser("bench", help="run a replication benchmark")

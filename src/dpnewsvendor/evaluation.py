@@ -319,7 +319,7 @@ def _fit_chunk(
         for m, (j, sigma) in enumerate(sigmas.items()):
             draws = NoiseSource(derive_seed(config.base_seed, rep_id, 1 + j))
             noise[:, r, :, m] = sigma * draws.standard_normal((config.n_steps, p))
-    private = optimizer._lockstep_fits(train, problem, hp, whitener, noise)
+    private = optimizer._lockstep_fits(train, problem, hp, whitener, noise)[-1]
     betas = []
     for data, levels in zip(train, private):
         columns = iter(levels.T)

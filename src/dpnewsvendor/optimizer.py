@@ -96,9 +96,9 @@ class HyperParams:
 
     ``sigma`` is the per-step noise scale; pick it with
     ``privacy.calibrate_sigma`` to hit a GDP target ``mu``.  ``mu`` is
-    optional and only used to request a privacy certificate on the fit
-    result.  ``step_size=None`` selects the per-iteration line search
-    described in the module docstring.
+    optional: it requests a privacy certificate, and ``fit`` refuses a
+    ``sigma`` that cannot provide it.  ``step_size=None`` selects the
+    per-iteration line search described in the module docstring.
     """
 
     bandwidth: float
@@ -135,12 +135,13 @@ class HyperParams:
 class FitResult:
     """Output of a fit: final coefficients plus bookkeeping.
 
-    ``trajectory`` (when kept) stacks the T+1 iterates, ending at
-    ``beta_final``.
+    ``trajectory`` stacks the T+1 iterates ``(T + 1, p)``, from the zero
+    start to ``beta_final``; a certificate covers all of them.
+    ``certificate`` is None exactly when the fit asked for no ``mu``.
     """
 
     beta_final: np.ndarray
-    trajectory: np.ndarray | None
+    trajectory: np.ndarray
     certificate: PrivacyCertificate | None
 
 
@@ -291,7 +292,8 @@ def noisy_step(
     ``beta - (eta/n) * A [ sum_i w_i_coef * clip(A' x_i, B) + sigma * g ]``
     with the map A of the module docstring; the whitener is required in
     ``known_sigma_matrix`` mode.  ``g`` is the standard normal noise
-    vector for this step.  This is one step of the loop every fit runs.
+    vector for this step.  This is one step of the loop every fit runs:
+    the last iterate of its one-step path.
     """
     beta = np.asarray(beta, dtype=float)
     if len(beta) != data.p:
@@ -306,7 +308,7 @@ def noisy_step(
     noise = (hp.sigma * g)[None, None, :, None]
     return _lockstep_fits(
         [data], problem, hp, whitener, noise, start=beta[None, :, None]
-    )[0, :, 0]
+    )[-1][0, :, 0]
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
@@ -321,9 +323,8 @@ def _lockstep_fits(
     hp: HyperParams,
     whitener: Whitener | None,
     noise: np.ndarray,
-    keep_trajectory: bool = False,
     start: np.ndarray | None = None,
-) -> np.ndarray:
+) -> list[np.ndarray]:
     """Run noisy updates of a stack of fits, one per step of ``noise``.
 
     ``data`` holds R datasets of one shape and ``noise`` the ``(T, R, p, M)``
@@ -331,9 +332,9 @@ def _lockstep_fits(
     added to the clipped sum of fit ``(r, m)`` at step ``t``, so the fits
     take T steps.  They start from zero, or from the ``(R, p, M)``
     coefficients ``start``.  ``hp`` gives every other setting; its
-    ``n_steps``, ``sigma`` and ``seed`` are not read.  Returns the final
-    ``(R, p, M)`` coefficients, or the ``(T + 1, R, p, M)`` iterates with
-    ``keep_trajectory``.
+    ``n_steps``, ``sigma`` and ``seed`` are not read.  Returns the path:
+    the T+1 ``(R, p, M)`` iterates, from the start to the final
+    coefficients ``[-1]``.
     """
     _warn_if_flat_kernel(hp.kernel, stacklevel=4)
     x = _stack([d.features for d in data])
@@ -346,7 +347,7 @@ def _lockstep_fits(
     demands = _stack([d.demands for d in data])[:, :, None]
     n_levels = noise.shape[-1]
     betas = np.zeros((n_sets, p, n_levels)) if start is None else start
-    trajectory = [betas]
+    path = [betas]
     for step_noise in noise:
         residuals = demands - x @ betas
         weights = kernels.scaled_cdf(hp.kernel, -residuals, hp.bandwidth) - problem.tau
@@ -368,9 +369,8 @@ def _lockstep_fits(
                     hp.max_step_size,
                 )
         betas = betas - (eta / n) * (a @ (summed + step_noise))
-        if keep_trajectory:
-            trajectory.append(betas)
-    return np.stack(trajectory) if keep_trajectory else betas
+        path.append(betas)
+    return path
 
 
 def fit(
@@ -378,45 +378,34 @@ def fit(
     problem: Problem,
     hp: HyperParams,
     whitener: Whitener | None = None,
-    keep_trajectory: bool = False,
     noise: NoiseSource | SecureNoiseSource | None = None,
 ) -> FitResult:
     """Run exactly ``hp.n_steps`` noisy updates from the zero vector.
 
-    The fit is the lockstep stack of one dataset at one noise level.
-    Deterministic given ``hp.seed`` (unless a secure noise source is
-    supplied).  A privacy certificate is attached when ``hp.mu`` is set
-    and ``PrivacyCertificate`` accepts ``hp.sigma`` for the fit's
-    (mu, clip_radius, n_steps, tau_bar); otherwise ``certificate`` is
-    None.  ``known_sigma_matrix`` mode without a whitener raises
-    ``MissingWhitener`` before any step.
+    The fit is the lockstep stack of one dataset at one noise level, and
+    it returns its whole path.  Deterministic given ``hp.seed`` (unless a
+    secure noise source is supplied).  When ``hp.mu`` is set the fit
+    first builds its ``PrivacyCertificate`` for (mu, sigma, clip_radius,
+    n_steps, tau_bar), so a ``sigma`` the certificate refuses raises
+    ValueError before any noise is drawn or step taken; without ``mu``
+    the certificate is None.  ``known_sigma_matrix`` mode without a
+    whitener raises ``MissingWhitener`` before any step.
     """
+    certificate = None
+    if hp.mu is not None:
+        certificate = PrivacyCertificate(
+            mu=hp.mu,
+            sigma=hp.sigma,
+            n_steps=hp.n_steps,
+            clip_radius=hp.clip_radius,
+            tau_bar=problem.tau_bar,
+        )
     if noise is None:
         noise = NoiseSource(hp.seed)
     g = hp.sigma * noise.standard_normal((hp.n_steps, data.p))
-    path = _lockstep_fits(
-        [data], problem, hp, whitener, g[:, None, :, None], keep_trajectory
-    )
-    path = path[..., 0, :, 0]
-
-    certificate = None
-    if hp.mu is not None:
-        try:
-            certificate = PrivacyCertificate(
-                mu=hp.mu,
-                sigma=hp.sigma,
-                n_steps=hp.n_steps,
-                clip_radius=hp.clip_radius,
-                tau_bar=problem.tau_bar,
-            )
-        except ValueError:
-            pass
-
-    return FitResult(
-        beta_final=path[-1] if keep_trajectory else path,
-        trajectory=path if keep_trajectory else None,
-        certificate=certificate,
-    )
+    path = np.stack(_lockstep_fits([data], problem, hp, whitener, g[:, None, :, None]))
+    path = path[:, 0, :, 0]
+    return FitResult(beta_final=path[-1], trajectory=path, certificate=certificate)
 
 
 def smoothed_erm(

@@ -60,7 +60,7 @@ def _audit(mode: str, sigma: float, seed: int = 0) -> tuple[float, float]:
     )
     rng = np.random.default_rng(seed)
     noise = sigma * rng.standard_normal((hp.n_steps, 2, spec.p, RUNS))
-    betas = optimizer._lockstep_fits(_neighbours(spec), problem, hp, whitener_from(spec), noise)
+    betas = optimizer._lockstep_fits(_neighbours(spec), problem, hp, whitener_from(spec), noise)[-1]
     half = RUNS // 2
     direction = betas[0, :, :half].mean(axis=1) - betas[1, :, :half].mean(axis=1)
     plus, minus = direction @ betas[0, :, half:], direction @ betas[1, :, half:]

@@ -36,6 +36,17 @@ def _sigma_norm(delta, sigma_matrix):
     return float(np.sqrt(delta @ sigma_matrix @ delta))
 
 
+class _Untouched:
+    """A noise source for fits that must stop before they draw noise."""
+
+    def standard_normal(self, shape):
+        raise AssertionError("noise drawn before the certificate")
+
+
+def _no_steps(*args, **kwargs):
+    raise AssertionError("a step ran before the certificate")
+
+
 class TestClip:
     def test_identity_inside_ball(self):
         u = np.array([0.6, 0.8])
@@ -314,7 +325,7 @@ class TestFit:
             bandwidth=0.15, n_steps=6, clip_radius=2.0, step_size=step_size,
             sigma=3.0, seed=4, mode=mode,
         )
-        res = fit(data, problem, hp, whitener=whitener, keep_trajectory=True)
+        res = fit(data, problem, hp, whitener=whitener)
         trajectory = _reference_fit(data, problem, hp, whitener)
         assert res.trajectory.tobytes() == trajectory.tobytes()
 
@@ -324,10 +335,9 @@ class TestFit:
         base = dict(bandwidth=0.15, n_steps=6, clip_radius=2.0, step_size=step_size,
                     sigma=3.0, seed=4)
         eye = Whitener(np.eye(data.p), np.eye(data.p))
-        raw = fit(data, problem, HyperParams(mode="raw_covariates", **base),
-                  keep_trajectory=True)
+        raw = fit(data, problem, HyperParams(mode="raw_covariates", **base))
         known = fit(data, problem, HyperParams(mode="known_sigma_matrix", **base),
-                    whitener=eye, keep_trajectory=True)
+                    whitener=eye)
         assert raw.trajectory.tobytes() == known.trajectory.tobytes()
 
     @pytest.mark.parametrize("mode", ["known_sigma_matrix", "raw_covariates"])
@@ -360,8 +370,8 @@ class TestFit:
             bandwidth=0.15, n_steps=10, clip_radius=2.0, sigma=13.0, seed=5,
             mode="known_sigma_matrix",
         )
-        a = fit(data, problem, hp, whitener=whitener, keep_trajectory=True)
-        b = fit(data, problem, hp, whitener=whitener, keep_trajectory=True)
+        a = fit(data, problem, hp, whitener=whitener)
+        b = fit(data, problem, hp, whitener=whitener)
         np.testing.assert_array_equal(a.trajectory, b.trajectory)
 
     def test_trajectory_ends_at_final(self, instance):
@@ -370,9 +380,24 @@ class TestFit:
             bandwidth=0.15, n_steps=4, clip_radius=2.0, sigma=3.0, seed=1,
             mode="known_sigma_matrix",
         )
-        res = fit(data, problem, hp, whitener=whitener, keep_trajectory=True)
+        res = fit(data, problem, hp, whitener=whitener)
         assert res.trajectory.shape == (5, data.p)
         np.testing.assert_array_equal(res.trajectory[-1], res.beta_final)
+
+    @pytest.mark.parametrize("step_size", [None, 0.5], ids=["linesearch", "fixed"])
+    @pytest.mark.parametrize("mode", ["known_sigma_matrix", "raw_covariates"])
+    def test_shorter_fit_is_a_prefix_of_the_path(self, mode, step_size):
+        # T steps draw T noise rows, and a (t, p) draw is the first t rows
+        # of the (T, p) one, so a t-step fit stops at the path's t-th iterate
+        spec = default_spec(300, "t3", seed=8)
+        data, problem = generate_synthetic(spec), Problem.from_quantile(0.7)
+        whitener = whitener_from(spec) if mode == "known_sigma_matrix" else None
+        base = dict(bandwidth=0.2, clip_radius=2.0, step_size=step_size, sigma=2.0,
+                    seed=3, mode=mode)
+        path = fit(data, problem, HyperParams(n_steps=8, **base), whitener=whitener).trajectory
+        for t in range(9):
+            res = fit(data, problem, HyperParams(n_steps=t, **base), whitener=whitener)
+            assert res.beta_final.tobytes() == path[t].tobytes(), t
 
     def test_noise_free_matches_erm(self):
         spec = default_spec(500, "normal", seed=3)
@@ -388,7 +413,7 @@ class TestFit:
         data, problem, _ = instance
         bw = 0.2
         hp = HyperParams(bandwidth=bw, n_steps=40, sigma=0.0, mode="raw_covariates")
-        res = fit(data, problem, hp, keep_trajectory=True)
+        res = fit(data, problem, hp)
         values = [
             smoothed_empirical_cost(problem, data, beta, "gaussian", bw)
             for beta in res.trajectory
@@ -417,17 +442,19 @@ class TestFit:
         assert res.certificate.mu == 0.5
         assert res.certificate.sigma == 13
 
-    def test_certificate_unavailable_when_sigma_low(self, instance):
+    def test_certificate_unavailable_when_sigma_low(self, instance, monkeypatch):
         data, problem, whitener = instance
         hp = HyperParams(
             bandwidth=0.15, n_steps=10, clip_radius=2.0, mu=0.5, sigma=1.0,
             mode="known_sigma_matrix",
         )
-        res = fit(data, problem, hp, whitener=whitener)
-        assert res.certificate is None
+        monkeypatch.setattr(optimizer, "_lockstep_fits", _no_steps)
+        with pytest.raises(ValueError, match="below the calibration bound"):
+            fit(data, problem, hp, whitener=whitener, noise=_Untouched())
 
-    def test_certificate_within_calibration_slack(self, instance):
-        # the fit certifies exactly the noise scales PrivacyCertificate accepts
+    def test_certificate_within_calibration_slack(self, instance, monkeypatch):
+        # the fit certifies exactly the noise scales PrivacyCertificate accepts,
+        # and refuses the others before it draws noise or takes a step
         data, problem, whitener = instance
         bound = calibrate_sigma(0.5, 2.0, 10, 0.5)
         base = dict(bandwidth=0.15, n_steps=10, clip_radius=2.0, mu=0.5,
@@ -435,12 +462,13 @@ class TestFit:
         res = fit(data, problem, HyperParams(sigma=bound * (1 - 1e-13), **base),
                   whitener=whitener)
         assert res.certificate is not None
-        res = fit(data, problem, HyperParams(sigma=bound * (1 - 1e-11), **base),
-                  whitener=whitener)
-        assert res.certificate is None
-        for change in ({"n_steps": 0}, {"clip_radius": math.inf}):
+        monkeypatch.setattr(optimizer, "_lockstep_fits", _no_steps)
+        for change, match in (({"sigma": bound * (1 - 1e-11)}, "below the calibration bound"),
+                              ({"n_steps": 0}, "n_steps must be >= 1"),
+                              ({"clip_radius": math.inf}, "clip_radius must be finite")):
             hp = HyperParams(**{**base, "sigma": bound, **change})
-            assert fit(data, problem, hp, whitener=whitener).certificate is None
+            with pytest.raises(ValueError, match=match):
+                fit(data, problem, hp, whitener=whitener, noise=_Untouched())
 
     def test_epanechnikov_warns(self, instance):
         data, problem, _ = instance
@@ -500,7 +528,7 @@ class TestLineSearchDirection:
             bandwidth=0.3, n_steps=8, clip_radius=2.0, sigma=1.0, seed=3,
             mode="known_sigma_matrix", max_step_size=8.0,
         )
-        path = fit(data, problem, hp, whitener=whitener, keep_trajectory=True).trajectory
+        path = fit(data, problem, hp, whitener=whitener).trajectory
         x, d, n, h, tau = data.features, data.demands, data.n, hp.bandwidth, problem.tau
         s_inv_sqrt = whitener.inv_sqrt
         rows = x @ s_inv_sqrt
