@@ -45,7 +45,7 @@ round the last bits differently.
 
 One Armijo search, ``backtracking_step_size``, serves both the
 line-search fit and the non-private baseline ``smoothed_erm``, a damped
-Newton method on the smoothed objective.
+regularized Newton method on the smoothed objective.
 """
 
 from __future__ import annotations
@@ -73,6 +73,9 @@ MODES = ("known_sigma_matrix", "raw_covariates")
 
 _MAX_SHRINKS = 60
 _ARMIJO_C = 1e-4
+# smoothed_erm's Hessian shift per unit of gradient norm: proportional to
+# ||g|| it keeps Newton's quadratic rate; 1 failed more tiny-bandwidth fits
+_NEWTON_SHIFT = 0.1
 
 
 def default_bandwidth(tau: float, n: int, p: int) -> float:
@@ -206,9 +209,9 @@ def clip(u: np.ndarray, radius: float, out: np.ndarray | None = None) -> np.ndar
 
 
 def _warn_if_flat_kernel(kernel: str, stacklevel: int = 3):
-    if kernel == "epanechnikov":
+    if kernels.constants(kernel).kappa_l == 0.0:
         warnings.warn(
-            "the epanechnikov kernel has zero minimum density on [-1, 1]; "
+            f"the {kernel} kernel has zero minimum density on [-1, 1]; "
             "curvature-based convergence guarantees do not apply",
             RuntimeWarning,
             stacklevel=stacklevel,
@@ -418,40 +421,35 @@ def smoothed_erm(
 ) -> np.ndarray:
     """Non-private minimizer of the smoothed empirical cost.
 
-    Damped Newton from the least-squares fit, run until the gradient norm
-    drops to ``tol``.  Each Newton direction ``H^{-1} g`` is damped by
+    Regularized Newton from the least-squares fit, run until the gradient
+    norm drops to ``tol``.  Each direction solves ``(H + lam S) d = g``
+    with S the design's second moment ``X'X / n`` and
+    ``lam = 0.1 sqrt(g' S^+ g)``, and is damped by
     ``backtracking_step_size`` (the same Armijo search as the line-search
-    fit) with unit steps at most.  Where the Hessian is singular or gives
-    no acceptable descent step (compact kernels, tiny bandwidths) the
-    iteration takes a gradient step instead, searched up to 2^16.  The
-    gradient step is taken in the metric of the design's second moment
-    ``X'X / n`` (plain gradient descent on whitened features), so neither
-    kind of step depends on how the features are scaled.
+    fit) with unit steps at most.  The shift makes the direction a descent
+    direction where the Hessian is singular (compact kernels, tiny
+    bandwidths), keeps Newton's local quadratic rate (Li, Fukushima, Qi &
+    Yamashita 2004) and, measured in S, leaves no step depending on how
+    the features are scaled.
     """
     _warn_if_flat_kernel(kernel)
     x = data.features
     beta = np.linalg.lstsq(x, data.demands, rcond=None)[0]
-    metric = np.linalg.pinv(x.T @ x / data.n, hermitian=True)
+    second_moment = x.T @ x / data.n
+    metric = np.linalg.pinv(second_moment, hermitian=True)
     for _ in range(max_iter):
         g = model.smoothed_gradient(problem, data, beta, kernel, bandwidth)
         if np.linalg.norm(g) <= tol:
             return beta
         hessian = model.smoothed_hessian(problem, data, beta, kernel, bandwidth)
-        try:
-            direction = np.linalg.solve(hessian, g)
-            slope = float(g @ direction)
-            if not slope > 0.0:
-                raise LineSearchFailed("the Newton direction is not a descent direction")
-            eta = backtracking_step_size(
-                data, problem, kernel, bandwidth, beta, direction, slope
-            )
-        except (np.linalg.LinAlgError, LineSearchFailed):
-            direction = metric @ g
-            eta = backtracking_step_size(
-                data, problem, kernel, bandwidth, beta, direction, float(g @ direction),
-                max_step=2.0**16,
-            )
+        lam = _NEWTON_SHIFT * math.sqrt(g @ metric @ g)
+        direction = np.linalg.lstsq(hessian + lam * second_moment, g, rcond=None)[0]
+        eta = backtracking_step_size(
+            data, problem, kernel, bandwidth, beta, direction, float(g @ direction)
+        )
         beta = beta - eta * direction
+    g = model.smoothed_gradient(problem, data, beta, kernel, bandwidth)
     raise MaxIterExceeded(
-        f"gradient norm still above {tol} after {max_iter} iterations"
+        f"gradient norm {np.linalg.norm(g):.3g} still above {tol} "
+        f"after {max_iter} iterations"
     )

@@ -597,8 +597,10 @@ class TestSmoothedErm:
         assert beta[0] == pytest.approx(oracle, abs=1e-5)
 
     def test_max_iter_exceeded(self, instance):
+        # the message names the last gradient norm, so a stall at the
+        # objective's float resolution shows against tol
         data, problem, _ = instance
-        with pytest.raises(MaxIterExceeded):
+        with pytest.raises(MaxIterExceeded, match=r"gradient norm \d\S* still above 1e-14"):
             smoothed_erm(data, problem, "gaussian", 0.2, tol=1e-14, max_iter=2)
 
     def test_rescaled_feature_gives_rescaled_coefficient(self, instance):
@@ -631,9 +633,10 @@ class TestSmoothedErm:
         assert 1 <= len(calls) <= 10
         assert np.linalg.norm(smoothed_gradient(problem, data, beta, "gaussian", bw)) <= tol
 
-    def test_gradient_fallback_on_flat_hessian(self):
+    def test_zero_hessian_at_start(self):
         # at the least-squares start 0 both residuals lie outside the
-        # uniform kernel's support, so the Hessian is exactly zero
+        # uniform kernel's support, so the Hessian is exactly zero and the
+        # first direction comes from the shift alone
         data = Dataset(demands=[-1.0, 1.0], features=[[1.0], [1.0]])
         problem = Problem.from_quantile(0.9)
         assert not model.smoothed_hessian(problem, data, np.zeros(1), "uniform", 0.1).any()
@@ -642,10 +645,11 @@ class TestSmoothedErm:
         assert np.linalg.norm(smoothed_gradient(problem, data, beta, "uniform", 0.1)) <= tol
         assert beta[0] == pytest.approx(1.06, abs=1e-6)
 
-    def test_gradient_fallback_on_small_scale_features(self):
+    def test_singular_hessian_on_small_scale_features(self):
         # a bandwidth far below the residual spread leaves the Hessian
-        # singular at most iterates; gradient steps taken in raw coordinates
-        # stall on columns of scale 0.1, whitened ones do not
+        # singular at most iterates; the shift is measured in the metric of
+        # X'X/n, so columns of scale 0.1 slow the iteration no more than
+        # columns of scale 1
         rng = np.random.default_rng(8)
         x = np.column_stack([np.ones(8), 0.1 * rng.normal(size=(8, 2))])
         d = x @ rng.normal(size=3) + rng.normal(size=8)
@@ -654,3 +658,30 @@ class TestSmoothedErm:
         tol = 1e-8
         beta = smoothed_erm(data, problem, "uniform", 0.005, tol=tol)
         assert np.linalg.norm(smoothed_gradient(problem, data, beta, "uniform", 0.005)) <= tol
+
+    @pytest.mark.parametrize("s", [8, 10])
+    def test_tiny_bandwidth_uniform_kernel_converges(self, s):
+        # the Hessian is singular at most iterates and nearly so at the
+        # rest; the shifted Newton step must still reach tol within max_iter
+        rng = np.random.default_rng([8, s])
+        x = np.column_stack([np.ones(8), 0.1 * rng.normal(size=(8, 2))])
+        d = x @ rng.normal(size=3) + rng.normal(size=8)
+        data = Dataset(demands=d, features=x)
+        problem = Problem.from_quantile(0.05)
+        tol = 1e-8
+        beta = smoothed_erm(data, problem, "uniform", 0.005, tol=tol)
+        assert np.linalg.norm(smoothed_gradient(problem, data, beta, "uniform", 0.005)) <= tol
+
+    def test_tiny_bandwidth_logistic_kernel_stays_finite(self):
+        # with steps of at most one Newton step no iterate goes where the
+        # logistic kernel overflows; pytest turns that RuntimeWarning into
+        # an error
+        rng = np.random.default_rng(316)
+        x = np.column_stack([np.ones(8), rng.normal(size=(8, 2))])
+        rng.normal(size=8)
+        d = x @ np.array([1.0, 1.0, -2.0]) + rng.standard_t(3, 8)
+        data = Dataset(demands=d, features=x)
+        problem = Problem.from_quantile(0.95)
+        tol = 1e-8
+        beta = smoothed_erm(data, problem, "logistic", 0.005, tol=tol)
+        assert np.linalg.norm(smoothed_gradient(problem, data, beta, "logistic", 0.005)) <= tol

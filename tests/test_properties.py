@@ -69,7 +69,7 @@ def test_smoothed_loss_sandwich(kernel, tau, bandwidth, u):
 
 @settings(deadline=None, max_examples=60)
 @given(
-    n=st.integers(20, 200),
+    n=st.integers(2, 200),
     p=st.integers(1, 4),
     kernel=st.sampled_from(["gaussian", "logistic"]),
     tau=st.floats(0.05, 0.95),
