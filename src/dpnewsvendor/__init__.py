@@ -37,7 +37,6 @@ from .optimizer import (
     FitResult,
     HyperParams,
     NoiseSource,
-    backtracking_step_size,
     clip,
     default_bandwidth,
     fit,
@@ -71,7 +70,6 @@ __all__ = [
     "ReplicationReport",
     "SyntheticSpec",
     "Whitener",
-    "backtracking_step_size",
     "calibrate_sigma",
     "check_loss",
     "clip",

@@ -249,7 +249,8 @@ def cmd_fit(args) -> int:
     if args.nonprivate:
         cert = None
         beta = optimizer.smoothed_erm(dataset, problem, hp.kernel, hp.bandwidth)
-        resolved |= {"mode": "nonprivate", "T": None, "B": None, "sigma": None, "mu": None}
+        ignored = ("eta0", "max_step", "seed", "T", "B", "sigma", "mu")  # the ERM reads none
+        resolved |= {"mode": "nonprivate"} | dict.fromkeys(ignored)
         print("non-private smoothed ERM fit (no privacy certificate)")
     else:
         result = optimizer.fit(dataset, problem, hp)
@@ -280,6 +281,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    problem = _problem_from_args(args)  # before either file is read
     with open(args.fit, "r", encoding="utf-8") as fh:
         try:
             beta = coefficients(json.load(fh)["beta"])
@@ -290,7 +292,6 @@ def cmd_evaluate(args) -> int:
                 f"{args.fit}: not a fit file with a finite 1-d 'beta' list ({exc})"
             ) from exc
     dataset = datamod.load_csv(args.test, args.demand_column)
-    problem = _problem_from_args(args)
     cost = evaluation.out_of_sample_cost(problem, beta, dataset)
     out = {"n_test": dataset.n, "oos_cost": cost}
     print(json.dumps(out, indent=2))

@@ -34,18 +34,19 @@ on beta, so each dataset's rows ``x A`` are clipped once, before the
 first step.  Each step then makes one batched residual product,
 evaluates the kernel once over all ``(R, n, M)`` residuals, giving one
 weight per observation and fit, and makes one batched clipped sum; with
-the line search, that weight serves each fit's slope and direction,
-searched fit by fit.  ``fit`` is the stack of one dataset at one level,
-and ``noisy_step`` is one step of that stack.  numpy hands each
-item of a stacked product to BLAS on its own, so a fit's iterates do
-not depend on the other datasets of its stack.  A single column goes to
-the matrix-vector routine, so ``fit`` rounds as a plain loop of
+the line search, that weight serves each fit's slope and direction, and
+one Armijo search, ``_armijo_steps``, tries the steps of the whole stack
+with one kernel call per round.  ``fit`` is the stack of one dataset at
+one level, and ``noisy_step`` is one step of that stack.  numpy hands
+each item of a stacked product to BLAS on its own, so a fit's iterates
+do not depend on the other datasets of its stack.  A single column goes
+to the matrix-vector routine, so ``fit`` rounds as a plain loop of
 matrix-vector steps; with M > 1 levels the matrix-matrix products may
 round the last bits differently.
 
-One Armijo search, ``backtracking_step_size``, serves both the
-line-search fit and the non-private baseline ``smoothed_erm``, a damped
-regularized Newton method on the smoothed objective.
+The same search, on the dataset as a stack of one, damps the
+non-private baseline ``smoothed_erm``, a regularized Newton method on the
+smoothed objective.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from .privacy import PrivacyCertificate
 MODES = ("known_sigma_matrix", "raw_covariates")
 
 _MAX_SHRINKS = 60
+_CLIP_ROWS = 4096
 _ARMIJO_C = 1e-4
 # smoothed_erm's Hessian shift per unit of gradient norm: proportional to
 # ||g|| it keeps Newton's quadratic rate; 1 failed more tiny-bandwidth fits
@@ -194,7 +196,8 @@ def clip(u: np.ndarray, radius: float, out: np.ndarray | None = None) -> np.ndar
     """Radial truncation u / max(1, ||u||_2 / radius).
 
     Preserves direction, is the identity inside the ball, and caps the
-    norm at ``radius``.  For a 2-d input each row is clipped.  As in
+    norm at ``radius``.  For a 2-d input each row is clipped, in blocks of
+    ``_CLIP_ROWS`` rows, so that the norms' temporaries stay small.  As in
     numpy, ``out`` (which may be ``u`` itself) receives the result.
     """
     if not radius > 0.0:
@@ -202,10 +205,15 @@ def clip(u: np.ndarray, radius: float, out: np.ndarray | None = None) -> np.ndar
     u = np.asarray(u, dtype=float)
     if u.ndim == 1:
         return np.divide(u, max(1.0, np.linalg.norm(u) / radius), out=out)
-    if u.ndim == 2:
-        norms = np.linalg.norm(u, axis=1)
-        return np.divide(u, np.maximum(1.0, norms / radius)[:, None], out=out)
-    raise ValueError("clip expects a vector or a matrix of row vectors")
+    if u.ndim != 2:
+        raise ValueError("clip expects a vector or a matrix of row vectors")
+    out = np.empty_like(u) if out is None else out
+    for start in range(0, len(u), _CLIP_ROWS):
+        rows = slice(start, start + _CLIP_ROWS)
+        scale = np.linalg.norm(u[rows], axis=1)
+        scale /= radius
+        np.divide(u[rows], np.maximum(scale, 1.0, out=scale)[:, None], out=out[rows])
+    return out
 
 
 def _warn_if_flat_kernel(kernel: str, stacklevel: int = 3):
@@ -218,54 +226,41 @@ def _warn_if_flat_kernel(kernel: str, stacklevel: int = 3):
         )
 
 
-def _q_value(data: Dataset, problem: Problem, kernel, bandwidth: float, beta) -> float:
-    return model.smoothed_empirical_cost(problem, data, beta, kernel, bandwidth) / (
-        problem.total_cost
-    )
+def _scaled_costs(x, demands, problem: Problem, kernel: str, bandwidth: float, betas):
+    """Q, the smoothed empirical cost over (b+h), of each fit of a stack:
+    ``(R, 1, M)`` from the ``(R, n, p)`` features ``x``, the ``(R, n, 1)``
+    demands and the ``(R, p, M)`` coefficients.  Each fit's mean runs along
+    its own contiguous row, so a fit rounds as
+    ``smoothed_empirical_cost(...) / (b + h)`` on its residuals."""
+    loss = kernels.smoothed_check_loss(kernel, demands - x @ betas, problem.tau, bandwidth)
+    mean = np.ascontiguousarray(loss.transpose(0, 2, 1)).mean(axis=2)[:, None, :]
+    return problem.total_cost * mean / problem.total_cost
 
 
-def backtracking_step_size(
-    data: Dataset,
-    problem: Problem,
-    kernel: str,
-    bandwidth: float,
-    beta: np.ndarray,
-    direction: np.ndarray,
-    slope: float,
-    max_step: float = 1.0,
-) -> float:
-    """Armijo step size along a descent direction from ``beta``.
+def _armijo_steps(objective, slope: np.ndarray, max_step: float) -> np.ndarray:
+    """Armijo step sizes for a stack of descent directions.
 
-    The step eta must satisfy
-    ``Q(beta - eta * direction) <= Q(beta) - c * eta * slope`` with
-    ``c = 1e-4``, where Q is the smoothed objective scaled by 1/(b+h) and
-    ``slope`` is the inner product of its gradient with ``direction``.
-    Starting from 1 the step halves until the condition holds; an accepted
-    unit step then doubles while the condition holds, up to ``max_step``
-    (1 means no growth).  A non-positive slope (stationary point or no
-    descent) returns 1.
+    ``objective(eta)`` gives Q at ``beta - eta * direction`` for every
+    entry of ``slope``, the inner product of Q's gradient with the entry's
+    direction.  A step must satisfy ``Q(eta) <= Q(0) - 1e-4 eta slope``.
+    From 1 the step halves until it does; an accepted unit step then
+    doubles while it does, up to ``max_step``.  A non-positive slope
+    (stationary point or no descent) takes 1.  Each round makes one
+    objective call for the whole stack.
     """
-    if slope <= 0.0:
-        return 1.0
-    q0 = _q_value(data, problem, kernel, bandwidth, beta)
-
-    def acceptable(eta: float) -> bool:
-        return (
-            _q_value(data, problem, kernel, bandwidth, beta - eta * direction)
-            <= q0 - _ARMIJO_C * eta * slope
-        )
-
-    eta = 1.0
-    if not acceptable(eta):
-        for _ in range(_MAX_SHRINKS):
-            eta *= 0.5
-            if acceptable(eta):
-                return eta
-        raise LineSearchFailed(
-            f"no acceptable step after {_MAX_SHRINKS} shrinks (last eta={eta:.3g})"
-        )
-    while 2.0 * eta <= max_step and acceptable(2.0 * eta):
-        eta *= 2.0
+    q0 = objective(np.zeros_like(slope))
+    eta = np.where(slope <= 0.0, 1.0, 0.0)  # 0 until a step is accepted
+    trial = np.ones_like(slope)
+    searching = eta == 0.0
+    while searching.any():
+        accepted = searching & (objective(trial) <= q0 - _ARMIJO_C * trial * slope)
+        eta = np.where(accepted, trial, eta)
+        # an accepted step of 1 or more doubles; until one is accepted, halve
+        searching &= np.where(accepted, trial >= 1.0, eta == 0.0)
+        trial *= np.where(accepted, 2.0, 0.5)
+        searching &= (0.5**_MAX_SHRINKS <= trial) & (trial <= max_step)
+    if not eta.all():
+        raise LineSearchFailed(f"no acceptable step after {_MAX_SHRINKS} shrinks")
     return eta
 
 
@@ -359,18 +354,15 @@ def _lockstep_fits(
         if eta is None:
             grads = x.transpose(0, 2, 1) @ weights / n
             directions = a @ summed / n
-            eta = np.empty((n_sets, 1, n_levels))
-            for r, m in np.ndindex(n_sets, n_levels):
-                eta[r, 0, m] = backtracking_step_size(
-                    data[r],
-                    problem,
-                    hp.kernel,
-                    hp.bandwidth,
-                    betas[r, :, m],
-                    directions[r, :, m],
-                    float(grads[r, :, m] @ directions[r, :, m]),
-                    hp.max_step_size,
-                )
+            gt, dt = grads.transpose(0, 2, 1), directions.transpose(0, 2, 1)
+            slope = gt[..., None, :] @ dt[..., None]  # a 1-d dot per fit, as g @ d rounds
+            eta = _armijo_steps(
+                lambda eta: _scaled_costs(
+                    x, demands, problem, hp.kernel, hp.bandwidth, betas - eta * directions
+                ),
+                slope.reshape(n_sets, 1, n_levels),
+                hp.max_step_size,
+            )
         betas = betas - (eta / n) * (a @ (summed + step_noise))
         path.append(betas)
     return path
@@ -424,13 +416,13 @@ def smoothed_erm(
     Regularized Newton from the least-squares fit, run until the gradient
     norm drops to ``tol``.  Each direction solves ``(H + lam S) d = g``
     with S the design's second moment ``X'X / n`` and
-    ``lam = 0.1 sqrt(g' S^+ g)``, and is damped by
-    ``backtracking_step_size`` (the same Armijo search as the line-search
-    fit) with unit steps at most.  The shift makes the direction a descent
-    direction where the Hessian is singular (compact kernels, tiny
-    bandwidths), keeps Newton's local quadratic rate (Li, Fukushima, Qi &
-    Yamashita 2004) and, measured in S, leaves no step depending on how
-    the features are scaled.
+    ``lam = 0.1 sqrt(g' S^+ g)``, and is damped by the line-search fit's
+    Armijo search, run on the dataset as a stack of one with unit steps at
+    most.  The shift makes the direction a descent direction where the
+    Hessian is singular (compact kernels, tiny bandwidths), keeps Newton's
+    local quadratic rate (Li, Fukushima, Qi & Yamashita 2004) and,
+    measured in S, leaves no step depending on how the features are
+    scaled.
     """
     _warn_if_flat_kernel(kernel)
     x = data.features
@@ -444,10 +436,15 @@ def smoothed_erm(
         hessian = model.smoothed_hessian(problem, data, beta, kernel, bandwidth)
         lam = _NEWTON_SHIFT * math.sqrt(g @ metric @ g)
         direction = np.linalg.lstsq(hessian + lam * second_moment, g, rcond=None)[0]
-        eta = backtracking_step_size(
-            data, problem, kernel, bandwidth, beta, direction, float(g @ direction)
+        eta = _armijo_steps(
+            lambda eta: _scaled_costs(
+                x[None], data.demands[None, :, None], problem, kernel, bandwidth,
+                beta[:, None] - eta * direction[:, None],
+            ),
+            np.full((1, 1, 1), float(g @ direction)),
+            1.0,
         )
-        beta = beta - eta * direction
+        beta = beta - eta[0, 0, 0] * direction
     g = model.smoothed_gradient(problem, data, beta, kernel, bandwidth)
     raise MaxIterExceeded(
         f"gradient norm {np.linalg.norm(g):.3g} still above {tol} "

@@ -16,7 +16,6 @@ PUBLIC_NAMES = [
     "ReplicationReport",
     "SyntheticSpec",
     "Whitener",
-    "backtracking_step_size",
     "calibrate_sigma",
     "check_loss",
     "clip",

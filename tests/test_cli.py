@@ -180,7 +180,11 @@ class TestFit:
         payload = json.loads(out.read_text())
         assert list(payload) == ["beta", "certificate", "resolved"]
         assert payload["certificate"] is None
-        assert payload["resolved"]["mode"] == "nonprivate"
+        resolved = payload["resolved"]
+        assert resolved["mode"] == "nonprivate"
+        # the ERM reads no step, noise or seed setting, so none is written
+        for key in ("eta0", "max_step", "seed", "T", "B", "sigma", "mu"):
+            assert resolved[key] is None, key
         beta = np.asarray(payload["beta"])
         assert np.linalg.norm(beta - (1.5, 1.0, -2.5, -1.5, 3.0)) < 1.0
 
@@ -346,6 +350,13 @@ class TestEvaluate:
                      "--tau", "0.5"])
         assert code == EXIT_USAGE
         assert str(fit_path) in capsys.readouterr().err
+
+    def test_missing_cost_flags_exit_2_before_any_file_is_read(self, tmp_path, capsys):
+        # neither the fit file nor the test CSV exists: reading either would exit 3
+        code = main(["evaluate", "--fit", str(tmp_path / "f.json"),
+                     "--test", str(tmp_path / "missing.csv")])
+        assert code == EXIT_USAGE
+        assert "either --tau or both --b and --h are required" in capsys.readouterr().err
 
     @pytest.mark.parametrize("costs", [["inf", "1"], ["1e308", "1e308"]], ids=["inf", "overflow"])
     def test_non_finite_total_cost_exits_2(self, synth_csv, tmp_path, capsys, costs):

@@ -1,6 +1,7 @@
 """Clipping, noisy updates, the private fit, and the ERM baseline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from dpnewsvendor.optimizer import (
     HyperParams,
     NoiseSource,
     SecureNoiseSource,
-    backtracking_step_size,
     clip,
     default_bandwidth,
     fit,
@@ -79,6 +79,24 @@ class TestClip:
         expected = clip(u, 2.0)
         assert clip(u, 2.0, out=u) is u
         assert u.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 4095, 4096, 4097, 10_000])
+    def test_blocked_rows_equal_the_whole_array_formula(self, rows):
+        u = np.random.default_rng(rows).normal(scale=2.0, size=(rows, 5))
+        norms = np.linalg.norm(u, axis=1)
+        expected = u / np.maximum(1.0, norms / 1.5)[:, None]
+        assert clip(u, 1.5).tobytes() == expected.tobytes()
+        assert clip(u, 1.5, out=u).tobytes() == expected.tobytes()
+
+    def test_in_place_clip_allocates_less_than_its_input(self):
+        u = np.random.default_rng(2).normal(scale=3.0, size=(100_000, 5))
+        tracemalloc.start()
+        try:
+            clip(u, 2.0, out=u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < u.nbytes / 4, peak
 
     def test_infinite_radius_is_identity(self):
         u = np.array([5.0, -7.0])
@@ -232,43 +250,80 @@ class TestNoisyStep:
             assert dist <= bound + 1e-12
 
 
-def _search_along_gradient(data, problem, kernel, bandwidth, beta, **kwargs):
-    g = smoothed_gradient(problem, data, beta, kernel, bandwidth)
-    return backtracking_step_size(
-        data, problem, kernel, bandwidth, beta, g, float(g @ g), **kwargs
-    )
+def _line(beta):
+    # q(b) = b: a step along d = 1 decreases it at slope 1, however long
+    return float(beta[0])
+
+
+def _bowl(beta):
+    # q(b) = 5 b'b, gradient 10 b: from b = 1 along the gradient, the
+    # Armijo condition holds for eta <= 2 (1 - 1e-4) / 10 only
+    return 5.0 * float(beta @ beta)
+
+
+def _search(entries, max_step, counted=None):
+    """``optimizer._armijo_steps`` on a stack of ``(q, beta, direction,
+    slope)`` searches along plain functions ``q``; the steps as a list.
+    ``counted`` collects one item per objective call."""
+
+    def objective(eta):
+        if counted is not None:
+            counted.append(eta.copy())
+        values = [q(beta - e * d) for (q, beta, d, _), e in zip(entries, eta.ravel())]
+        return np.reshape(values, eta.shape)
+
+    slope = np.reshape([s for *_, s in entries], (len(entries), 1, 1))
+    return optimizer._armijo_steps(objective, slope, max_step).ravel().tolist()
+
+
+_ZERO_SLOPE = (_bowl, np.zeros(1), np.zeros(1), 0.0)
+_SHRINKS = (_bowl, np.ones(1), np.full(1, 10.0), 100.0)
+_GROWS = (_line, np.zeros(1), np.ones(1), 1.0)
 
 
 class TestBacktracking:
     def test_zero_gradient_returns_one(self):
-        data = Dataset(demands=[2.0], features=[[1.0]])
-        problem = Problem.from_quantile(0.5)
-        assert _search_along_gradient(data, problem, "gaussian", 0.3, np.array([2.0])) == 1.0
+        assert _search([_ZERO_SLOPE], 4.0) == [1.0]
 
-    def test_armijo_decrease(self, instance):
-        data, problem, _ = instance
-        beta = np.zeros(data.p)
-        eta = _search_along_gradient(data, problem, "gaussian", 0.2, beta)
-        grad = smoothed_gradient(problem, data, beta, "gaussian", 0.2)
-        before = smoothed_empirical_cost(problem, data, beta, "gaussian", 0.2)
-        after = smoothed_empirical_cost(problem, data, beta - eta * grad, "gaussian", 0.2)
-        assert after < before
+    def test_armijo_decrease(self):
+        # a smooth convex q, searched along its gradient
+        def q(beta):
+            return float(np.sum(np.logaddexp(0.0, beta)) + 0.5 * beta @ beta)
+
+        beta = np.array([0.7, -1.3, 2.0])
+        grad = 1.0 / (1.0 + np.exp(-beta)) + beta
+        (eta,) = _search([(q, beta, grad, float(grad @ grad))], 4.0)
+        assert q(beta - eta * grad) < q(beta)
+        assert eta == _armijo_by_hand(q, beta, grad, float(grad @ grad), 4.0)
 
     def test_quadratic_regime_shrinks(self):
-        # a tightly-curved instance forces eta below 1
-        x = np.ones((50, 1))
-        d = np.concatenate([np.full(25, -0.01), np.full(25, 0.01)])
-        data = Dataset(demands=d, features=x)
-        problem = Problem.from_quantile(0.9)
-        eta = _search_along_gradient(data, problem, "uniform", 0.02, np.zeros(1))
-        assert eta == 0.125
+        assert _search([_SHRINKS], 4.0) == [0.125]
 
-    def test_expand_caps_at_max_step(self, instance):
-        data, problem, _ = instance
-        beta = np.zeros(data.p)
-        eta = _search_along_gradient(data, problem, "gaussian", 0.2, beta, max_step=4.0)
-        assert 1.0 <= eta <= 4.0
-        assert _search_along_gradient(data, problem, "gaussian", 0.2, beta) == 1.0
+    def test_expand_caps_at_max_step(self):
+        assert _search([_GROWS], 4.0) == [4.0]
+        assert _search([_GROWS], 7.0) == [4.0]
+        assert _search([_GROWS], 1.0) == [1.0]
+
+    def test_stack_steps_as_each_search_alone(self):
+        # a zero slope, a shrink to 0.125 and a growth capped at 4, in one
+        # stack: every round is one call, and each entry steps as alone
+        entries = [_ZERO_SLOPE, _SHRINKS, _GROWS]
+        calls = []
+        steps = _search(entries, 4.0, counted=calls)
+        assert steps == [1.0, 0.125, 4.0]
+        assert steps == [_search([e], 4.0)[0] for e in entries]
+        assert steps == [_armijo_by_hand(q, b, d, s, 4.0) for q, b, d, s in entries]
+        # Q(0), then four rounds, in which the shrinking entry tries 1, 0.5,
+        # 0.25 and 0.125 while the growing one tries 1, 2 and 4
+        assert len(calls) == 5
+        assert [float(c[1, 0, 0]) for c in calls[1:]] == [1.0, 0.5, 0.25, 0.125]
+        assert [float(c[2, 0, 0]) for c in calls[1:4]] == [1.0, 2.0, 4.0]
+
+    def test_entry_never_accepted_raises(self):
+        # along d = -1 the line only rises, although the slope claims descent
+        climbs = (_line, np.zeros(1), -np.ones(1), 1.0)
+        with pytest.raises(LineSearchFailed, match="no acceptable step after 60 shrinks"):
+            _search([_GROWS, climbs, _SHRINKS], 4.0)
 
 
 def _reference_fit(data, problem, hp, whitener):
@@ -276,8 +331,14 @@ def _reference_fit(data, problem, hp, whitener):
     spelled out: ``S^{-1/2}`` with a whitener, the identity without.
 
     When the step size is not fixed, each step takes the full smoothed
-    gradient and searches along the noise-free clipped direction.
+    gradient and searches along the noise-free clipped direction, with the
+    Armijo search written out below on the scaled smoothed cost.
     """
+
+    def q(beta):
+        cost = smoothed_empirical_cost(problem, data, beta, hp.kernel, hp.bandwidth)
+        return cost / problem.total_cost
+
     a = np.eye(data.p) if whitener is None else whitener.inv_sqrt
     rows = clip(data.features @ a, hp.clip_radius)
     beta = np.zeros(data.p)
@@ -292,9 +353,8 @@ def _reference_fit(data, problem, hp, whitener):
         if eta is None:
             grad = smoothed_gradient(problem, data, beta, hp.kernel, hp.bandwidth)
             direction = a @ summed / data.n
-            eta = backtracking_step_size(
-                data, problem, hp.kernel, hp.bandwidth, beta, direction,
-                float(grad @ direction), hp.max_step_size,
+            eta = _armijo_by_hand(
+                q, beta, direction, float(grad @ direction), hp.max_step_size
             )
         g = noise.standard_normal(data.p)
         beta = beta - (eta / data.n) * (a @ (summed + hp.sigma * g))
