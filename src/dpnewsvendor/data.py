@@ -399,7 +399,9 @@ def _count_lines(path) -> int | None:
         while chunk := fh.read(_COUNT_CHUNK_BYTES):
             if any(sep in chunk for sep in _SEPARATOR_BYTES):
                 return None
-            lines += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+            lines += chunk.count(b"\n")
+            if b"\r" in chunk:  # most files have none: skip the two-byte search
+                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
             if last == b"\r" and chunk[:1] == b"\n":
                 lines -= 1
             last = chunk[-1:]

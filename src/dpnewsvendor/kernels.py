@@ -11,11 +11,22 @@ suite anchors them against a brute-force numerical convolution.
 The smoothed loss is a convex upper approximation of the check loss:
 for every symmetric non-negative kernel the gap is between 0 and
 ``kappa_1 * bandwidth / 2`` uniformly in the residual.
+
+``scaled_density``, ``scaled_cdf`` and ``smoothed_check_loss`` evaluate
+an input of at least 65,536 elements in row blocks of at least 32,768
+elements, one per usable CPU (``os.sched_getaffinity``, so ``taskset``
+restricts them), on a thread pool that the first such call starts.  The
+closed forms are elementwise, so the results are bitwise the same for
+any number of CPUs.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +37,12 @@ from .errors import NonPositiveBandwidth
 KERNEL_NAMES = ("gaussian", "laplacian", "logistic", "uniform", "epanechnikov")
 
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# Fewest elements per block: below this a thread hand-off costs more
+# than the block saves
+_BLOCK_ELEMENTS = 32_768
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -155,20 +172,75 @@ def _maybe_scalar(out, u):
     return out
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _executor() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            # the caller computes one block itself; one worker at least,
+            # so a split forced on one CPU still runs
+            _pool = ThreadPoolExecutor(
+                max_workers=max(_usable_cpus() - 1, 1), thread_name_prefix="dpnv-kernels"
+            )
+        return _pool
+
+
+def _elementwise(closed_form, u, blocks: int | None = None):
+    """``closed_form(u)`` for an elementwise ``closed_form``, a float if
+    ``u`` is 0-d.
+
+    ``blocks`` defaults to ``min(usable CPUs, u.size // 32768)``.  With
+    more than one, block 0 runs on the calling thread and the others on
+    the pool, each in a copy of the caller's context (so ``np.errstate``
+    applies there too), and each writes its slice of one output.  An
+    exception in any block reaches the caller once every block is done.
+    """
+    u = np.asarray(u, dtype=float)
+    if blocks is None:
+        blocks = u.size // _BLOCK_ELEMENTS
+        if blocks > 1:
+            blocks = min(blocks, _usable_cpus())
+    if blocks <= 1:
+        return _maybe_scalar(closed_form(u), u)
+    flat = u.reshape(-1)  # a copy if u is not C-contiguous
+    out = np.empty_like(flat)
+    stops = [flat.size * k // blocks for k in range(blocks + 1)]
+
+    def run(lo, hi):
+        out[lo:hi] = closed_form(flat[lo:hi])
+
+    pool = _executor()
+    futures = [
+        pool.submit(contextvars.copy_context().run, run, lo, hi)
+        for lo, hi in zip(stops[1:-1], stops[2:])
+    ]
+    try:
+        run(0, stops[1])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+    return _maybe_scalar(out.reshape(u.shape), u)
+
+
 def scaled_density(kernel: str, u, bandwidth: float):
     """Density of the kernel rescaled to the given bandwidth."""
     bandwidth = check_bandwidth(bandwidth)
     pdf = _PDF[check_kernel(kernel)]
-    u = np.asarray(u, dtype=float)
-    return _maybe_scalar(pdf(u / bandwidth) / bandwidth, u)
+    return _elementwise(lambda v: pdf(v / bandwidth) / bandwidth, u)
 
 
 def scaled_cdf(kernel: str, u, bandwidth: float):
     """CDF of the bandwidth-rescaled kernel."""
     bandwidth = check_bandwidth(bandwidth)
     cdf = _CDF[check_kernel(kernel)]
-    u = np.asarray(u, dtype=float)
-    return _maybe_scalar(cdf(u / bandwidth), u)
+    return _elementwise(lambda v: cdf(v / bandwidth), u)
 
 
 def constants(kernel: str) -> KernelConstants:
@@ -179,8 +251,11 @@ def constants(kernel: str) -> KernelConstants:
 def check_loss(tau: float, u):
     """Check (pinball) loss u * (tau - 1{u < 0})."""
     u = np.asarray(u, dtype=float)
-    out = u * (tau - (u < 0))
-    return _maybe_scalar(out, u)
+    return _maybe_scalar(_check_loss(tau, u), u)
+
+
+def _check_loss(tau, u):
+    return u * (tau - (u < 0))
 
 
 def _softplus(x):
@@ -208,24 +283,21 @@ def smoothed_check_loss(kernel: str, u, tau: float, bandwidth: float):
     tau = float(tau)
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must be in (0, 1), got {tau}")
-    u_in = u
-    u = np.asarray(u, dtype=float)
-    t = u / bandwidth
+    return _elementwise(lambda v: _smoothed_loss(kernel, v, tau, bandwidth), u)
 
+
+def _smoothed_loss(kernel, u, tau, bandwidth):
+    t = u / bandwidth
     if kernel == "gaussian":
-        out = bandwidth * _gaussian_pdf(t) + u * (ndtr(t) - 0.5) + (tau - 0.5) * u
-    elif kernel == "laplacian":
-        out = check_loss(tau, u) + 0.5 * bandwidth * np.exp(-np.abs(t))
-    elif kernel == "logistic":
-        out = tau * u + bandwidth * _softplus(-t)
-    elif kernel == "uniform":
-        tc = np.clip(t, -1.0, 1.0)
+        return bandwidth * _gaussian_pdf(t) + u * (ndtr(t) - 0.5) + (tau - 0.5) * u
+    if kernel == "laplacian":
+        return _check_loss(tau, u) + 0.5 * bandwidth * np.exp(-np.abs(t))
+    if kernel == "logistic":
+        return tau * u + bandwidth * _softplus(-t)
+    tc = np.clip(t, -1.0, 1.0)
+    if kernel == "uniform":
         inside = (tau - 0.5) * u + bandwidth * (0.25 * tc * tc + 0.25)
-        out = np.where(np.abs(t) < 1.0, inside, check_loss(tau, u))
     else:  # epanechnikov
-        tc = np.clip(t, -1.0, 1.0)
         t2 = tc * tc
         inside = (tau - 0.5) * u + 0.5 * bandwidth * (0.375 + 0.75 * t2 - 0.125 * t2 * t2)
-        out = np.where(np.abs(t) < 1.0, inside, check_loss(tau, u))
-
-    return _maybe_scalar(out, u_in)
+    return np.where(np.abs(t) < 1.0, inside, _check_loss(tau, u))

@@ -340,6 +340,14 @@ class TestLoadCsv(object):
         monkeypatch.setattr(datamod, "_scan_csv", _refuse_scan)
         assert load_csv(path, "demand").demands.tolist() == [1.0, 2.0, 3.0]
 
+    def test_line_count_with_a_lone_cr_after_a_chunk_without_one(self, tmp_path, monkeypatch):
+        path = tmp_path / "x.csv"
+        # 5-byte chunks: "deman" and "d\n1\n2" hold no CR, "\r3\n4" a lone one
+        path.write_bytes(b"demand\n1\n2\r3\n4")
+        monkeypatch.setattr(datamod, "_COUNT_CHUNK_BYTES", 5)
+        monkeypatch.setattr(datamod, "_scan_csv", _refuse_scan)
+        assert load_csv(path, "demand").demands.tolist() == [1.0, 2.0, 3.0, 4.0]
+
 
 class TestWhitener:
     def test_identity(self):

@@ -1,6 +1,11 @@
 """Kernel densities, CDFs, constants, and the smoothed check loss."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,3 +247,170 @@ class TestSmoothedCheckLoss:
     def test_invalid_tau_rejected(self):
         with pytest.raises(ValueError, match="tau"):
             smoothed_check_loss("gaussian", 0.0, 0.0, 1.0)
+
+
+def _blocked_inputs():
+    rng = np.random.default_rng(22)
+    long = rng.normal(scale=2.0, size=(1, 100_000, 1))
+    stack = rng.normal(scale=2.0, size=(81, 400, 3))
+    extremes = [math.nan, math.inf, -math.inf, 1e300, -1e300]
+    for u in (long, stack):
+        flat = u.reshape(-1)
+        at = rng.choice(flat.size, 40, replace=False)
+        flat[at] = np.resize(extremes, at.size)
+        flat[[0, flat.size // 2, flat.size // 3, -1]] = extremes[:4]  # block edges
+    view = rng.normal(scale=2.0, size=(800, 81, 3))[::2].transpose(1, 0, 2)
+    assert not view.flags.c_contiguous and view.shape == (81, 400, 3)
+    return {"long": long, "stack": stack, "view": view, "0-d": np.float64(-0.3)}
+
+
+def _bytes(values):
+    return np.asarray(values).tobytes()
+
+
+BLOCKED_INPUTS = _blocked_inputs()
+EVALUATIONS = {
+    "density": lambda kind, u: scaled_density(kind, u, 0.3),
+    "cdf": lambda kind, u: scaled_cdf(kind, u, 0.3),
+    "loss": lambda kind, u: smoothed_check_loss(kind, u, 0.7, 0.3),
+}
+
+
+class TestBlocks:
+    @staticmethod
+    def _force_blocks(monkeypatch, blocks, real=kernels._elementwise):
+        monkeypatch.setattr(
+            kernels, "_elementwise", lambda closed_form, u: real(closed_form, u, blocks=blocks)
+        )
+
+    @pytest.mark.parametrize("kind", KERNEL_NAMES)
+    @pytest.mark.parametrize("evaluation", EVALUATIONS)
+    def test_any_block_count_is_bitwise_one_block(self, kind, evaluation, monkeypatch):
+        evaluate = EVALUATIONS[evaluation]
+        with np.errstate(all="ignore"):
+            default = {name: evaluate(kind, u) for name, u in BLOCKED_INPUTS.items()}
+            self._force_blocks(monkeypatch, 1)
+            want = {name: evaluate(kind, u) for name, u in BLOCKED_INPUTS.items()}
+            for blocks in (2, 3):
+                self._force_blocks(monkeypatch, blocks)
+                got = {name: evaluate(kind, u) for name, u in BLOCKED_INPUTS.items()}
+                for name, u in BLOCKED_INPUTS.items():
+                    assert np.shape(got[name]) == np.shape(u), (blocks, name)
+                    assert _bytes(got[name]) == _bytes(want[name]), (blocks, name)
+        assert type(want["0-d"]) is float
+        assert type(got["0-d"]) is float and type(default["0-d"]) is float
+        for name in BLOCKED_INPUTS:
+            assert _bytes(default[name]) == _bytes(want[name]), name
+
+    def test_block_count_follows_size_and_usable_cpus(self, monkeypatch):
+        sizes = []
+
+        def record(v):
+            sizes.append(v.size)
+            return v
+
+        def blocks_of(n, cpus):
+            monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+            sizes.clear()
+            kernels._elementwise(record, np.zeros(n))
+            return sorted(sizes)
+
+        assert blocks_of(100_000, 3) == [33_333, 33_333, 33_334]
+        assert blocks_of(100_000, 2) == [50_000, 50_000]
+        assert blocks_of(100_000, 1) == [100_000]
+        assert blocks_of(2 * kernels._BLOCK_ELEMENTS - 1, 64) == [2 * kernels._BLOCK_ELEMENTS - 1]
+
+    def test_inputs_under_two_blocks_never_touch_the_pool(self, monkeypatch):
+        def refuse():
+            raise AssertionError("the pool was used")
+
+        monkeypatch.setattr(kernels, "_executor", refuse)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 64)
+        # a table2_cell stack, a private_sweep stack, the largest one-block input
+        for shape in [(3, 400, 3), (30, 400, 3), (2 * kernels._BLOCK_ELEMENTS - 1,)]:
+            u = np.linspace(-3.0, 3.0, math.prod(shape)).reshape(shape)
+            for kind in KERNEL_NAMES:
+                for evaluate in EVALUATIONS.values():
+                    evaluate(kind, u)
+
+    def test_caller_errstate_applies_in_worker_blocks(self):
+        u = np.zeros(2 * kernels._BLOCK_ELEMENTS)
+        u[-1] = 1e300  # only the last block, which a pool thread computes
+        threads = set()
+
+        def square(v):
+            threads.add(threading.get_ident())
+            return v * v
+
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            kernels._elementwise(square, u, blocks=2)
+        assert len(threads) == 2 and threading.get_ident() in threads
+        with np.errstate(over="ignore"):
+            assert kernels._elementwise(square, u, blocks=2)[-1] == math.inf
+
+    def test_worker_block_exception_reaches_the_caller(self):
+        u = np.zeros(3 * kernels._BLOCK_ELEMENTS)
+        u[-1] = math.nan
+
+        def refuse_nan(v):
+            if np.isnan(v).any():
+                raise ZeroDivisionError("nan in block")
+            return v
+
+        with pytest.raises(ZeroDivisionError, match="nan in block"):
+            kernels._elementwise(refuse_nan, u, blocks=3)
+
+    def test_concurrent_callers_share_one_pool(self, monkeypatch):
+        # as the replication harness's job threads do: several callers
+        # split large inputs at once while the pool is first started
+        u = BLOCKED_INPUTS["long"]
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 1)
+        with np.errstate(all="ignore"):
+            want = _bytes(smoothed_check_loss("gaussian", u, 0.7, 0.3))
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(kernels, "_pool", None)
+        real_executor, pools, results = kernels._executor, [], []
+
+        def recording_executor():
+            pool = real_executor()
+            pools.append(pool)
+            return pool
+
+        start = threading.Barrier(4)
+
+        def caller():
+            start.wait(timeout=60)
+            with np.errstate(all="ignore"):
+                for _ in range(4):
+                    results.append(_bytes(smoothed_check_loss("gaussian", u, 0.7, 0.3)))
+
+        monkeypatch.setattr(kernels, "_executor", recording_executor)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            if kernels._pool is not None:
+                kernels._pool.shutdown()
+        assert results == [want] * 16
+        assert len(pools) == 16 and all(pool is pools[0] for pool in pools)
+
+
+def test_cli_import_starts_no_thread():
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = (
+        "import threading, dpnewsvendor.cli\n"
+        "from dpnewsvendor import kernels\n"
+        "print(threading.active_count(), kernels._pool)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["1", "None"]
