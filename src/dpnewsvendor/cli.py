@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -47,7 +48,7 @@ class ExperimentConfig:
 
     ``cells`` holds one ``ReplicationConfig`` per grid point, in dist,
     then problem, then n order; each runs ``reps`` replications on
-    ``jobs`` threads.
+    ``jobs`` threads, the cells of one dist and problem as one sweep.
     """
 
     cells: tuple[evaluation.ReplicationConfig, ...]
@@ -312,15 +313,20 @@ def cmd_bench(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:  # a missing file exits 3 in main
         config = parse_config(fh.read())
     rows = []
-    for cell in config.cells:
-        report = evaluation.run_replications(cell, config.reps, jobs=config.jobs)
+    # the cells of one (dist, problem) differ only in n: one sweep draws
+    # their evaluation set and replication streams once
+    for _, group in itertools.groupby(config.cells, lambda c: (c.error_dist, c.problem)):
+        cells = list(group)
+        report = evaluation.sweep(cells[0], [c.n for c in cells], config.reps, jobs=config.jobs)
         rows.extend(report.rows)
-        eta_desc = "auto" if cell.step_size is None else repr(cell.step_size)
-        print(
-            f"cell dist={cell.error_dist.label} tau={cell.problem.tau:g} n={cell.n}: "
-            f"{len(report.rows)} rows (bandwidth={cell.resolved_bandwidth():.6g}, "
-            f"eta0={eta_desc}, T={cell.n_steps}, B={cell.clip_radius:g})"
-        )
+        per_cell = len(report.rows) // len(cells)
+        for cell in cells:
+            eta_desc = "auto" if cell.step_size is None else repr(cell.step_size)
+            print(
+                f"cell dist={cell.error_dist.label} tau={cell.problem.tau:g} n={cell.n}: "
+                f"{per_cell} rows (bandwidth={cell.resolved_bandwidth():.6g}, "
+                f"eta0={eta_desc}, T={cell.n_steps}, B={cell.clip_radius:g})"
+            )
     combined = evaluation.ReplicationReport(rows=tuple(rows))
     evaluation.write_rows_csv(combined, args.rows)
     evaluation.write_aggregates_csv(combined, args.aggregates)

@@ -30,7 +30,10 @@ streams from ``SeedSequence((base_seed, r, k))`` where ``k = 0`` is the
 training data and ``k = 1 + j`` the noise of the j-th privacy level.
 The shared evaluation set uses ``(base_seed, 0, 0)``; replication ids
 start at 1.  Rows are therefore a prefix-stable function of the base
-seed: increasing R never changes earlier rows.
+seed: increasing R never changes earlier rows.  A sweep derives each
+replication's seeds and draws its scaled noise once, before any fit:
+the noise scales do not depend on n, so every sample size shares them
+and draws only its own training sets from the shared seeds.
 """
 
 from __future__ import annotations
@@ -303,22 +306,19 @@ _STACK_ROWS = 1 << 15
 
 
 def _fit_chunk(
-    config: ReplicationConfig, rep_ids: range, spec: SyntheticSpec, whitener: Whitener
+    config: ReplicationConfig,
+    spec: SyntheticSpec,
+    whitener: Whitener,
+    seeds: list[int],
+    noise: np.ndarray,
 ) -> list[np.ndarray]:
     """Fit every estimator of the privacy grid on a run of replications,
-    the private ones in lockstep; betas in (rep_id, mu_grid) order.
-    Each training set is ``spec`` at ``config.n`` rows and the
-    replication's seed."""
-    problem, hp, sigmas = config.problem, config._hyper, config._sigmas
-    p = len(config.theta_star)
-    train = []
-    noise = np.empty((config.n_steps, len(rep_ids), p, len(sigmas)))
-    for r, rep_id in enumerate(rep_ids):
-        seed = derive_seed(config.base_seed, rep_id, 0)
-        train.append(generate_synthetic(spec._with(n=config.n, seed=seed)))
-        for m, (j, sigma) in enumerate(sigmas.items()):
-            draws = NoiseSource(derive_seed(config.base_seed, rep_id, 1 + j))
-            noise[:, r, :, m] = sigma * draws.standard_normal((config.n_steps, p))
+    the private ones in lockstep; betas in (replication, mu_grid) order.
+    Replication ``r`` of the run trains on ``spec`` at ``config.n`` rows
+    and seed ``seeds[r]``, and its private fits take the scaled noise
+    ``noise[:, r]``: the sweep derives both once, for every sample size."""
+    problem, hp = config.problem, config._hyper
+    train = [generate_synthetic(spec._with(n=config.n, seed=seed)) for seed in seeds]
     private = optimizer._lockstep_fits(train, problem, hp, whitener, noise)[-1]
     betas = []
     for data, levels in zip(train, private):
@@ -375,7 +375,10 @@ def sweep(config: ReplicationConfig, ns, R: int, jobs: int = 1) -> ReplicationRe
     The evaluation set's random stream is drawn on a helper thread, one
     chunk of rows a task, while every sample size is fitted; the policies
     of all of them are then scored in one pass over that draw, each block
-    as soon as its rows are drawn (see ``_score_as_drawn``).
+    as soon as its rows are drawn (see ``_score_as_drawn``).  Each
+    replication's seeds and noise are derived once and shared by every
+    sample size, so the rows of each size are those of its own
+    ``run_replications``.
     """
     if not R >= 1:
         raise ValueError(f"R must be >= 1, got {R}")
@@ -463,11 +466,22 @@ def _fit_cells(
     config: ReplicationConfig, ns, R: int, jobs: int, spec: SyntheticSpec, whitener: Whitener
 ) -> list[np.ndarray]:
     """Every policy of the sweep in (n, rep_id, mu_grid) order, fitted
-    in chunks of replications on ``jobs`` threads."""
+    in chunks of replications on ``jobs`` threads.  The replications'
+    training seeds and ``(T, R, p, M)`` scaled noise are built once,
+    here, and each chunk of every size takes its slice of them."""
+    # sigma does not depend on n, so neither does the noise
+    p, sigmas = len(config.theta_star), config._sigmas
+    seeds = [derive_seed(config.base_seed, rep_id, 0) for rep_id in range(1, R + 1)]
+    noise = np.empty((config.n_steps, R, p, len(sigmas)))
+    for r in range(R):
+        for m, (j, sigma) in enumerate(sigmas.items()):
+            draws = NoiseSource(derive_seed(config.base_seed, r + 1, 1 + j))
+            noise[:, r, :, m] = sigma * draws.standard_normal((config.n_steps, p))
 
     def job(cell: ReplicationConfig, rep_ids: range) -> list[np.ndarray]:
+        lo, hi = rep_ids.start - 1, rep_ids.stop - 1
         try:
-            return _fit_chunk(cell, rep_ids, spec, whitener)
+            return _fit_chunk(cell, spec, whitener, seeds[lo:hi], noise[:, lo:hi])
         except Exception as exc:
             if len(rep_ids) == 1:
                 raise ReplicationError(rep_ids[0], exc) from exc

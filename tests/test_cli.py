@@ -483,14 +483,47 @@ class TestBench:
             outs.append(rows.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_one_sweep_per_group_writes_the_per_cell_csvs(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "bench.ini"
+        cfg.write_text(
+            "[problem]\ntau = 0.5\n[data]\ndist = normal, t3\nn = 60, 120\n"
+            "[hyper]\nT = 5\n[privacy]\nmu = nonprivate, 0.5\n"
+            "[replication]\nreps = 2\nbase_seed = 3\neval_n = 2000\n"
+        )
+        cells = parse_config(cfg.read_text()).cells
+        separate = evaluation.ReplicationReport(
+            rows=sum((evaluation.run_replications(cell, 2).rows for cell in cells), ())
+        )
+        evaluation.write_rows_csv(separate, tmp_path / "rows-separate.csv")
+        evaluation.write_aggregates_csv(separate, tmp_path / "agg-separate.csv")
+
+        draws = []
+        stream = evaluation._synthetic_stream
+        monkeypatch.setattr(
+            evaluation, "_synthetic_stream", lambda spec: draws.append(spec) or stream(spec)
+        )
+        capsys.readouterr()
+        code = main(["bench", "--config", str(cfg), "--rows", str(tmp_path / "rows.csv"),
+                     "--aggregates", str(tmp_path / "agg.csv")])
+        assert code == EXIT_OK
+        assert [spec.error_dist.label for spec in draws] == ["normal", "t3"]  # one per group
+        for name in ("rows", "agg"):
+            written = (tmp_path / f"{name}.csv").read_bytes()
+            assert written == (tmp_path / f"{name}-separate.csv").read_bytes(), name
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:-1]] == [
+            f"cell dist={dist} tau=0.5 n={n}" for dist in ("normal", "t3") for n in (60, 120)
+        ]
+        assert all(": 4 rows (" in line for line in lines[:-1])
+
     def test_every_cell_key_reaches_replication_config(self, tmp_path, monkeypatch):
         seen = []
 
-        def capture(cell, R, jobs=1):
-            seen.append((cell, R, jobs))
+        def capture(cell, ns, R, jobs=1):
+            seen.append((cell, ns, R, jobs))
             return evaluation.ReplicationReport(rows=())
 
-        monkeypatch.setattr(evaluation, "run_replications", capture)
+        monkeypatch.setattr(evaluation, "sweep", capture)
         cfg = tmp_path / "bench.ini"
         cfg.write_text(
             "[problem]\ntau = 0.7\n[data]\ndist = t3\nn = 123\n"
@@ -502,8 +535,8 @@ class TestBench:
         code = main(["bench", "--config", str(cfg), "--rows", str(tmp_path / "r.csv"),
                      "--aggregates", str(tmp_path / "a.csv")])
         assert code == EXIT_OK
-        [(cell, reps, jobs)] = seen
-        assert (reps, jobs) == (4, 2)
+        [(cell, ns, reps, jobs)] = seen
+        assert (ns, reps, jobs) == ([123], 4, 2)
         expected = {
             "problem": Problem.from_quantile(0.7),
             "error_dist": datamod.ErrorDist.student_t(3.0),

@@ -477,6 +477,57 @@ class TestLockstep:
         rows = sum((run_replications(replace(small_config, n=n), R=2).rows for n in ns), ())
         assert sweep(small_config, ns, R=2).rows == rows
 
+    @pytest.mark.parametrize("step_size", [None, 0.7], ids=["linesearch", "fixed"])
+    def test_sweep_rows_ignore_the_chunking(self, small_config, monkeypatch, step_size):
+        config = replace(small_config, step_size=step_size)
+        whole = sweep(config, (60, 120), R=5)
+        # chunks of 4 and 1 replications at n=60, of 2, 2 and 1 at n=120:
+        # each takes its own slice of the shared seeds and noise
+        monkeypatch.setattr(evaluation, "_STACK_ROWS", 250)
+        assert sweep(config, (60, 120), R=5).rows == whole.rows
+        assert sweep(config, (60, 120), R=5, jobs=2).rows == whole.rows
+
+    def test_sweep_failure_names_its_replication(self, small_config, monkeypatch):
+        seed = derive_seed(small_config.base_seed, 3, 0)
+        bad = generate_synthetic(replace(_eval_spec(small_config), n=120, seed=seed)).demands
+        erm = optimizer.smoothed_erm
+
+        def failing_erm(data, *args, **kwargs):
+            if np.array_equal(data.demands, bad):
+                raise MaxIterExceeded("stuck")
+            return erm(data, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "_STACK_ROWS", 250)
+        monkeypatch.setattr(optimizer, "smoothed_erm", failing_erm)
+        # replication 3 trains on 60 rows first, then fails at 120
+        with pytest.raises(evaluation.ReplicationError) as failure:
+            sweep(small_config, (60, 120), R=5)
+        assert failure.value.rep_id == 3
+        assert isinstance(failure.value.__cause__, MaxIterExceeded)
+
+    def test_streams_are_derived_once_per_sweep(self, small_config, monkeypatch):
+        calls = {"derive_seed": 0, "NoiseSource": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(evaluation, "derive_seed", counted("derive_seed", derive_seed))
+        monkeypatch.setattr(
+            evaluation, "NoiseSource", counted("NoiseSource", optimizer.NoiseSource)
+        )
+        config = replace(small_config, eval_n=1_000)
+        # the evaluation set, then per replication its training data and
+        # the noise of each of the two private levels
+        expected = {"derive_seed": 1 + 3 * 3, "NoiseSource": 3 * 2}
+        sweep(config, (60, 120, 180), R=3)
+        assert calls == expected
+        calls.update(dict.fromkeys(calls, 0))
+        run_replications(config, R=3)
+        assert calls == expected
+
 
 class TestEvaluationDraw:
     """The evaluation set is drawn on a helper thread beside the fits, a
