@@ -22,10 +22,10 @@ identity are exact, so this is bitwise the update without A.
 Step size policy: a fixed ``step_size`` reproduces the textbook
 algorithm.  When ``step_size`` is None the fit picks a step each
 iteration by Armijo backtracking of the noise-free smoothed objective
-along the clipped update direction, with the search grid expanded up to
-``max_step_size``.  The line search reads the data beyond the noised
-gradient, so it sits outside the formal privacy accounting; runs that
-must match the certificate exactly should fix ``step_size`` by hand.
+along the clipped update direction, halving from the largest power of
+two not above ``max_step_size``.  The search reads the data beyond the
+noised gradient, so it sits outside the formal privacy accounting; runs
+that must match the certificate exactly should fix ``step_size`` by hand.
 
 Fits advance in lockstep.  One step loop, ``_lockstep_fits``, moves a
 stack of fits together: R datasets of the same shape, each fitted at M
@@ -75,6 +75,7 @@ MODES = ("known_sigma_matrix", "raw_covariates")
 _MAX_SHRINKS = 60
 _CLIP_ROWS = 4096
 _ARMIJO_C = 1e-4
+_EPS = np.finfo(float).eps
 # smoothed_erm's Hessian shift per unit of gradient norm: proportional to
 # ||g|| it keeps Newton's quadratic rate; 1 failed more tiny-bandwidth fits
 _NEWTON_SHIFT = 0.1
@@ -240,25 +241,24 @@ def _scaled_costs(x, demands, problem: Problem, kernel: str, bandwidth: float, b
 def _armijo_steps(objective, slope: np.ndarray, max_step: float) -> np.ndarray:
     """Armijo step sizes for a stack of descent directions.
 
-    ``objective(eta)`` gives Q at ``beta - eta * direction`` for every
-    entry of ``slope``, the inner product of Q's gradient with the entry's
-    direction.  A step must satisfy ``Q(eta) <= Q(0) - 1e-4 eta slope``.
-    From 1 the step halves until it does; an accepted unit step then
-    doubles while it does, up to ``max_step``.  A non-positive slope
-    (stationary point or no descent) takes 1.  Each round makes one
-    objective call for the whole stack.
-    """
-    q0 = objective(np.zeros_like(slope))
-    eta = np.where(slope <= 0.0, 1.0, 0.0)  # 0 until a step is accepted
-    trial = np.ones_like(slope)
-    searching = eta == 0.0
-    while searching.any():
-        accepted = searching & (objective(trial) <= q0 - _ARMIJO_C * trial * slope)
-        eta = np.where(accepted, trial, eta)
-        # an accepted step of 1 or more doubles; until one is accepted, halve
-        searching &= np.where(accepted, trial >= 1.0, eta == 0.0)
-        trial *= np.where(accepted, 2.0, 0.5)
-        searching &= (0.5**_MAX_SHRINKS <= trial) & (trial <= max_step)
+    ``objective(eta)`` gives Q at ``beta - eta * direction``, for one float
+    ``eta``, at every entry of ``slope``, Q's gradient along the entry's
+    direction.  A step passes if ``Q(eta) <= Q(0) - 1e-4 eta slope``.  The
+    trial starts at the largest power of two not above ``max_step`` and
+    halves, down to ``2**-60``, with one objective call a round for the
+    whole stack; each entry takes its first pass.  A non-positive slope, or
+    a decrease ``1e-4 slope`` within Q's rounding ``eps |Q(0)|``, takes 1.
+    Q is convex, so the passing steps form one interval ``[0, eta*]`` and
+    halving from 1, then doubling a passing unit step, reaches the same
+    step; a passing start, as on almost every private step, saves its log2
+    rounds (2 at cap 4), and a step below 1 costs that many rounds more."""
+    q0 = objective(0.0)
+    eta = np.where((slope <= 0.0) | (_ARMIJO_C * slope <= _EPS * np.abs(q0)), 1.0, 0.0)
+    trial = math.ldexp(0.5, math.frexp(max_step)[1])  # exact, unlike 2**floor(log2)
+    while not eta.all() and trial >= 0.5**_MAX_SHRINKS:
+        passes = objective(trial) <= q0 - _ARMIJO_C * trial * slope
+        eta[(eta == 0.0) & passes] = trial  # 0 until a trial passes
+        trial *= 0.5
     if not eta.all():
         raise LineSearchFailed(f"no acceptable step after {_MAX_SHRINKS} shrinks")
     return eta

@@ -5,18 +5,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.special import expit, ndtr
 
 from dpnewsvendor import kernels, optimizer
 from dpnewsvendor.data import (
+    DEFAULT_THETA_STAR,
     ErrorDist,
     SyntheticSpec,
     Whitener,
+    ar1_covariance,
     default_spec,
     generate_synthetic,
     whitener_from,
 )
 from dpnewsvendor.errors import LineSearchFailed, MaxIterExceeded, MissingWhitener
+from dpnewsvendor.evaluation import ReplicationConfig, run_replications
 from dpnewsvendor import model
 from dpnewsvendor.model import Dataset, Problem, smoothed_empirical_cost, smoothed_gradient
 from dpnewsvendor.optimizer import (
@@ -264,15 +269,14 @@ def _bowl(beta):
 def _search(entries, max_step, counted=None):
     """``optimizer._armijo_steps`` on a stack of ``(q, beta, direction,
     slope)`` searches along plain functions ``q``; the steps as a list.
-    ``counted`` collects one item per objective call."""
+    ``counted`` collects the step of each objective call."""
+    slope = np.reshape([s for *_, s in entries], (len(entries), 1, 1))
 
     def objective(eta):
         if counted is not None:
-            counted.append(eta.copy())
-        values = [q(beta - e * d) for (q, beta, d, _), e in zip(entries, eta.ravel())]
-        return np.reshape(values, eta.shape)
+            counted.append(eta)
+        return np.reshape([q(beta - eta * d) for q, beta, d, _ in entries], slope.shape)
 
-    slope = np.reshape([s for *_, s in entries], (len(entries), 1, 1))
     return optimizer._armijo_steps(objective, slope, max_step).ravel().tolist()
 
 
@@ -313,11 +317,78 @@ class TestBacktracking:
         assert steps == [1.0, 0.125, 4.0]
         assert steps == [_search([e], 4.0)[0] for e in entries]
         assert steps == [_armijo_by_hand(q, b, d, s, 4.0) for q, b, d, s in entries]
-        # Q(0), then four rounds, in which the shrinking entry tries 1, 0.5,
-        # 0.25 and 0.125 while the growing one tries 1, 2 and 4
-        assert len(calls) == 5
-        assert [float(c[1, 0, 0]) for c in calls[1:]] == [1.0, 0.5, 0.25, 0.125]
-        assert [float(c[2, 0, 0]) for c in calls[1:4]] == [1.0, 2.0, 4.0]
+        # Q(0), then one trial a round for the whole stack, halving from the
+        # cap: the growing entry passes at 4 in the first round, the
+        # shrinking one at 0.125 in the last
+        assert calls == [0.0, 4.0, 2.0, 1.0, 0.5, 0.25, 0.125]
+
+    @pytest.mark.parametrize(
+        "max_step, first",
+        [(7.0, 4.0), (1.5, 1.0), (1.0, 1.0), (8.0, 8.0), (np.nextafter(8.0, 0.0), 4.0)],
+    )
+    def test_first_trial_is_the_largest_power_of_two_under_the_cap(self, max_step, first):
+        calls = []
+        assert _search([_GROWS], max_step, counted=calls) == [first]
+        assert calls == [0.0, first]
+
+    def test_stack_passing_the_cap_makes_two_calls(self):
+        entries = [
+            _GROWS,
+            (_line, np.ones(1), np.full(1, 3.0), 3.0),
+            (_line, -np.ones(1), np.ones(1), 1.0),
+        ]
+        calls = []
+        assert _search(entries, 4.0, counted=calls) == [4.0, 4.0, 4.0]
+        assert calls == [0.0, 4.0]
+
+    def test_last_trial_is_two_to_the_minus_sixty(self):
+        # from b = 1 along d, 5 b'b passes only at eta d <= 2 (1 - 1e-4)
+        far = (_bowl, np.ones(1), np.full(1, 2.0**60), 10.0 * 2.0**60)
+        assert _search([far], 4.0) == [2.0**-60]
+        farther = (_bowl, np.ones(1), np.full(1, 2.0**61), 10.0 * 2.0**61)
+        with pytest.raises(LineSearchFailed):
+            _search([farther], 4.0)
+
+    def test_decrease_below_resolution_takes_one(self):
+        # Q(0) = 1000, and every step reads one rounding unit higher: an
+        # Armijo decrease 1e-4 slope within eps |Q(0)| cannot show, so its
+        # slope takes the unit step; twice that slope searches, and fails
+        def rounding(beta):
+            return 1e3 * (1.0 + np.finfo(float).eps * (beta[0] != 0.0))
+
+        bound = np.finfo(float).eps * 1e3 / 1e-4
+        assert _search([(rounding, np.zeros(1), np.ones(1), 0.5 * bound)], 4.0) == [1.0]
+        with pytest.raises(LineSearchFailed):
+            _search([(rounding, np.zeros(1), np.ones(1), 2.0 * bound)], 4.0)
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        shapes=st.lists(
+            st.tuples(st.floats(0.01, 10.0), st.floats(-5.0, 5.0), st.floats(0.0, 5.0)),
+            min_size=1,
+            max_size=4,
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        max_step=st.floats(1.0, 16.0),
+    )
+    def test_equals_the_doubling_search_on_convex_lines(self, shapes, seed, max_step):
+        # a stack of convex q(b) = a softplus(b x) + c x'x, each searched
+        # along a random descent direction from a random start
+        rng = np.random.default_rng(seed)
+        entries = []
+        for a, b, c in shapes:
+            def q(x, a=a, b=b, c=c):
+                return float(a * np.sum(np.logaddexp(0.0, b * x)) + c * x @ x)
+
+            x = rng.normal(scale=3.0, size=3)
+            grad = a * b * expit(b * x) + 2.0 * c * x
+            direction = grad + rng.normal(scale=0.5 * np.linalg.norm(grad), size=3)
+            slope = float(grad @ direction)
+            assume(1e-4 * slope > 1e-12 * abs(q(x)))  # well above Q's resolution
+            entries.append((q, x, direction, slope))
+        assert _search(entries, max_step) == [
+            _armijo_by_hand(q, x, d, s, max_step) for q, x, d, s in entries
+        ]
 
     def test_entry_never_accepted_raises(self):
         # along d = -1 the line only rises, although the slope claims descent
@@ -662,6 +733,23 @@ class TestSmoothedErm:
         data, problem, _ = instance
         with pytest.raises(MaxIterExceeded, match=r"gradient norm \d\S* still above 1e-14"):
             smoothed_erm(data, problem, "gaussian", 0.2, tol=1e-14, max_iter=2)
+
+    @pytest.mark.parametrize("base_seed", [3983984860010017280, 4254483093876272939])
+    def test_harness_designs_that_stalled_converge(self, base_seed):
+        # n = 40 mixture-noise designs whose gradient norm stalled just above
+        # tol: the Newton decrease fell below Q's rounding, so the search
+        # refused the unit step until MaxIterExceeded after 10,000 iterations
+        config = ReplicationConfig(
+            problem=Problem.from_quantile(0.5),
+            error_dist=ErrorDist.from_name("mixture"),
+            n=40,
+            theta_star=DEFAULT_THETA_STAR,
+            covariance=ar1_covariance(len(DEFAULT_THETA_STAR) - 1, 0.5),
+            mu_grid=(None, 0.5),
+            eval_n=1,
+            base_seed=base_seed,
+        )
+        assert len(run_replications(config, R=2).rows) == 4
 
     def test_rescaled_feature_gives_rescaled_coefficient(self, instance):
         # Newton steps are scale-equivariant: scaling a column by 1e3 scales
