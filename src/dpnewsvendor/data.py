@@ -1,10 +1,14 @@
 """Synthetic demand generation, CSV ingestion, whitening, splitting.
 
 The synthetic generator draws standard normals ``z`` and the noise
-``eps`` in one place, ``_synthetic_stream``: ``z`` in one call, then
-``eps`` in chunks of ``_EPS_CHUNK`` rows, each chunk one step of a
+``eps`` in one place, ``_synthetic_stream``: ``z`` with ``_fill_normals``,
+then ``eps`` in chunks of ``_EPS_CHUNK`` rows, each chunk one step of a
 generator, so that a consumer can use the first rows while the rest are
-drawn.  Drawn in chunks or whole, the values are the same.  The features
+drawn.  ``_fill_normals`` draws a ``z`` of at least ``_SPLIT_VALUES``
+values on two threads when two CPUs are usable: the second half from a
+copy of the stream jumped ahead, joined to the first half where the two
+parses of the stream meet.  Drawn in chunks or whole, on one thread or
+two, the values are the same.  The features
 are ``z`` mapped to ``N(0, covariance)`` by the covariance's Cholesky
 factor with an intercept prepended, and ``d = x @ theta_star + eps``.
 The noise law is one of three families: standard normal, Student t, and
@@ -19,11 +23,13 @@ import copy
 import csv
 import math
 import warnings
+from concurrent.futures import wait
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri, stdtr
 
+from . import kernels
 from .errors import (
     InvalidCovariance,
     MissingColumn,
@@ -45,6 +51,14 @@ _MIXTURE_BLOCK = 4096
 # boundary can hand the interpreter lock to a thread that waits for it
 _EPS_CHUNK = 16 * _MIXTURE_BLOCK
 _SEPARATOR_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# Fewest standard normals that _fill_normals draws on two threads: below
+# this the hand-off and the join cost more than the second CPU saves
+_SPLIT_VALUES = 1 << 20
+# Values drawn from the true stream to find where the jumped copy joins it
+_JOIN_PROBES = 16
+# Values moved per copy when the jumped half is shifted into place, so
+# that an overlapping move needs no temporary larger than this
+_SHIFT_CHUNK = 1 << 16
 
 
 def ar1_covariance(dim: int, rho: float = 0.5) -> np.ndarray:
@@ -215,6 +229,88 @@ def _noise_chunks(dist: ErrorDist, eps: np.ndarray, rng: np.random.Generator):
         start = stop
 
 
+def _fill_normals(rng: np.random.Generator, out: np.ndarray) -> np.random.Generator:
+    """Fill the C-contiguous ``out`` with the values of
+    ``rng.standard_normal(out=out)``; return the generator that carries
+    the stream on from where that call leaves it.
+
+    numpy's ziggurat sampler takes one raw 64-bit draw per value, and
+    more only on a rare rejection.  So with ``k = out.size // 2``, a copy
+    of a PCG64 stream advanced by ``k`` raw draws (O(log k) work) starts
+    a little before the second half of the values, and its parse of the
+    raw draws soon falls into step with the stream's.  With at least
+    ``_SPLIT_VALUES`` values, two usable CPUs and a PCG64 stream, this
+    thread draws the first half from ``rng`` while a task on the kernels'
+    pool draws the second half from such a copy; ``_join`` finds and
+    proves where the copy's values become the stream's.  They move left
+    into place, in chunks of ``_SHIFT_CHUNK``, behind the probe values
+    that precede the join, and the copy draws the missing tail and is
+    returned.  Otherwise, or if no join is proven, the values are drawn
+    serially from ``rng``.
+    """
+    flat = out.reshape(-1)
+    n, k = flat.size, flat.size // 2
+    if (
+        n < _SPLIT_VALUES
+        or type(rng.bit_generator) is not np.random.PCG64
+        or kernels._usable_cpus() < 2
+    ):
+        rng.standard_normal(out=out)
+        return rng
+    start = copy.deepcopy(rng.bit_generator)
+    start.advance(k)
+    ahead = np.random.Generator(copy.deepcopy(start))
+    task = kernels._executor().submit(ahead.standard_normal, out=flat[k:])
+    try:
+        rng.standard_normal(out=flat[:k])
+    finally:
+        wait([task])  # the task writes into out: never leave before it ends
+    task.result()
+    join = _join(rng, start, flat[k:])
+    if join is None:
+        rng.standard_normal(out=flat[k:])
+        return rng
+    probes, j = join
+    i = len(probes)
+    shift = j - i
+    for lo in range(k + i, n - shift, _SHIFT_CHUNK):
+        hi = min(lo + _SHIFT_CHUNK, n - shift)
+        flat[lo:hi] = flat[lo + shift : hi + shift]
+    flat[k : k + i] = probes
+    ahead.standard_normal(out=flat[n - shift :])
+    return ahead
+
+
+def _join(rng: np.random.Generator, start, half: np.ndarray):
+    """Where ``half``, the values of a generator on the bit generator
+    ``start``, joins the stream of ``rng``: ``(probes, j)`` such that the
+    stream's values are ``probes`` and then ``half[j:]``, or None.
+
+    ``_JOIN_PROBES`` values are drawn from ``rng``.  The first of them
+    found in the head of ``half``, probe ``i`` at ``half[j]`` with
+    ``j >= i``, is a join once proven: ``rng`` after ``i`` values must
+    have the state of ``start`` after ``j``, found by drawing ``half[:j]``
+    again in place.  Without a join, ``rng`` is left where it was.
+    """
+    after = rng.bit_generator.state
+    probes = rng.standard_normal(_JOIN_PROBES)
+    # the join lies ~2 % of the half in: about one value in 50 takes an
+    # extra raw draw
+    head = half[: len(half) // 16 + 64]
+    for i, probe in enumerate(probes):
+        for j in np.flatnonzero(head == probe).tolist():
+            if j < i:
+                continue
+            rng.bit_generator.state = after
+            rng.standard_normal(i)
+            redraw = np.random.Generator(copy.deepcopy(start))
+            redraw.standard_normal(out=half[:j])
+            if redraw.bit_generator.state == rng.bit_generator.state:
+                return probes[:i], j
+    rng.bit_generator.state = after
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class SyntheticSpec:
     """Recipe for a synthetic dataset.
@@ -291,15 +387,16 @@ def _synthetic_stream(spec: SyntheticSpec):
     ``_chunk_stops(spec.n)``, and a generator that fills them in stream
     order: its first step draws all of ``z`` and the noise of the first
     chunk, each later step the noise of the next chunk, and each step
-    yields its chunk's stop row.
+    yields its chunk's stop row.  ``z`` is drawn by ``_fill_normals``, on
+    two threads if it is large enough, and ``eps`` from the generator
+    that it hands on, so the values are those of one generator's calls.
     """
     rng = np.random.default_rng(spec.seed)
     z = np.empty((spec.n, spec.p - 1))
     eps = np.empty(spec.n)
 
     def draw():
-        rng.standard_normal(out=z)
-        yield from _noise_chunks(spec.error_dist, eps, rng)
+        yield from _noise_chunks(spec.error_dist, eps, _fill_normals(rng, z))
 
     return z, eps, _chunk_stops(spec.n), draw()
 

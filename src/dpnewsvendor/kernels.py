@@ -17,7 +17,8 @@ an input of at least 65,536 elements in row blocks of at least 32,768
 elements, one per usable CPU (``os.sched_getaffinity``, so ``taskset``
 restricts them), on a thread pool that the first such call starts.  The
 closed forms are elementwise, so the results are bitwise the same for
-any number of CPUs.
+any number of CPUs.  ``data._fill_normals`` uses the same pool for the
+second half of a large standard-normal draw.
 """
 
 from __future__ import annotations

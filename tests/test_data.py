@@ -10,6 +10,7 @@ import pytest
 from scipy import optimize
 
 from dpnewsvendor import data as datamod
+from dpnewsvendor import kernels
 from dpnewsvendor.cli import main
 from dpnewsvendor.data import (
     DEFAULT_THETA_STAR,
@@ -406,3 +407,93 @@ class TestTrainTestSplit:
         ds = generate_synthetic(default_spec(100, "normal", seed=0))
         with pytest.raises(SplitTooLarge):
             train_test_split(ds, 100, seed=4)
+
+
+class TestSplitNormals:
+    """``_fill_normals`` draws a large ``z`` on two threads, the second
+    half from an advanced copy of the stream, joined bitwise."""
+
+    @pytest.fixture
+    def joins(self, monkeypatch):
+        """A low threshold and two usable CPUs; lists each join found."""
+        monkeypatch.setattr(datamod, "_SPLIT_VALUES", 64)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+        found, join = [], datamod._join
+
+        def recorded(rng, start, half):
+            result = join(rng, start, half)
+            found.append(None if result is None else (len(result[0]), result[1]))
+            return result
+
+        monkeypatch.setattr(datamod, "_join", recorded)
+        return found
+
+    @staticmethod
+    def _refuse_pool(monkeypatch):
+        def refuse():
+            raise AssertionError("the pool was used")
+
+        monkeypatch.setattr(kernels, "_executor", refuse)
+
+    @staticmethod
+    def _assert_one_call(seed, shape, fill):
+        ref = np.random.default_rng(seed)
+        want, then = ref.standard_normal(shape), ref.standard_normal(9)
+        out = np.empty(shape)
+        gen = fill(np.random.default_rng(seed), out)
+        assert out.tobytes() == want.tobytes(), (seed, shape)
+        assert gen.standard_normal(9).tobytes() == then.tobytes(), (seed, shape)
+
+    @pytest.mark.parametrize("shape", [64, 999, 1_000, 30_001, (2_501, 4)])
+    def test_split_fill_is_one_call(self, joins, shape):
+        for seed in range(12):
+            self._assert_one_call(seed, shape, datamod._fill_normals)
+        assert len(joins) == 12 and None not in joins
+
+    def test_join_behind_a_probe(self, joins):
+        # at 130 values, seed 19835's copy draws its first value from the
+        # raw draw before the second half and the one at its start, so it
+        # is no value of the stream; the join comes after the first probe
+        self._assert_one_call(19835, 130, datamod._fill_normals)
+        assert joins == [(1, 1)]
+
+    def test_copy_ahead_of_the_stream_finds_no_join(self, joins):
+        # at 130 values, seed 88625's copy value j is the stream's value
+        # j + 1 of the half, which no join (j >= i) can express, so the
+        # half is drawn serially
+        self._assert_one_call(88625, 130, datamod._fill_normals)
+        assert joins == [None]
+
+    def test_one_usable_cpu_draws_serially(self, joins, monkeypatch):
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 1)
+        self._refuse_pool(monkeypatch)
+        for seed in range(3):
+            self._assert_one_call(seed, 1_001, datamod._fill_normals)
+        assert joins == []
+
+    def test_other_bit_generators_draw_serially(self, joins, monkeypatch):
+        self._refuse_pool(monkeypatch)
+        for seed in range(3):
+            ref = np.random.Generator(np.random.Philox(seed))
+            want, then = ref.standard_normal(1_001), ref.standard_normal(9)
+            out = np.empty(1_001)
+            gen = datamod._fill_normals(np.random.Generator(np.random.Philox(seed)), out)
+            assert out.tobytes() == want.tobytes()
+            assert gen.standard_normal(9).tobytes() == then.tobytes()
+        assert joins == []
+
+    def test_no_join_draws_the_second_half_serially(self, joins, monkeypatch):
+        monkeypatch.setattr(datamod, "_join", lambda rng, start, half: joins.append(None))
+        for seed in range(3):
+            self._assert_one_call(seed, 1_001, datamod._fill_normals)
+        assert joins == [None] * 3
+
+    def test_below_the_threshold_the_pool_is_never_touched(self, monkeypatch):
+        self._refuse_pool(monkeypatch)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 64)
+        self._assert_one_call(3, datamod._SPLIT_VALUES - 1, datamod._fill_normals)
+        # a spec whose z holds just under the threshold
+        spec = default_spec(datamod._SPLIT_VALUES // 4 - 1, "normal", seed=3)
+        z, eps, _, stream = datamod._synthetic_stream(spec)
+        next(stream)
+        assert z.size == datamod._SPLIT_VALUES - 4

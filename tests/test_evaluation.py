@@ -529,6 +529,21 @@ class TestLockstep:
         assert calls == expected
 
 
+def _one_whole_draw(spec):
+    """The spec's ``z`` and ``eps`` drawn by one generator call each."""
+    law = spec.error_dist
+    rng = np.random.default_rng(spec.seed)
+    z = rng.standard_normal((spec.n, spec.p - 1))
+    if law.kind == "normal":
+        eps = rng.standard_normal(spec.n)
+    elif law.kind == "student_t":
+        eps = rng.standard_t(law.df, size=spec.n)
+    else:
+        comp = rng.choice(len(law.weights), size=spec.n, p=law.weights)
+        eps = rng.normal(np.asarray(law.means)[comp], np.sqrt(law.variances)[comp])
+    return z, eps
+
+
 class TestEvaluationDraw:
     """The evaluation set is drawn on a helper thread beside the fits, a
     chunk of rows a task, and scored while it is drawn."""
@@ -541,22 +556,84 @@ class TestEvaluationDraw:
     @pytest.mark.parametrize("dist", ["normal", "t3", "mixture"])
     def test_chunked_draw_equals_one_whole_draw(self, monkeypatch, dist, eval_n, chunk):
         monkeypatch.setattr(data, "_EPS_CHUNK", chunk)
-        law = ErrorDist.from_name(dist)
-        spec = default_spec(eval_n, law, seed=11)
-        rng = np.random.default_rng(spec.seed)
-        z = rng.standard_normal((eval_n, spec.p - 1))
-        if dist == "normal":
-            eps = rng.standard_normal(eval_n)
-        elif dist == "t3":
-            eps = rng.standard_t(law.df, size=eval_n)
-        else:
-            comp = rng.choice(len(law.weights), size=eval_n, p=law.weights)
-            eps = rng.normal(np.asarray(law.means)[comp], np.sqrt(law.variances)[comp])
+        spec = default_spec(eval_n, ErrorDist.from_name(dist), seed=11)
+        z, eps = _one_whole_draw(spec)
         drawn_z, drawn_eps, stops, stream = data._synthetic_stream(spec)
         assert stops == [*range(chunk, eval_n, chunk), eval_n]
         assert list(stream) == stops
         np.testing.assert_array_equal(drawn_z, z)
         np.testing.assert_array_equal(drawn_eps, eps)
+
+    @pytest.mark.parametrize("dist", ["normal", "t3", "mixture"])
+    def test_split_draw_equals_one_whole_draw(self, monkeypatch, dist):
+        # z's 40,004 values are drawn on two threads, and eps from the
+        # generator that the split hands on
+        monkeypatch.setattr(data, "_SPLIT_VALUES", 1_000)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+        joins, join = [], data._join
+
+        def recorded(*args):
+            joins.append(join(*args))
+            return joins[-1]
+
+        monkeypatch.setattr(data, "_join", recorded)
+        for seed in range(3):
+            spec = default_spec(10_001, ErrorDist.from_name(dist), seed=seed)
+            z, eps = _one_whole_draw(spec)
+            drawn_z, drawn_eps, stops, stream = data._synthetic_stream(spec)
+            assert list(stream) == stops
+            assert drawn_z.tobytes() == z.tobytes()
+            assert drawn_eps.tobytes() == eps.tobytes()
+        assert len(joins) == 3 and None not in joins
+
+    @pytest.mark.parametrize("half", ["helper", "pool"])
+    def test_failure_in_either_half_of_a_split_draw_propagates(
+        self, small_config, monkeypatch, half
+    ):
+        class DrawFailed(Exception):
+            pass
+
+        config = replace(small_config, eval_n=1_000)
+        monkeypatch.setattr(data, "_SPLIT_VALUES", 4 * config.eval_n)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+        pool = kernels._executor()
+        pool.submit(int).result()  # the pool's worker exists before the count
+        ended = []
+
+        class SlowPool:
+            def submit(self, fn, *args, **kwargs):
+                def run():
+                    time.sleep(0.2)  # ends long after the helper's half
+                    try:
+                        if half == "pool":
+                            raise DrawFailed
+                        return fn(*args, **kwargs)
+                    finally:
+                        ended.append(True)
+
+                return pool.submit(run)
+
+        class FailingGenerator(np.random.Generator):
+            def standard_normal(self, *args, out=None, **kwargs):
+                if half == "helper" and out is not None and out.size == 2 * config.eval_n:
+                    raise DrawFailed
+                return super().standard_normal(*args, out=out, **kwargs)
+
+        eval_seed, default_rng = derive_seed(config.base_seed, 0, 0), np.random.default_rng
+
+        def rng_of(seed):
+            if seed == eval_seed:
+                return FailingGenerator(np.random.PCG64(seed))
+            return default_rng(seed)
+
+        monkeypatch.setattr(kernels, "_executor", SlowPool)
+        monkeypatch.setattr(np.random, "default_rng", rng_of)
+        before = threading.active_count()
+        with pytest.raises(DrawFailed):
+            sweep(config, (60, 120), R=2)
+        # no pool task writes into z once the draw step has ended
+        assert ended == [True]
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("slowed", ["draw", "helper-scoring"])
     def test_rows_ignore_thread_timing(self, small_config, monkeypatch, slowed):
