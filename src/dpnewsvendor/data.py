@@ -56,6 +56,9 @@ _SEPARATOR_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _SPLIT_VALUES = 1 << 20
 # Values drawn from the true stream to find where the jumped copy joins it
 _JOIN_PROBES = 16
+# Raw draws by which the jumped copy starts before the second half: a copy
+# that starts at it can parse a value of the stream away and run ahead
+_COPY_LEAD = 8
 # Values moved per copy when the jumped half is shifted into place, so
 # that an overlapping move needs no temporary larger than this
 _SHIFT_CHUNK = 1 << 16
@@ -236,9 +239,10 @@ def _fill_normals(rng: np.random.Generator, out: np.ndarray) -> np.random.Genera
 
     numpy's ziggurat sampler takes one raw 64-bit draw per value, and
     more only on a rare rejection.  So with ``k = out.size // 2``, a copy
-    of a PCG64 stream advanced by ``k`` raw draws (O(log k) work) starts
-    a little before the second half of the values, and its parse of the
-    raw draws soon falls into step with the stream's.  With at least
+    of a PCG64 stream advanced by ``_COPY_LEAD`` raw draws fewer than
+    ``k`` (O(log k) work) starts a little before the second half of the
+    values, and its parse of the raw draws soon falls into step with the
+    stream's.  With at least
     ``_SPLIT_VALUES`` values, two usable CPUs and a PCG64 stream, this
     thread draws the first half from ``rng`` while a task on the kernels'
     pool draws the second half from such a copy; ``_join`` finds and
@@ -258,7 +262,7 @@ def _fill_normals(rng: np.random.Generator, out: np.ndarray) -> np.random.Genera
         rng.standard_normal(out=out)
         return rng
     start = copy.deepcopy(rng.bit_generator)
-    start.advance(k)
+    start.advance(max(k - _COPY_LEAD, 0))
     ahead = np.random.Generator(copy.deepcopy(start))
     task = kernels._executor().submit(ahead.standard_normal, out=flat[k:])
     try:

@@ -16,14 +16,16 @@ quarter of the blocks, which the helper scores after the draw.  Each
 block keeps its own partial sums, added in block order at the end, so
 the costs are bitwise those of one pass on one thread.
 
-The private fits of a cell advance in lockstep: the replications are cut
-into contiguous chunks, ``jobs`` of them or more so that none holds over
-``_STACK_ROWS`` training rows, which run on ``jobs`` threads; every
-private fit of a chunk, all replications at all privacy levels, takes
-each noisy step together in ``optimizer._lockstep_fits``.  A fit
-rounds the same whichever replications share its chunk, so rows do not
-depend on ``jobs`` or on the chunking.  The noise scale of each privacy
-level is calibrated when the cell is built.
+The private fits of a sweep advance in lockstep: each sample size's
+replications are cut into contiguous chunks, ``jobs`` of them or more
+so that none holds over ``_STACK_ROWS`` training rows, and consecutive
+chunks, in (n, replication) order, are packed into batches of at most
+``_STACK_ROWS`` rows, which run on ``jobs`` threads.  Every private fit
+of a batch, all its sizes, replications and privacy levels, takes each
+noisy step together in ``optimizer._lockstep_fits``, with one kernel
+evaluation a step.  A fit rounds the same whichever fits share its
+batch, so rows do not depend on ``jobs`` or on the batching.  The noise
+scale of each privacy level is calibrated when the cell is built.
 
 Seeding is splittable and documented: replication ``r`` derives its
 streams from ``SeedSequence((base_seed, r, k))`` where ``k = 0`` is the
@@ -305,27 +307,37 @@ def derive_seed(base_seed: int, rep_id: int, stream: int) -> int:
 _STACK_ROWS = 1 << 15
 
 
-def _fit_chunk(
+def _fit_batch(
     config: ReplicationConfig,
+    batch: list[tuple[ReplicationConfig, range]],
     spec: SyntheticSpec,
     whitener: Whitener,
     seeds: list[int],
     noise: np.ndarray,
 ) -> list[np.ndarray]:
-    """Fit every estimator of the privacy grid on a run of replications,
-    the private ones in lockstep; betas in (replication, mu_grid) order.
-    Replication ``r`` of the run trains on ``spec`` at ``config.n`` rows
-    and seed ``seeds[r]``, and its private fits take the scaled noise
-    ``noise[:, r]``: the sweep derives both once, for every sample size."""
+    """Fit every estimator of the privacy grid on a batch of ``(cell,
+    rep_ids)`` runs of replications, the private fits of all of them in
+    lockstep; betas in (n, rep_id, mu_grid) order.  Replication ``r`` of a
+    cell trains on ``spec`` at ``cell.n`` rows and seed ``seeds[r - 1]``,
+    at the cell's bandwidth, and its private fits take the scaled noise
+    ``noise[:, r - 1]``: the sweep derives both once, for every sample
+    size.  Without an ERM in the grid, no training set outlives its stack."""
     problem, hp = config.problem, config._hyper
-    train = [generate_synthetic(spec._with(n=config.n, seed=seed)) for seed in seeds]
-    private = optimizer._lockstep_fits(train, problem, hp, whitener, noise)[-1]
+    runs = [(cell, rep_id) for cell, rep_ids in batch for rep_id in rep_ids]
+    train = (generate_synthetic(spec._with(n=cell.n, seed=seeds[r - 1])) for cell, r in runs)
+    if None in config.mu_grid:
+        train = list(train)
+    private = optimizer._lockstep_fits(
+        train, problem, hp, whitener, noise[:, [r - 1 for _, r in runs]],
+        bandwidths={cell.n: cell._hyper.bandwidth for cell, _ in batch},
+    )[-1]
     betas = []
-    for data, levels in zip(train, private):
+    for i, ((cell, _), levels) in enumerate(zip(runs, private)):
         columns = iter(levels.T)
         for mu in config.mu_grid:
             if mu is None:
-                betas.append(optimizer.smoothed_erm(data, problem, hp.kernel, hp.bandwidth))
+                bandwidth = cell._hyper.bandwidth
+                betas.append(optimizer.smoothed_erm(train[i], problem, hp.kernel, bandwidth))
             else:
                 betas.append(next(columns))
     return betas
@@ -465,10 +477,13 @@ def _score_as_drawn(partials: _CostPartials, stops, drawn, helper: ThreadPoolExe
 def _fit_cells(
     config: ReplicationConfig, ns, R: int, jobs: int, spec: SyntheticSpec, whitener: Whitener
 ) -> list[np.ndarray]:
-    """Every policy of the sweep in (n, rep_id, mu_grid) order, fitted
-    in chunks of replications on ``jobs`` threads.  The replications'
-    training seeds and ``(T, R, p, M)`` scaled noise are built once,
-    here, and each chunk of every size takes its slice of them."""
+    """Every policy of the sweep in (n, rep_id, mu_grid) order.  The
+    replications' training seeds and ``(T, R, p, M)`` scaled noise are
+    built once, here.  Each size's replications are cut into chunks of at
+    most ``_STACK_ROWS`` rows, ``jobs`` of them or more; consecutive chunks,
+    in (n, rep_id) order, are packed into batches of at most ``_STACK_ROWS``
+    rows and a ``jobs``-th of the sweep's rows, which run on ``jobs``
+    threads, each batch in one lockstep."""
     # sigma does not depend on n, so neither does the noise
     p, sigmas = len(config.theta_star), config._sigmas
     seeds = [derive_seed(config.base_seed, rep_id, 0) for rep_id in range(1, R + 1)]
@@ -478,28 +493,40 @@ def _fit_cells(
             draws = NoiseSource(derive_seed(config.base_seed, r + 1, 1 + j))
             noise[:, r, :, m] = sigma * draws.standard_normal((config.n_steps, p))
 
-    def job(cell: ReplicationConfig, rep_ids: range) -> list[np.ndarray]:
-        lo, hi = rep_ids.start - 1, rep_ids.stop - 1
+    def job(batch: list[tuple[ReplicationConfig, range]]) -> list[np.ndarray]:
         try:
-            return _fit_chunk(cell, spec, whitener, seeds[lo:hi], noise[:, lo:hi])
+            return _fit_batch(config, batch, spec, whitener, seeds, noise)
         except Exception as exc:
-            if len(rep_ids) == 1:
-                raise ReplicationError(rep_ids[0], exc) from exc
-        # rows do not depend on the chunking: refit one replication at a
-        # time to name the one that failed
-        return [beta for rep_id in rep_ids for beta in job(cell, range(rep_id, rep_id + 1))]
+            if len(batch) == 1 and len(batch[0][1]) == 1:
+                raise ReplicationError(batch[0][1][0], exc) from exc
+        # rows do not depend on the batching: refit one size and
+        # replication at a time to name the one that failed
+        return [
+            beta
+            for cell, rep_ids in batch
+            for rep_id in rep_ids
+            for beta in job([(cell, range(rep_id, rep_id + 1))])
+        ]
 
     chunks = []
     for n in ns:
         cell = replace(config, n=int(n))
         size = max(1, min(-(-R // jobs), _STACK_ROWS // cell.n))
         chunks += [(cell, range(a, min(a + size, R + 1))) for a in range(1, R + 1, size)]
+    cap = min(_STACK_ROWS, -(-sum(cell.n * len(reps) for cell, reps in chunks) // jobs))
+    batches, rows = [], cap  # as if full: the first chunk opens a batch
+    for cell, rep_ids in chunks:
+        if rows + cell.n * len(rep_ids) > cap:
+            batches.append([])
+            rows = 0
+        batches[-1].append((cell, rep_ids))
+        rows += cell.n * len(rep_ids)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_chunk = list(pool.map(lambda chunk: job(*chunk), chunks))
+            per_batch = list(pool.map(job, batches))
     else:
-        per_chunk = [job(*chunk) for chunk in chunks]
-    return [beta for chunk in per_chunk for beta in chunk]
+        per_batch = [job(batch) for batch in batches]
+    return [beta for batch in per_batch for beta in batch]
 
 
 def write_rows_csv(report: ReplicationReport, path) -> None:

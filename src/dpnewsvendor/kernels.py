@@ -12,10 +12,12 @@ The smoothed loss is a convex upper approximation of the check loss:
 for every symmetric non-negative kernel the gap is between 0 and
 ``kappa_1 * bandwidth / 2`` uniformly in the residual.
 
-``scaled_density``, ``scaled_cdf`` and ``smoothed_check_loss`` evaluate
-an input of at least 65,536 elements in row blocks of at least 32,768
-elements, one per usable CPU (``os.sched_getaffinity``, so ``taskset``
-restricts them), on a thread pool that the first such call starts.  The
+``scaled_density``, ``scaled_cdf`` and ``smoothed_check_loss``, and
+``_standard_cdf``, the CDF at already scaled points that ``scaled_cdf``
+and the optimizer's lockstep fits share, evaluate an input of at least
+65,536 elements in row blocks of at least 32,768 elements, one per
+usable CPU (``os.sched_getaffinity``, so ``taskset`` restricts them), on
+a thread pool that the first such call starts.  The
 closed forms are elementwise, so the results are bitwise the same for
 any number of CPUs.  ``data._fill_normals`` uses the same pool for the
 second half of a large standard-normal draw.
@@ -240,8 +242,13 @@ def scaled_density(kernel: str, u, bandwidth: float):
 def scaled_cdf(kernel: str, u, bandwidth: float):
     """CDF of the bandwidth-rescaled kernel."""
     bandwidth = check_bandwidth(bandwidth)
-    cdf = _CDF[check_kernel(kernel)]
-    return _elementwise(lambda v: cdf(v / bandwidth), u)
+    return _standard_cdf(check_kernel(kernel), np.asarray(u, dtype=float) / bandwidth)
+
+
+def _standard_cdf(kernel: str, t):
+    """The kernel's CDF at the already scaled ``t``, in row blocks, as a new
+    array (a float if ``t`` is 0-d)."""
+    return _elementwise(_CDF[kernel], t)
 
 
 def constants(kernel: str) -> KernelConstants:

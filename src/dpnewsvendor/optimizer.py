@@ -28,21 +28,24 @@ noised gradient, so it sits outside the formal privacy accounting; runs
 that must match the certificate exactly should fix ``step_size`` by hand.
 
 Fits advance in lockstep.  One step loop, ``_lockstep_fits``, moves a
-stack of fits together: R datasets of the same shape, each fitted at M
-noise levels, as ``(R, p, M)`` coefficients.  The clip does not depend
-on beta, so each dataset's rows ``x A`` are clipped once, before the
-first step.  Each step then makes one batched residual product,
-evaluates the kernel once over all ``(R, n, M)`` residuals, giving one
-weight per observation and fit, and makes one batched clipped sum; with
+batch of fits together: R datasets, each fitted at M noise levels, as
+``(R, p, M)`` coefficients.  The datasets may have several sizes, each
+at its own bandwidth; the datasets of one size form a stack.  The clip
+does not depend on beta, so each stack's rows ``x A`` are clipped once,
+before the first step.  Each step makes one batched residual product per
+stack, writes every stack's scaled residuals into one buffer and
+evaluates the kernel's CDF once over it, giving one weight per
+observation and fit, and makes one batched clipped sum per stack; with
 the line search, that weight serves each fit's slope and direction, and
-one Armijo search, ``_armijo_steps``, tries the steps of the whole stack
-with one kernel call per round.  ``fit`` is the stack of one dataset at
-one level, and ``noisy_step`` is one step of that stack.  numpy hands
-each item of a stacked product to BLAS on its own, so a fit's iterates
-do not depend on the other datasets of its stack.  A single column goes
-to the matrix-vector routine, so ``fit`` rounds as a plain loop of
-matrix-vector steps; with M > 1 levels the matrix-matrix products may
-round the last bits differently.
+one Armijo search per stack, ``_armijo_steps``, tries the steps of the
+whole stack with one kernel call per round.  ``fit`` is the batch of one
+dataset at one level, and ``noisy_step`` is one step of that batch.
+numpy hands each item of a stacked product to BLAS on its own, and the
+CDF is elementwise, so a fit's iterates do not depend on the other
+datasets of its batch.  A single column goes to the matrix-vector
+routine, so ``fit`` rounds as a plain loop of matrix-vector steps; with
+M > 1 levels the matrix-matrix products may round the last bits
+differently.
 
 The same search, on the dataset as a stack of one, damps the
 non-private baseline ``smoothed_erm``, a regularized Newton method on the
@@ -51,6 +54,7 @@ smoothed objective.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import warnings
@@ -315,55 +319,100 @@ def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
+class _SizeStack:
+    """The datasets of one size in a lockstep batch, stacked: the
+    ``(R, n, p)`` features ``x``, the ``(R, n, 1)`` demands, the clipped
+    rows ``clip(x A)`` as ``(R, p, n)``, and the size's bandwidth.  The
+    clip does not depend on beta, so it is made here, once, in place over
+    the stack's rows: one stacked product, which numpy hands to BLAS item
+    by item, and no second copy.  ``_lockstep_fits`` then places the stack
+    in its batch: its slice ``fits`` of the fits, and its ``(R, n, M)``
+    view ``scaled``, at ``elements``, of the residual buffer."""
+
+    def __init__(self, sets: list[Dataset], a: np.ndarray, radius: float, bandwidth: float):
+        self.x = _stack([d.features for d in sets])
+        self.demands = _stack([d.demands for d in sets])[:, :, None]
+        clipped = self.x @ a
+        rows = clipped.reshape(-1, clipped.shape[-1])
+        clip(rows, radius, out=rows)
+        self.clipped_t = clipped.transpose(0, 2, 1)
+        self.bandwidth = bandwidth
+
+
 def _lockstep_fits(
-    data: list[Dataset],
+    data,
     problem: Problem,
     hp: HyperParams,
     whitener: Whitener | None,
     noise: np.ndarray,
     start: np.ndarray | None = None,
+    bandwidths: dict[int, float] | None = None,
 ) -> list[np.ndarray]:
-    """Run noisy updates of a stack of fits, one per step of ``noise``.
+    """Run noisy updates of a batch of fits, one per step of ``noise``.
 
-    ``data`` holds R datasets of one shape and ``noise`` the ``(T, R, p, M)``
-    noise already scaled by each fit's sigma: ``noise[t, r, :, m]`` is
-    added to the clipped sum of fit ``(r, m)`` at step ``t``, so the fits
-    take T steps.  They start from zero, or from the ``(R, p, M)``
-    coefficients ``start``.  ``hp`` gives every other setting; its
-    ``n_steps``, ``sigma`` and ``seed`` are not read.  Returns the path:
+    ``data`` yields R datasets of p features, and is read once: each run of
+    consecutive datasets of one size n is stacked and fitted at bandwidth
+    ``bandwidths[n]``, or ``hp.bandwidth`` without the mapping, so a caller
+    that passes a generator keeps no copy of the rows.  ``noise`` holds the
+    ``(T, R, p, M)`` noise already scaled by each fit's sigma:
+    ``noise[t, r, :, m]`` is added to the clipped sum of fit ``(r, m)`` at
+    step ``t``, so the fits take T steps.  They start from zero, or from the
+    ``(R, p, M)`` coefficients ``start``.  ``hp`` gives every other setting;
+    its ``n_steps``, ``sigma`` and ``seed`` are not read.  Returns the path:
     the T+1 ``(R, p, M)`` iterates, from the start to the final
     coefficients ``[-1]``.
+
+    Each step writes every size's ``(x beta - d) / h`` into its slice of one
+    buffer and evaluates the kernel's CDF over the whole buffer in one call;
+    the products, the clipped sums, the line search and the update are made
+    per size, on the shapes a stack of that size alone would have.
     """
     _warn_if_flat_kernel(hp.kernel, stacklevel=4)
-    x = _stack([d.features for d in data])
-    n_sets, n, p = x.shape
+    _, _, p, n_levels = noise.shape
     a = _feature_map(hp, whitener, p)
-    clipped = [d.features @ a for d in data]
-    for rows in clipped:
-        clip(rows, hp.clip_radius, out=rows)  # in place: no second n x p copy
-    clipped_t = _stack(clipped).transpose(0, 2, 1)
-    demands = _stack([d.demands for d in data])[:, :, None]
-    n_levels = noise.shape[-1]
-    betas = np.zeros((n_sets, p, n_levels)) if start is None else start
+    stacks = [
+        _SizeStack(list(sets), a, hp.clip_radius, bandwidths[n] if bandwidths else hp.bandwidth)
+        for n, sets in itertools.groupby(data, lambda d: d.n)
+    ]
+    scaled = np.empty(n_levels * sum(stack.demands.size for stack in stacks))
+    fits = elements = 0
+    for stack in stacks:
+        stack.fits = slice(fits, fits + len(stack.x))
+        stack.elements = slice(elements, elements + n_levels * stack.demands.size)
+        stack.scaled = scaled[stack.elements].reshape(*stack.demands.shape[:2], n_levels)
+        fits, elements = stack.fits.stop, stack.elements.stop
+    betas = np.zeros((fits, p, n_levels)) if start is None else start
     path = [betas]
     for step_noise in noise:
-        residuals = demands - x @ betas
-        weights = kernels.scaled_cdf(hp.kernel, -residuals, hp.bandwidth) - problem.tau
-        summed = clipped_t @ weights
-        eta = hp.step_size
-        if eta is None:
-            grads = x.transpose(0, 2, 1) @ weights / n
-            directions = a @ summed / n
-            gt, dt = grads.transpose(0, 2, 1), directions.transpose(0, 2, 1)
-            slope = gt[..., None, :] @ dt[..., None]  # a 1-d dot per fit, as g @ d rounds
-            eta = _armijo_steps(
-                lambda eta: _scaled_costs(
-                    x, demands, problem, hp.kernel, hp.bandwidth, betas - eta * directions
-                ),
-                slope.reshape(n_sets, 1, n_levels),
-                hp.max_step_size,
-            )
-        betas = betas - (eta / n) * (a @ (summed + step_noise))
+        for stack in stacks:
+            # x beta - d is bitwise -(d - x beta): negation is exact
+            np.matmul(stack.x, betas[stack.fits], out=stack.scaled)
+            stack.scaled -= stack.demands
+            stack.scaled /= stack.bandwidth
+        weights = kernels._standard_cdf(hp.kernel, scaled)
+        weights -= problem.tau
+        stepped = np.empty(betas.shape)
+        for stack in stacks:
+            x, beta, n = stack.x, betas[stack.fits], stack.x.shape[1]
+            w = weights[stack.elements].reshape(stack.scaled.shape)
+            summed = stack.clipped_t @ w
+            eta = hp.step_size
+            if eta is None:
+                grads = x.transpose(0, 2, 1) @ w / n
+                directions = a @ summed / n
+                gt, dt = grads.transpose(0, 2, 1), directions.transpose(0, 2, 1)
+                slope = gt[..., None, :] @ dt[..., None]  # a 1-d dot per fit, as g @ d rounds
+                eta = _armijo_steps(
+                    lambda eta: _scaled_costs(
+                        x, stack.demands, problem, hp.kernel, stack.bandwidth,
+                        beta - eta * directions,
+                    ),
+                    slope.reshape(len(x), 1, n_levels),
+                    hp.max_step_size,
+                )
+            update = (eta / n) * (a @ (summed + step_noise[stack.fits]))
+            np.subtract(beta, update, out=stepped[stack.fits])
+        betas = stepped
         path.append(betas)
     return path
 

@@ -450,19 +450,28 @@ class TestSplitNormals:
             self._assert_one_call(seed, shape, datamod._fill_normals)
         assert len(joins) == 12 and None not in joins
 
-    def test_join_behind_a_probe(self, joins):
-        # at 130 values, seed 19835's copy draws its first value from the
-        # raw draw before the second half and the one at its start, so it
-        # is no value of the stream; the join comes after the first probe
+    def test_join_behind_a_probe(self, joins, monkeypatch):
+        # a copy advanced by exactly k raw draws: at 130 values, seed
+        # 19835's copy draws its first value from the raw draw before the
+        # second half and the one at its start, so it is no value of the
+        # stream; the join comes after the first probe
+        monkeypatch.setattr(datamod, "_COPY_LEAD", 0)
         self._assert_one_call(19835, 130, datamod._fill_normals)
         assert joins == [(1, 1)]
 
-    def test_copy_ahead_of_the_stream_finds_no_join(self, joins):
-        # at 130 values, seed 88625's copy value j is the stream's value
-        # j + 1 of the half, which no join (j >= i) can express, so the
-        # half is drawn serially
+    def test_copy_ahead_of_the_stream_finds_no_join(self, joins, monkeypatch):
+        # a copy advanced by exactly k raw draws: at 130 values, seed
+        # 88625's copy value j is the stream's value j + 1 of the half,
+        # which no join (j >= i) can express, so the half is drawn serially
+        monkeypatch.setattr(datamod, "_COPY_LEAD", 0)
         self._assert_one_call(88625, 130, datamod._fill_normals)
         assert joins == [None]
+
+    def test_lead_lets_a_copy_that_ran_ahead_join(self, joins):
+        # started _COPY_LEAD raw draws earlier, seed 88625's copy parses
+        # the whole second half, so the first probe joins
+        self._assert_one_call(88625, 130, datamod._fill_normals)
+        assert len(joins) == 1 and joins[0] is not None and joins[0][0] == 0
 
     def test_one_usable_cpu_draws_serially(self, joins, monkeypatch):
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: 1)

@@ -4,6 +4,7 @@ import math
 import threading
 import time
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +32,7 @@ from dpnewsvendor.evaluation import (
     write_aggregates_csv,
     write_rows_csv,
 )
-from dpnewsvendor.kernels import check_loss
+from dpnewsvendor.kernels import KERNEL_NAMES, check_loss
 from dpnewsvendor.model import Problem
 from dpnewsvendor.optimizer import HyperParams
 from dpnewsvendor.privacy import calibrate_sigma
@@ -431,11 +432,11 @@ class TestLockstep:
         assert run_replications(config, R=5).rows == whole.rows
         assert run_replications(config, R=5, jobs=2).rows == whole.rows
 
-    @pytest.mark.parametrize("stack_rows, chunks", [(1 << 15, 1), (250, 3)])
-    def test_fixed_step_cell_weighs_once_per_step_and_chunk(
-        self, small_config, monkeypatch, stack_rows, chunks
-    ):
-        calls = {"clip": 0, "scaled_cdf": 0}
+    @staticmethod
+    def _count_clips_and_cdfs(monkeypatch) -> dict[str, int]:
+        """Count calls of ``optimizer.clip`` and of ``kernels._standard_cdf``,
+        the one CDF evaluation of every lockstep step and of ``scaled_cdf``."""
+        calls = {"clip": 0, "cdf": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -443,12 +444,29 @@ class TestLockstep:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(evaluation, "_STACK_ROWS", stack_rows)
         monkeypatch.setattr(optimizer, "clip", counted("clip", optimizer.clip))
-        monkeypatch.setattr(kernels, "scaled_cdf", counted("scaled_cdf", kernels.scaled_cdf))
+        monkeypatch.setattr(kernels, "_standard_cdf", counted("cdf", kernels._standard_cdf))
+        return calls
+
+    @pytest.mark.parametrize("stack_rows, chunks", [(1 << 15, 1), (250, 3)])
+    def test_fixed_step_cell_weighs_once_per_step_and_chunk(
+        self, small_config, monkeypatch, stack_rows, chunks
+    ):
+        # one size: a batch is one chunk, and it clips its one stack once
+        calls = self._count_clips_and_cdfs(monkeypatch)
+        monkeypatch.setattr(evaluation, "_STACK_ROWS", stack_rows)
         config = replace(small_config, mu_grid=(0.9, 0.5, 0.3), step_size=0.5, n_steps=7)
         run_replications(config, R=5)
-        assert calls == {"clip": 5, "scaled_cdf": 7 * chunks}
+        assert calls == {"clip": chunks, "cdf": 7 * chunks}
+
+    def test_fixed_step_sweep_weighs_once_per_step_over_every_size(
+        self, small_config, monkeypatch
+    ):
+        # both sizes in one batch: one clip per size, one CDF call per step
+        calls = self._count_clips_and_cdfs(monkeypatch)
+        config = replace(small_config, mu_grid=(0.9, 0.5, 0.3), step_size=0.5, n_steps=7)
+        sweep(config, (60, 120), R=5)
+        assert calls == {"clip": 2, "cdf": 7}
 
     def test_failure_names_its_replication(self, small_config, monkeypatch):
         spec = SyntheticSpec(
@@ -527,6 +545,60 @@ class TestLockstep:
         calls.update(dict.fromkeys(calls, 0))
         run_replications(config, R=3)
         assert calls == expected
+
+
+    @pytest.mark.filterwarnings("ignore:the epanechnikov kernel:RuntimeWarning")
+    @pytest.mark.parametrize("kernel", KERNEL_NAMES)
+    @pytest.mark.parametrize("mode", ["known_sigma_matrix", "raw_covariates"])
+    @pytest.mark.parametrize("step_size", [None, 0.7], ids=["linesearch", "fixed"])
+    @pytest.mark.parametrize("bandwidth", [None, 0.4], ids=["rule_of_thumb", "explicit"])
+    def test_fused_sizes_give_the_rows_of_one_run_per_size(
+        self, small_config, kernel, mode, step_size, bandwidth
+    ):
+        # unsorted sizes, both in one batch: every step evaluates the CDF
+        # once over both, each size at its own bandwidth
+        config = replace(
+            small_config, kernel=kernel, mode=mode, step_size=step_size,
+            bandwidth=bandwidth, eval_n=2_000,
+        )
+        ns = (120, 60)
+        rows = sum((run_replications(replace(config, n=n), R=3).rows for n in ns), ())
+        assert sweep(config, ns, R=3).rows == rows
+
+    @pytest.mark.parametrize("step_size", [None, 0.7], ids=["linesearch", "fixed"])
+    def test_fused_rows_ignore_the_cdf_blocks(self, small_config, monkeypatch, step_size):
+        config = replace(small_config, step_size=step_size, eval_n=2_000)
+        whole = sweep(config, (120, 60), R=4)
+        # the batch's buffer, 4 * 180 * 2 = 1,440 elements, in two blocks
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 512)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+        assert sweep(config, (120, 60), R=4).rows == whole.rows
+
+    @pytest.mark.parametrize("mu_grid, kept", [((0.9, 0.3), 0), ((None, 0.3), 6)])
+    def test_training_sets_outlive_their_stack_only_for_the_erm(
+        self, small_config, monkeypatch, mu_grid, kept
+    ):
+        made, alive = [], []
+        generate = evaluation.generate_synthetic
+
+        def tracked(spec):
+            data = generate(spec)
+            made.append(weakref.ref(data))
+            return data
+
+        cdf = kernels._standard_cdf
+
+        def counted(kernel, t):
+            alive.append(sum(ref() is not None for ref in made))
+            return cdf(kernel, t)
+
+        monkeypatch.setattr(evaluation, "generate_synthetic", tracked)
+        monkeypatch.setattr(kernels, "_standard_cdf", counted)
+        config = replace(small_config, mu_grid=mu_grid, step_size=0.7, eval_n=1_000)
+        sweep(config, (60, 120), R=3)
+        assert len(made) == 6
+        # the lockstep's steps come first; the ERMs' gradients, if any, after
+        assert alive[: config.n_steps] == [kept] * config.n_steps
 
 
 def _one_whole_draw(spec):

@@ -476,7 +476,7 @@ class TestFit:
         self, instance, monkeypatch, mode
     ):
         data, problem, whitener = instance
-        calls = {"clip": 0, "scaled_cdf": 0}
+        calls = {"clip": 0, "cdf": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -485,15 +485,16 @@ class TestFit:
             return wrapper
 
         monkeypatch.setattr(optimizer, "clip", counted("clip", optimizer.clip))
+        # every CDF evaluation, the lockstep's and scaled_cdf's, goes through it
         monkeypatch.setattr(
-            kernels, "scaled_cdf", counted("scaled_cdf", kernels.scaled_cdf)
+            kernels, "_standard_cdf", counted("cdf", kernels._standard_cdf)
         )
         hp = HyperParams(
             bandwidth=0.15, n_steps=7, clip_radius=2.0, step_size=0.5, sigma=1.0,
             mode=mode,
         )
         fit(data, problem, hp, whitener=whitener if mode == "known_sigma_matrix" else None)
-        assert calls == {"clip": 1, "scaled_cdf": 7}
+        assert calls == {"clip": 1, "cdf": 7}
 
     def test_deterministic_given_seed(self, instance):
         data, problem, whitener = instance
