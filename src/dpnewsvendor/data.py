@@ -409,7 +409,7 @@ def _synthetic_draws(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
     """The recipe's random stream drawn whole: ``z`` and ``eps`` of
     ``_synthetic_stream``.
 
-    ``generate_synthetic`` builds the rows from this draw, and
+    ``_synthetic_rows`` builds the rows from this draw, and
     ``evaluation.out_of_sample_cost`` scores a recipe straight from it.
     """
     z, eps, _, stream = _synthetic_stream(spec)
@@ -418,18 +418,26 @@ def _synthetic_draws(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
     return z, eps
 
 
-def generate_synthetic(spec: SyntheticSpec) -> Dataset:
-    """Draw a dataset from the recipe; deterministic given the seed.
+def _synthetic_rows(spec: SyntheticSpec, x: np.ndarray, d: np.ndarray) -> None:
+    """Draw the recipe's rows into the ``(n, p)`` features ``x`` and the
+    ``n`` demands ``d``, which may be slices of larger stacks.
 
     Features are ``x = (1, z @ chol.T)``, with ``chol`` the Cholesky
     factor of the covariance, and demands ``d = x @ theta_star + eps``,
     from the draw of ``_synthetic_draws``.
     """
     z, eps = _synthetic_draws(spec)
-    x = np.empty((spec.n, spec.p))
     x[:, 0] = 1.0
     x[:, 1:] = z @ spec._chol.T
-    return Dataset(demands=x @ np.asarray(spec.theta_star) + eps, features=x)
+    np.add(x @ np.asarray(spec.theta_star), eps, out=d)
+
+
+def generate_synthetic(spec: SyntheticSpec) -> Dataset:
+    """Draw a dataset from the recipe, as ``_synthetic_rows`` draws it;
+    deterministic given the seed."""
+    x, d = np.empty((spec.n, spec.p)), np.empty(spec.n)
+    _synthetic_rows(spec, x, d)
+    return Dataset(demands=d, features=x)
 
 
 def true_beta_star(spec: SyntheticSpec, tau: float) -> np.ndarray:

@@ -16,16 +16,18 @@ quarter of the blocks, which the helper scores after the draw.  Each
 block keeps its own partial sums, added in block order at the end, so
 the costs are bitwise those of one pass on one thread.
 
-The private fits of a sweep advance in lockstep: each sample size's
-replications are cut into contiguous chunks, ``jobs`` of them or more
-so that none holds over ``_STACK_ROWS`` training rows, and consecutive
-chunks, in (n, replication) order, are packed into batches of at most
-``_STACK_ROWS`` rows, which run on ``jobs`` threads.  Every private fit
-of a batch, all its sizes, replications and privacy levels, takes each
-noisy step together in ``optimizer._lockstep_fits``, with one kernel
-evaluation a step.  A fit rounds the same whichever fits share its
-batch, so rows do not depend on ``jobs`` or on the batching.  The noise
-scale of each privacy level is calibrated when the cell is built.
+The private fits of a sweep advance in lockstep: one pass over the
+replications, in (n, replication) order, packs them into batches of at
+most ``_STACK_ROWS`` training rows and a ``jobs``-th of the sweep's
+rows, which run on ``jobs`` threads.  A batch draws each replication's
+training rows straight into its slice of the batch's stack for that
+size; only the non-private ERM gets them as a ``Dataset``.  Every
+private fit of the batch, all its sizes, replications and privacy
+levels, takes each noisy step together in ``optimizer._lockstep_fits``,
+with one kernel evaluation a step.  A fit rounds the same whichever fits
+share its batch, so rows do not depend on ``jobs`` or on the batching.
+The noise scale of each privacy level is calibrated when the cell is
+built.
 
 Seeding is splittable and documented: replication ``r`` derives its
 streams from ``SeedSequence((base_seed, r, k))`` where ``k = 0`` is the
@@ -52,8 +54,9 @@ from .data import (
     SyntheticSpec,
     Whitener,
     _synthetic_draws,
+    _synthetic_rows,
     _synthetic_stream,
-    generate_synthetic,
+    generate_synthetic,  # noqa: F401  not called here; perfbench's tracer test patches it
     true_beta_star,
     whitener_from,
 )
@@ -246,6 +249,8 @@ class ReplicationConfig:
     base_seed: int = 0
 
     def __post_init__(self):
+        if not self.n >= 1:
+            raise ValueError(f"n must be >= 1, got {self.n}")
         if not self.eval_n >= 1:
             raise ValueError(f"eval_n must be >= 1, got {self.eval_n}")
         if not self.base_seed >= 0:
@@ -302,8 +307,8 @@ def derive_seed(base_seed: int, rep_id: int, stream: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-# Training rows per lockstep chunk: a chunk's stacked designs and
-# residuals stay a few megabytes however many replications a cell has.
+# Training rows per lockstep batch: a batch's stacked designs and
+# residuals stay a few megabytes however many replications a sweep has.
 _STACK_ROWS = 1 << 15
 
 
@@ -319,27 +324,29 @@ def _fit_batch(
     rep_ids)`` runs of replications, the private fits of all of them in
     lockstep; betas in (n, rep_id, mu_grid) order.  Replication ``r`` of a
     cell trains on ``spec`` at ``cell.n`` rows and seed ``seeds[r - 1]``,
-    at the cell's bandwidth, and its private fits take the scaled noise
+    drawn straight into its slice of the run's size stack, at the cell's
+    bandwidth, and its private fits take the scaled noise
     ``noise[:, r - 1]``: the sweep derives both once, for every sample
-    size.  Without an ERM in the grid, no training set outlives its stack."""
+    size.  Only an ERM gets its training set as a ``Dataset``."""
     problem, hp = config.problem, config._hyper
-    runs = [(cell, rep_id) for cell, rep_ids in batch for rep_id in rep_ids]
-    train = (generate_synthetic(spec._with(n=cell.n, seed=seeds[r - 1])) for cell, r in runs)
-    if None in config.mu_grid:
-        train = list(train)
-    private = optimizer._lockstep_fits(
-        train, problem, hp, whitener, noise[:, [r - 1 for _, r in runs]],
-        bandwidths={cell.n: cell._hyper.bandwidth for cell, _ in batch},
-    )[-1]
+    stacks = []
+    for cell, rep_ids in batch:
+        x, d = np.empty((len(rep_ids), cell.n, spec.p)), np.empty((len(rep_ids), cell.n))
+        for i, r in enumerate(rep_ids):
+            _synthetic_rows(spec._with(n=cell.n, seed=seeds[r - 1]), x[i], d[i])
+        stacks.append((x, d, cell._hyper.bandwidth))
+    reps = [r - 1 for _, rep_ids in batch for r in rep_ids]
+    private = iter(optimizer._lockstep_fits(stacks, problem, hp, whitener, noise[:, reps])[-1])
     betas = []
-    for i, ((cell, _), levels) in enumerate(zip(runs, private)):
-        columns = iter(levels.T)
-        for mu in config.mu_grid:
-            if mu is None:
-                bandwidth = cell._hyper.bandwidth
-                betas.append(optimizer.smoothed_erm(train[i], problem, hp.kernel, bandwidth))
-            else:
-                betas.append(next(columns))
+    for x, d, bandwidth in stacks:
+        for i in range(len(x)):
+            columns = iter(next(private).T)
+            for mu in config.mu_grid:
+                if mu is None:
+                    train = Dataset(demands=d[i], features=x[i])
+                    betas.append(optimizer.smoothed_erm(train, problem, hp.kernel, bandwidth))
+                else:
+                    betas.append(next(columns))
     return betas
 
 
@@ -375,7 +382,7 @@ def run_replications(config: ReplicationConfig, R: int, jobs: int = 1) -> Replic
     """Run R independent replications of the experiment cell.
 
     Deterministic given ``config.base_seed``.  ``jobs`` threads fit
-    contiguous chunks of replications concurrently; rows are always
+    contiguous batches of replications concurrently; rows are always
     assembled in rep_id order and do not depend on ``jobs``.
     """
     return sweep(config, (config.n,), R, jobs=jobs)
@@ -479,11 +486,11 @@ def _fit_cells(
 ) -> list[np.ndarray]:
     """Every policy of the sweep in (n, rep_id, mu_grid) order.  The
     replications' training seeds and ``(T, R, p, M)`` scaled noise are
-    built once, here.  Each size's replications are cut into chunks of at
-    most ``_STACK_ROWS`` rows, ``jobs`` of them or more; consecutive chunks,
-    in (n, rep_id) order, are packed into batches of at most ``_STACK_ROWS``
-    rows and a ``jobs``-th of the sweep's rows, which run on ``jobs``
-    threads, each batch in one lockstep."""
+    built once, here.  One pass over the (n, rep_id) order packs the
+    replications into batches of at most ``_STACK_ROWS`` training rows and
+    a ``jobs``-th of the sweep's rows, each a list of runs of one size; a
+    replication larger than that is a batch of its own.  The batches run
+    on ``jobs`` threads, each in one lockstep."""
     # sigma does not depend on n, so neither does the noise
     p, sigmas = len(config.theta_star), config._sigmas
     seeds = [derive_seed(config.base_seed, rep_id, 0) for rep_id in range(1, R + 1)]
@@ -508,19 +515,19 @@ def _fit_cells(
             for beta in job([(cell, range(rep_id, rep_id + 1))])
         ]
 
-    chunks = []
-    for n in ns:
-        cell = replace(config, n=int(n))
-        size = max(1, min(-(-R // jobs), _STACK_ROWS // cell.n))
-        chunks += [(cell, range(a, min(a + size, R + 1))) for a in range(1, R + 1, size)]
-    cap = min(_STACK_ROWS, -(-sum(cell.n * len(reps) for cell, reps in chunks) // jobs))
-    batches, rows = [], cap  # as if full: the first chunk opens a batch
-    for cell, rep_ids in chunks:
-        if rows + cell.n * len(rep_ids) > cap:
-            batches.append([])
-            rows = 0
-        batches[-1].append((cell, rep_ids))
-        rows += cell.n * len(rep_ids)
+    cells = [replace(config, n=int(n)) for n in ns]
+    cap = min(_STACK_ROWS, -(-R * sum(cell.n for cell in cells) // jobs))
+    batches, rows = [], cap  # as if full: the first run opens a batch
+    for cell in cells:
+        first = 1
+        while first <= R:
+            if rows + cell.n > cap:
+                batches.append([])
+                rows = 0
+            stop = min(R + 1, first + max(1, (cap - rows) // cell.n))
+            batches[-1].append((cell, range(first, stop)))
+            rows += cell.n * (stop - first)
+            first = stop
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             per_batch = list(pool.map(job, batches))

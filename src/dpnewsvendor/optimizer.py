@@ -28,11 +28,13 @@ noised gradient, so it sits outside the formal privacy accounting; runs
 that must match the certificate exactly should fix ``step_size`` by hand.
 
 Fits advance in lockstep.  One step loop, ``_lockstep_fits``, moves a
-batch of fits together: R datasets, each fitted at M noise levels, as
-``(R, p, M)`` coefficients.  The datasets may have several sizes, each
-at its own bandwidth; the datasets of one size form a stack.  The clip
-does not depend on beta, so each stack's rows ``x A`` are clipped once,
-before the first step.  Each step makes one batched residual product per
+batch of fits together: R training sets, each fitted at M noise
+levels, as ``(R, p, M)`` coefficients.  The sets come as size stacks,
+the ``(R_n, n, p)`` features and ``(R_n, n)`` demands of the sets of one
+size n with that size's bandwidth, so a caller can draw its rows
+straight into the arrays the steps read.  The clip does not depend on
+beta, so each stack's rows ``x A`` are clipped once, before the first
+step.  Each step makes one batched residual product per
 stack, writes every stack's scaled residuals into one buffer and
 evaluates the kernel's CDF once over it, giving one weight per
 observation and fit, and makes one batched clipped sum per stack; with
@@ -54,9 +56,7 @@ smoothed objective.
 
 from __future__ import annotations
 
-import itertools
 import math
-import random
 import warnings
 from dataclasses import dataclass
 
@@ -160,24 +160,9 @@ class NoiseSource:
 
     Deterministic given the seed: the Philox bit generator feeds numpy's
     ziggurat normal transform.  One ``(T, p)`` draw is bitwise the same
-    as T draws of ``p``.
-    """
-
-    def __init__(self, seed):
-        self._gen = np.random.Generator(np.random.Philox(seed))
-
-    def standard_normal(self, shape) -> np.ndarray:
-        return self._gen.standard_normal(shape)
-
-
-class SecureNoiseSource:
-    """Standard normal vectors from the operating system's entropy pool.
-
-    Uses ``random.SystemRandom``; there is no seed, so runs are not
-    reproducible.  Intended for deployments where the noise itself must
-    be unpredictable.  Draws use ``normalvariate``, not ``gauss``:
-    ``gauss`` caches the second Box-Muller value on the shared instance,
-    so threads sharing one source could receive the same noise.
+    as T draws of ``p``.  A seed of None seeds Philox from the operating
+    system's entropy, so the noise cannot be replayed.  Philox is not a
+    cryptographic generator: the noise is as secret as its 128-bit key.
 
     The draws are floating-point Gaussians, not an exact discrete
     sampler, so the guarantee is the idealised one: Jin, McMurtry,
@@ -188,13 +173,11 @@ class SecureNoiseSource:
     exact sampler (Canonne, Kamath & Steinke 2020) is not provided.
     """
 
-    def __init__(self):
-        self._gen = random.SystemRandom()
+    def __init__(self, seed):
+        self._gen = np.random.Generator(np.random.Philox(seed))
 
     def standard_normal(self, shape) -> np.ndarray:
-        out = np.empty(shape)
-        out.flat = [self._gen.normalvariate(0.0, 1.0) for _ in range(out.size)]
-        return out
+        return self._gen.standard_normal(shape)
 
 
 def clip(u: np.ndarray, radius: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -308,31 +291,26 @@ def noisy_step(
     if g.shape != (data.p,):
         raise DimensionMismatch(f"noise vector must have shape ({data.p},)")
     noise = (hp.sigma * g)[None, None, :, None]
+    stack = (data.features[None], data.demands[None], hp.bandwidth)
     return _lockstep_fits(
-        [data], problem, hp, whitener, noise, start=beta[None, :, None]
+        [stack], problem, hp, whitener, noise, start=beta[None, :, None]
     )[-1][0, :, 0]
 
 
-def _stack(arrays: list[np.ndarray]) -> np.ndarray:
-    """The arrays as one ``(R, ...)`` stack; a view when R = 1, so that a
-    single fit on a large dataset copies none of it."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
 class _SizeStack:
-    """The datasets of one size in a lockstep batch, stacked: the
-    ``(R, n, p)`` features ``x``, the ``(R, n, 1)`` demands, the clipped
-    rows ``clip(x A)`` as ``(R, p, n)``, and the size's bandwidth.  The
-    clip does not depend on beta, so it is made here, once, in place over
-    the stack's rows: one stacked product, which numpy hands to BLAS item
-    by item, and no second copy.  ``_lockstep_fits`` then places the stack
-    in its batch: its slice ``fits`` of the fits, and its ``(R, n, M)``
-    view ``scaled``, at ``elements``, of the residual buffer."""
+    """One size stack of a lockstep batch: the ``(R, n, p)`` features
+    ``x``, the ``(R, n, 1)`` demands, the clipped rows ``clip(x A)`` as
+    ``(R, p, n)``, and the size's bandwidth.  The clip does not depend on
+    beta, so it is made here, once, in place on one stacked product
+    ``x A``, which numpy hands to BLAS item by item.
+    ``_lockstep_fits`` then places the stack in its batch: its slice
+    ``fits`` of the fits, and its ``(R, n, M)`` view ``scaled``, at
+    ``elements``, of the residual buffer."""
 
-    def __init__(self, sets: list[Dataset], a: np.ndarray, radius: float, bandwidth: float):
-        self.x = _stack([d.features for d in sets])
-        self.demands = _stack([d.demands for d in sets])[:, :, None]
-        clipped = self.x @ a
+    def __init__(self, x, d, a: np.ndarray, radius: float, bandwidth: float):
+        self.x = x
+        self.demands = d[:, :, None]
+        clipped = x @ a
         rows = clipped.reshape(-1, clipped.shape[-1])
         clip(rows, radius, out=rows)
         self.clipped_t = clipped.transpose(0, 2, 1)
@@ -340,20 +318,20 @@ class _SizeStack:
 
 
 def _lockstep_fits(
-    data,
+    stacks: list[tuple[np.ndarray, np.ndarray, float]],
     problem: Problem,
     hp: HyperParams,
     whitener: Whitener | None,
     noise: np.ndarray,
     start: np.ndarray | None = None,
-    bandwidths: dict[int, float] | None = None,
 ) -> list[np.ndarray]:
     """Run noisy updates of a batch of fits, one per step of ``noise``.
 
-    ``data`` yields R datasets of p features, and is read once: each run of
-    consecutive datasets of one size n is stacked and fitted at bandwidth
-    ``bandwidths[n]``, or ``hp.bandwidth`` without the mapping, so a caller
-    that passes a generator keeps no copy of the rows.  ``noise`` holds the
+    ``stacks`` holds the batch's training rows as size stacks
+    ``(x, d, bandwidth)``: the ``(R_n, n, p)`` features and ``(R_n, n)``
+    demands of ``R_n`` training sets of one size n, fitted at that
+    bandwidth; the R training sets are the stacks' in order.  The rows are
+    read, never written or copied.  ``noise`` holds the
     ``(T, R, p, M)`` noise already scaled by each fit's sigma:
     ``noise[t, r, :, m]`` is added to the clipped sum of fit ``(r, m)`` at
     step ``t``, so the fits take T steps.  They start from zero, or from the
@@ -370,10 +348,7 @@ def _lockstep_fits(
     _warn_if_flat_kernel(hp.kernel, stacklevel=4)
     _, _, p, n_levels = noise.shape
     a = _feature_map(hp, whitener, p)
-    stacks = [
-        _SizeStack(list(sets), a, hp.clip_radius, bandwidths[n] if bandwidths else hp.bandwidth)
-        for n, sets in itertools.groupby(data, lambda d: d.n)
-    ]
+    stacks = [_SizeStack(x, d, a, hp.clip_radius, bandwidth) for x, d, bandwidth in stacks]
     scaled = np.empty(n_levels * sum(stack.demands.size for stack in stacks))
     fits = elements = 0
     for stack in stacks:
@@ -422,17 +397,19 @@ def fit(
     problem: Problem,
     hp: HyperParams,
     whitener: Whitener | None = None,
-    noise: NoiseSource | SecureNoiseSource | None = None,
+    noise: NoiseSource | None = None,
 ) -> FitResult:
     """Run exactly ``hp.n_steps`` noisy updates from the zero vector.
 
     The fit is the lockstep stack of one dataset at one noise level, and
-    it returns its whole path.  Deterministic given ``hp.seed`` (unless a
-    secure noise source is supplied).  When ``hp.mu`` is set the fit
-    first builds its ``PrivacyCertificate`` for (mu, sigma, clip_radius,
-    n_steps, tau_bar), so a ``sigma`` the certificate refuses raises
-    ValueError before any noise is drawn or step taken; without ``mu``
-    the certificate is None.  ``known_sigma_matrix`` mode without a
+    it returns its whole path.  The noise comes from ``noise``, or from
+    ``NoiseSource(hp.seed)``, so the fit is deterministic given
+    ``hp.seed`` unless a source such as ``NoiseSource(None)``, seeded
+    from the operating system's entropy, is supplied.  When ``hp.mu`` is
+    set the fit first builds its ``PrivacyCertificate`` for (mu, sigma,
+    clip_radius, n_steps, tau_bar), so a ``sigma`` the certificate
+    refuses raises ValueError before any noise is drawn or step taken;
+    without ``mu`` the certificate is None.  ``known_sigma_matrix`` mode without a
     whitener raises ``MissingWhitener`` before any step.
     """
     certificate = None
@@ -447,7 +424,8 @@ def fit(
     if noise is None:
         noise = NoiseSource(hp.seed)
     g = hp.sigma * noise.standard_normal((hp.n_steps, data.p))
-    path = np.stack(_lockstep_fits([data], problem, hp, whitener, g[:, None, :, None]))
+    stack = (data.features[None], data.demands[None], hp.bandwidth)
+    path = np.stack(_lockstep_fits([stack], problem, hp, whitener, g[:, None, :, None]))
     path = path[:, 0, :, 0]
     return FitResult(beta_final=path[-1], trajectory=path, certificate=certificate)
 

@@ -22,7 +22,7 @@ import pytest
 
 from dpnewsvendor import optimizer
 from dpnewsvendor.data import default_spec, generate_synthetic, whitener_from
-from dpnewsvendor.model import Dataset, Problem
+from dpnewsvendor.model import Problem
 from dpnewsvendor.optimizer import HyperParams, default_bandwidth
 from dpnewsvendor.privacy import calibrate_sigma
 
@@ -33,18 +33,16 @@ BOOTSTRAPS = 400
 
 def _neighbours(spec):
     """The design's training set with row 0 replaced by the canary row
-    ``x = (1, 10, 0, ...)``, once with demand +1e6 and once with -1e6:
-    the residual's sign, and so the gradient weight, flips at every step."""
+    ``x = (1, 10, 0, ...)``, once with demand +1e6 and once with -1e6, as
+    one stack: ``(2, n, p)`` features and ``(2, n)`` demands.  The
+    residual's sign, and so the gradient weight, flips at every step."""
     data = generate_synthetic(spec)
     x = np.array(data.features)
     x[0] = 0.0
     x[0, :2] = (1.0, 10.0)
-    pair = []
-    for demand in (1e6, -1e6):
-        d = np.array(data.demands)
-        d[0] = demand
-        pair.append(Dataset(demands=d, features=x))
-    return pair
+    d = np.array([data.demands, data.demands])
+    d[:, 0] = (1e6, -1e6)
+    return np.stack([x, x]), d
 
 
 def _audit(mode: str, sigma: float, seed: int = 0) -> tuple[float, float]:
@@ -60,7 +58,8 @@ def _audit(mode: str, sigma: float, seed: int = 0) -> tuple[float, float]:
     )
     rng = np.random.default_rng(seed)
     noise = sigma * rng.standard_normal((hp.n_steps, 2, spec.p, RUNS))
-    betas = optimizer._lockstep_fits(_neighbours(spec), problem, hp, whitener_from(spec), noise)[-1]
+    stack = (*_neighbours(spec), hp.bandwidth)
+    betas = optimizer._lockstep_fits([stack], problem, hp, whitener_from(spec), noise)[-1]
     half = RUNS // 2
     direction = betas[0, :, :half].mean(axis=1) - betas[1, :, :half].mean(axis=1)
     plus, minus = direction @ betas[0, :, half:], direction @ betas[1, :, half:]

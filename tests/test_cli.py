@@ -577,6 +577,8 @@ class TestBench:
             ("data", "dist =", "config key data.dist lists no values"),
             ("privacy", "mu = ,", "config key privacy.mu lists no values"),
             ("data", "n = 1", "n must be >= 2, got 1"),
+            ("data", "n = 0\n[hyper]\nbandwidth = 0.5", "n must be >= 1, got 0"),
+            ("data", "n = -5\n[hyper]\nbandwidth = 0.5", "n must be >= 1, got -5"),
             ("hyper", "max_step = 0.5", "max_step_size must be finite and >= 1, got 0.5"),
             ("hyper", "bandwidth = 0", "bandwidth must be finite and > 0, got 0.0"),
             ("hyper", "B = 0.5\n[privacy]\nmu = nonprivate", "clip_radius must be >= 1, got 0.5"),
@@ -584,7 +586,8 @@ class TestBench:
         ],
         ids=["dist", "mode", "mu", "mu-inf", "eval_n", "base_seed", "jobs",
              "empty-n", "empty-tau", "empty-dist", "empty-mu",
-             "n", "max_step", "bandwidth", "B-nonprivate", "eta0-inf"],
+             "n", "n-0-bandwidth", "n-negative-bandwidth",
+             "max_step", "bandwidth", "B-nonprivate", "eta0-inf"],
     )
     def test_bad_cell_setting_exits_2(self, tmp_path, capsys, section, setting, message):
         cfg = tmp_path / "bad.ini"

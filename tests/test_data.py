@@ -179,6 +179,17 @@ class TestGenerateSynthetic:
             assert np.array_equal(eps, expected)
             assert rng.random() == ref_rng.random()  # the stream is left where it was
 
+    @pytest.mark.parametrize("dist", ["normal", "t3", "mixture"])
+    def test_rows_drawn_into_a_stack_slice_equal_a_dataset(self, dist):
+        spec = default_spec(300, dist, seed=9)
+        x, d = np.full((3, spec.n, spec.p), np.nan), np.full((3, spec.n), np.nan)
+        datamod._synthetic_rows(spec, x[1], d[1])
+        ds = generate_synthetic(spec)
+        assert x[1].tobytes() == ds.features.tobytes()
+        assert d[1].tobytes() == ds.demands.tobytes()
+        # the neighbouring slices are not touched
+        assert np.isnan(x[[0, 2]]).all() and np.isnan(d[[0, 2]]).all()
+
     def test_resized_spec_draws_as_a_new_one(self, monkeypatch):
         spec = default_spec(100, "mixture", seed=1)
         checks = []

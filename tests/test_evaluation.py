@@ -4,13 +4,12 @@ import math
 import threading
 import time
 import tracemalloc
-import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dpnewsvendor import data, evaluation, kernels, optimizer
+from dpnewsvendor import data, evaluation, kernels, model, optimizer
 from dpnewsvendor.data import (
     ErrorDist,
     SyntheticSpec,
@@ -427,7 +426,7 @@ class TestLockstep:
     def test_rows_ignore_the_chunking(self, small_config, monkeypatch, step_size):
         config = replace(small_config, step_size=step_size)
         whole = run_replications(config, R=5)
-        # two replications of 120 rows a chunk: chunks of 2, 2 and 1
+        # two replications of 120 rows a batch: batches of 2, 2 and 1
         monkeypatch.setattr(evaluation, "_STACK_ROWS", 250)
         assert run_replications(config, R=5).rows == whole.rows
         assert run_replications(config, R=5, jobs=2).rows == whole.rows
@@ -452,7 +451,7 @@ class TestLockstep:
     def test_fixed_step_cell_weighs_once_per_step_and_chunk(
         self, small_config, monkeypatch, stack_rows, chunks
     ):
-        # one size: a batch is one chunk, and it clips its one stack once
+        # one size: each batch clips its one stack once
         calls = self._count_clips_and_cdfs(monkeypatch)
         monkeypatch.setattr(evaluation, "_STACK_ROWS", stack_rows)
         config = replace(small_config, mu_grid=(0.9, 0.5, 0.3), step_size=0.5, n_steps=7)
@@ -499,8 +498,9 @@ class TestLockstep:
     def test_sweep_rows_ignore_the_chunking(self, small_config, monkeypatch, step_size):
         config = replace(small_config, step_size=step_size)
         whole = sweep(config, (60, 120), R=5)
-        # chunks of 4 and 1 replications at n=60, of 2, 2 and 1 at n=120:
-        # each takes its own slice of the shared seeds and noise
+        # batches of replications 1-4 at n=60, 5 at n=60 and 1 at n=120,
+        # then 2-3 and 4-5 at n=120: each run takes its own slice of the
+        # shared seeds and noise
         monkeypatch.setattr(evaluation, "_STACK_ROWS", 250)
         assert sweep(config, (60, 120), R=5).rows == whole.rows
         assert sweep(config, (60, 120), R=5, jobs=2).rows == whole.rows
@@ -574,31 +574,47 @@ class TestLockstep:
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
         assert sweep(config, (120, 60), R=4).rows == whole.rows
 
-    @pytest.mark.parametrize("mu_grid, kept", [((0.9, 0.3), 0), ((None, 0.3), 6)])
-    def test_training_sets_outlive_their_stack_only_for_the_erm(
-        self, small_config, monkeypatch, mu_grid, kept
-    ):
-        made, alive = [], []
-        generate = evaluation.generate_synthetic
+    @pytest.mark.parametrize("mu_grid, made", [((0.9, 0.3), 0), ((None, 0.3), 6)])
+    def test_only_the_erm_gets_a_dataset(self, small_config, monkeypatch, mu_grid, made):
+        built = []
+        post_init = model.Dataset.__post_init__
 
-        def tracked(spec):
-            data = generate(spec)
-            made.append(weakref.ref(data))
-            return data
+        def counted(data):
+            built.append(data)
+            post_init(data)
 
-        cdf = kernels._standard_cdf
-
-        def counted(kernel, t):
-            alive.append(sum(ref() is not None for ref in made))
-            return cdf(kernel, t)
-
-        monkeypatch.setattr(evaluation, "generate_synthetic", tracked)
-        monkeypatch.setattr(kernels, "_standard_cdf", counted)
+        monkeypatch.setattr(model.Dataset, "__post_init__", counted)
         config = replace(small_config, mu_grid=mu_grid, step_size=0.7, eval_n=1_000)
         sweep(config, (60, 120), R=3)
-        assert len(made) == 6
-        # the lockstep's steps come first; the ERMs' gradients, if any, after
-        assert alive[: config.n_steps] == [kept] * config.n_steps
+        # one training set per (size, replication) for the ERM, none otherwise
+        assert len(built) == made
+        assert [d.n for d in built] == [60] * (made // 2) + [120] * (made // 2)
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 4])
+    @pytest.mark.parametrize("stack_rows", [1 << 15, 250, 130, 100])
+    def test_batches_pack_runs_in_order_under_the_limits(
+        self, small_config, monkeypatch, stack_rows, jobs
+    ):
+        batches = []
+        fit_batch = evaluation._fit_batch
+
+        def recorded(config, batch, *args):
+            batches.append([(cell.n, reps) for cell, reps in batch])
+            return fit_batch(config, batch, *args)
+
+        monkeypatch.setattr(evaluation, "_STACK_ROWS", stack_rows)
+        monkeypatch.setattr(evaluation, "_fit_batch", recorded)
+        R = 5
+        sweep(replace(small_config, eval_n=1_000), (60, 120), R=R, jobs=jobs)
+        runs = [(n, r) for batch in batches for n, reps in batch for r in reps]
+        assert sorted(runs) == runs == [(n, r) for n in (60, 120) for r in range(1, R + 1)]
+        for batch in batches:
+            rows = sum(n * len(reps) for n, reps in batch)
+            # a replication over the limit is a batch of its own
+            assert rows <= stack_rows or (len(batch) == 1 and len(batch[0][1]) == 1)
+        assert len(batches) >= min(jobs, len(runs))
+        if stack_rows == 100:
+            assert len(batches) == len(runs)
 
 
 def _one_whole_draw(spec):

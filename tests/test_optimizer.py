@@ -27,7 +27,6 @@ from dpnewsvendor.model import Dataset, Problem, smoothed_empirical_cost, smooth
 from dpnewsvendor.optimizer import (
     HyperParams,
     NoiseSource,
-    SecureNoiseSource,
     clip,
     default_bandwidth,
     fit,
@@ -146,16 +145,19 @@ class TestNoiseSource:
         assert abs(draws.mean()) <= 4 / math.sqrt(n)
         assert abs(draws.var() - 1.0) <= 4 * math.sqrt(2.0 / n)
 
-    def test_secure_source_shape(self):
-        out = SecureNoiseSource().standard_normal(5)
-        assert out.shape == (5,)
-        assert np.isfinite(out).all()
-
-    def test_secure_source_caches_no_draw(self):
-        # a cached Box-Muller value on a shared source can reach two threads
-        source = SecureNoiseSource()
-        source.standard_normal(3)
-        assert source._gen.gauss_next is None
+    def test_unseeded_source_draws_afresh_and_certifies(self, instance):
+        # NoiseSource(None) seeds Philox from the operating system's entropy
+        a = NoiseSource(None).standard_normal(8)
+        b = NoiseSource(None).standard_normal(8)
+        assert not np.array_equal(a, b)
+        data, problem, whitener = instance
+        hp = HyperParams(
+            bandwidth=0.15, n_steps=10, clip_radius=2.0, step_size=0.5, mu=0.5,
+            sigma=calibrate_sigma(0.5, 2.0, 10, 0.5),
+        )
+        res = fit(data, problem, hp, whitener=whitener, noise=NoiseSource(None))
+        assert res.certificate is not None and res.certificate.mu == 0.5
+        assert np.isfinite(res.beta_final).all()
 
 
 class TestDefaultBandwidth:
