@@ -65,9 +65,15 @@ def _float_or_auto(raw: str) -> float | None:
 
 def _list_of(cast, key: str):
     def parse(raw: str) -> tuple:
-        if items := tuple(cast(item.strip()) for item in raw.split(",") if item.strip()):
-            return items
-        raise ValueError(f"config key {key} lists no values")
+        items = [item.strip() for item in raw.split(",") if item.strip()]
+        values = tuple(cast(item) for item in items)
+        if not values:
+            raise ValueError(f"config key {key} lists no values")
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                # the rows of a repeated value would merge into one aggregate
+                raise ValueError(f"config key {key} names the value {items[i]} twice")
+        return values
 
     return parse
 

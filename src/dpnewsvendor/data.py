@@ -1,20 +1,22 @@
 """Synthetic demand generation, CSV ingestion, whitening, splitting.
 
-The synthetic generator draws standard normals ``z`` and the noise
-``eps`` in one place, ``_synthetic_stream``: ``z`` with ``_fill_normals``,
-then ``eps`` in chunks of ``_EPS_CHUNK`` rows, each chunk one step of a
-generator, so that a consumer can use the first rows while the rest are
-drawn.  ``_fill_normals`` draws a ``z`` of at least ``_SPLIT_VALUES``
-values on two threads when two CPUs are usable: the second half from a
-copy of the stream jumped ahead, joined to the first half where the two
-parses of the stream meet.  Drawn in chunks or whole, on one thread or
-two, the values are the same.  The features
-are ``z`` mapped to ``N(0, covariance)`` by the covariance's Cholesky
-factor with an intercept prepended, and ``d = x @ theta_star + eps``.
-The noise law is one of three families: standard normal, Student t, and
-a two-or-more component Gaussian mixture.  The clairvoyant coefficient
-vector for a quantile level ``tau`` is ``theta_star`` with the noise
-quantile added to the intercept.
+The synthetic generator draws a recipe's rows at a seed into arrays the
+caller allocates.  ``_synthetic_stream`` fills the standard normals
+``z`` with ``_fill_normals``, then the noise ``eps`` in chunks of
+``_EPS_CHUNK`` rows, each chunk one step of a generator, so that a
+consumer can use the first rows while the rest are drawn.
+``_fill_normals`` draws a ``z`` of at least ``_SPLIT_VALUES`` values on
+two threads when two CPUs are usable: the second half from a copy of
+the stream jumped ahead, joined to the first half where the two parses
+of the stream meet.  Drawn in chunks or whole, on one thread or two, the
+values are the same.  ``_synthetic_rows`` maps ``z`` to features
+``N(0, covariance)`` by the covariance's Cholesky factor with an
+intercept prepended, and draws ``eps`` straight into the demands, then
+adds ``x @ theta_star``.  The noise law is one of three families:
+standard normal, Student t, and a two-or-more component Gaussian
+mixture.  The clairvoyant coefficient vector for a quantile level
+``tau`` is ``theta_star`` with the noise quantile added to the
+intercept.
 """
 
 from __future__ import annotations
@@ -46,10 +48,9 @@ _QUANTILE_BRACKET = 1e3
 _QUANTILE_XTOL = 1e-10
 _QUANTILE_RTOL = 4 * np.finfo(float).eps  # scipy.optimize.bisect's default rtol
 _COUNT_CHUNK_BYTES = 1 << 20
-_MIXTURE_BLOCK = 4096
 # Noise rows per draw call of _noise_chunks: coarse, since every chunk
 # boundary can hand the interpreter lock to a thread that waits for it
-_EPS_CHUNK = 16 * _MIXTURE_BLOCK
+_EPS_CHUNK = 1 << 16
 _SEPARATOR_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # Fewest standard normals that _fill_normals draws on two threads: below
 # this the hand-off and the join cost more than the second CPU saves
@@ -59,9 +60,6 @@ _JOIN_PROBES = 16
 # Raw draws by which the jumped copy starts before the second half: a copy
 # that starts at it can parse a value of the stream away and run ahead
 _COPY_LEAD = 8
-# Values moved per copy when the jumped half is shifted into place, so
-# that an overlapping move needs no temporary larger than this
-_SHIFT_CHUNK = 1 << 16
 
 
 def ar1_covariance(dim: int, rho: float = 0.5) -> np.ndarray:
@@ -202,32 +200,29 @@ def _noise_chunks(dist: ErrorDist, eps: np.ndarray, rng: np.random.Generator):
     every row first, then the normals chunk by chunk: the stream and
     values of ``rng.normal(means[comp], sds[comp])`` with
     ``comp = rng.choice(k, size=n, p=weights)``.  ``choice`` inverts
-    uniforms against the weights' CDF, and uniforms drawn block by block
+    uniforms against the weights' CDF, and uniforms drawn chunk by chunk
     are the same stream.  The labels take one byte a row, and the per-row
-    means and sds exist one block at a time.
+    means and sds exist one chunk at a time.
     """
     n = len(eps)
+    stops = _chunk_stops(n)
     if dist.kind == "gaussian_mixture":
         cdf = np.cumsum(dist.weights)
         cdf /= cdf[-1]
         comp = np.empty(n, dtype=np.min_scalar_type(len(cdf) - 1))
-        for start in range(0, n, _MIXTURE_BLOCK):
-            stop = min(start + _MIXTURE_BLOCK, n)
+        for start, stop in zip([0, *stops], stops):
             comp[start:stop] = cdf.searchsorted(rng.random(stop - start), side="right")
         means, sds = np.asarray(dist.means), np.sqrt(dist.variances)
     start = 0
-    for stop in _chunk_stops(n):
+    for stop in stops:
         chunk = eps[start:stop]
         if dist.kind == "student_t":
             chunk[:] = rng.standard_t(dist.df, size=stop - start)
         else:
             rng.standard_normal(out=chunk)
         if dist.kind == "gaussian_mixture":
-            for lo in range(start, stop, _MIXTURE_BLOCK):
-                block = eps[lo : min(lo + _MIXTURE_BLOCK, stop)]
-                labels = comp[lo : lo + len(block)]
-                block *= sds[labels]
-                block += means[labels]
+            chunk *= sds[comp[start:stop]]
+            chunk += means[comp[start:stop]]
         yield stop
         start = stop
 
@@ -247,10 +242,11 @@ def _fill_normals(rng: np.random.Generator, out: np.ndarray) -> np.random.Genera
     thread draws the first half from ``rng`` while a task on the kernels'
     pool draws the second half from such a copy; ``_join`` finds and
     proves where the copy's values become the stream's.  They move left
-    into place, in chunks of ``_SHIFT_CHUNK``, behind the probe values
-    that precede the join, and the copy draws the missing tail and is
-    returned.  Otherwise, or if no join is proven, the values are drawn
-    serially from ``rng``.
+    into place in one copy, behind the probe values that precede the
+    join: numpy moves an overlapping 1-d slice in place when both sides
+    run the same way.  The copy draws the missing tail and is returned.
+    Otherwise, or if no join is proven, the values are drawn serially
+    from ``rng``.
     """
     flat = out.reshape(-1)
     n, k = flat.size, flat.size // 2
@@ -276,12 +272,9 @@ def _fill_normals(rng: np.random.Generator, out: np.ndarray) -> np.random.Genera
         return rng
     probes, j = join
     i = len(probes)
-    shift = j - i
-    for lo in range(k + i, n - shift, _SHIFT_CHUNK):
-        hi = min(lo + _SHIFT_CHUNK, n - shift)
-        flat[lo:hi] = flat[lo + shift : hi + shift]
+    flat[k + i : n - (j - i)] = flat[k + j :]
     flat[k : k + i] = probes
-    ahead.standard_normal(out=flat[n - shift :])
+    ahead.standard_normal(out=flat[n - (j - i) :])
     return ahead
 
 
@@ -321,8 +314,9 @@ class SyntheticSpec:
 
     ``covariance`` governs the non-intercept features, so it has one
     fewer dimension than ``theta_star``.  It is checked, and its
-    Cholesky factor ``_chol`` computed, once per recipe; ``_with`` gives
-    the recipe at another size and seed without doing either again.
+    Cholesky factor ``_chol`` computed, once per recipe.  ``n`` and
+    ``seed`` are what ``generate_synthetic`` draws; ``_synthetic_rows``
+    draws the same design at any size and seed.
     """
 
     theta_star: tuple[float, ...]
@@ -358,16 +352,6 @@ class SyntheticSpec:
     def p(self) -> int:
         return len(self.theta_star)
 
-    def _with(self, n: int, seed: int) -> "SyntheticSpec":
-        """The recipe at another size and seed.  Its covariance is not
-        checked again, and the Cholesky factor is shared."""
-        if not n >= 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        spec = copy.copy(self)
-        object.__setattr__(spec, "n", n)
-        object.__setattr__(spec, "seed", seed)
-        return spec
-
 
 def default_spec(n: int, dist: str | ErrorDist = "normal", seed: int = 0) -> SyntheticSpec:
     """The stock 5-coefficient design used by the CLI and benchmarks."""
@@ -382,61 +366,44 @@ def default_spec(n: int, dist: str | ErrorDist = "normal", seed: int = 0) -> Syn
     )
 
 
-def _synthetic_stream(spec: SyntheticSpec):
-    """The recipe's random stream from ``default_rng(seed)``, to be drawn
-    step by step: the standard normals ``z``, one row of ``p - 1`` per
-    observation, then the noise ``eps``.
+def _synthetic_stream(spec: SyntheticSpec, seed: int, z: np.ndarray, eps: np.ndarray):
+    """Fill the caller's ``(n, p - 1)`` standard normals ``z`` and ``n``
+    noise values ``eps`` with the recipe's random stream from
+    ``default_rng(seed)``, step by step.
 
-    Returns ``z`` and ``eps``, not yet filled, their chunks' stop rows
-    ``_chunk_stops(spec.n)``, and a generator that fills them in stream
-    order: its first step draws all of ``z`` and the noise of the first
-    chunk, each later step the noise of the next chunk, and each step
-    yields its chunk's stop row.  ``z`` is drawn by ``_fill_normals``, on
-    two threads if it is large enough, and ``eps`` from the generator
-    that it hands on, so the values are those of one generator's calls.
+    A generator: its first step draws all of ``z`` and the noise of the
+    first chunk, each later step the noise of the next chunk, and each
+    step yields its chunk's stop row, as listed by ``_chunk_stops(n)``.
+    ``z`` is drawn by ``_fill_normals``, on two threads if it is large
+    enough, and ``eps`` from the generator that it hands on, so the
+    values are those of one generator's calls.
     """
-    rng = np.random.default_rng(spec.seed)
-    z = np.empty((spec.n, spec.p - 1))
-    eps = np.empty(spec.n)
-
-    def draw():
-        yield from _noise_chunks(spec.error_dist, eps, _fill_normals(rng, z))
-
-    return z, eps, _chunk_stops(spec.n), draw()
+    rng = np.random.default_rng(seed)
+    yield from _noise_chunks(spec.error_dist, eps, _fill_normals(rng, z))
 
 
-def _synthetic_draws(spec: SyntheticSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The recipe's random stream drawn whole: ``z`` and ``eps`` of
-    ``_synthetic_stream``.
+def _synthetic_rows(spec: SyntheticSpec, seed: int, x: np.ndarray, d: np.ndarray) -> None:
+    """Draw the recipe's design at ``seed`` into the ``(n, p)`` features
+    ``x`` and the ``n`` demands ``d``, which may be slices of larger
+    stacks; ``n`` is taken from the arrays, not from the recipe.
 
-    ``_synthetic_rows`` builds the rows from this draw, and
-    ``evaluation.out_of_sample_cost`` scores a recipe straight from it.
-    """
-    z, eps, _, stream = _synthetic_stream(spec)
-    for _ in stream:
-        pass
-    return z, eps
-
-
-def _synthetic_rows(spec: SyntheticSpec, x: np.ndarray, d: np.ndarray) -> None:
-    """Draw the recipe's rows into the ``(n, p)`` features ``x`` and the
-    ``n`` demands ``d``, which may be slices of larger stacks.
-
+    The noise of ``_synthetic_stream`` is drawn straight into ``d``.
     Features are ``x = (1, z @ chol.T)``, with ``chol`` the Cholesky
-    factor of the covariance, and demands ``d = x @ theta_star + eps``,
-    from the draw of ``_synthetic_draws``.
+    factor of the covariance, and then ``d += x @ theta_star``.
     """
-    z, eps = _synthetic_draws(spec)
+    z = np.empty((len(d), spec.p - 1))
+    for _ in _synthetic_stream(spec, seed, z, d):
+        pass
     x[:, 0] = 1.0
     x[:, 1:] = z @ spec._chol.T
-    np.add(x @ np.asarray(spec.theta_star), eps, out=d)
+    d += x @ np.asarray(spec.theta_star)
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
-    """Draw a dataset from the recipe, as ``_synthetic_rows`` draws it;
-    deterministic given the seed."""
+    """Draw the recipe's ``n`` rows at its seed, as ``_synthetic_rows``
+    draws them; deterministic given the seed."""
     x, d = np.empty((spec.n, spec.p)), np.empty(spec.n)
-    _synthetic_rows(spec, x, d)
+    _synthetic_rows(spec, spec.seed, x, d)
     return Dataset(demands=d, features=x)
 
 

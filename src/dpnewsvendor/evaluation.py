@@ -6,11 +6,13 @@ the regret against the clairvoyant policy on a large held-out evaluation
 set, and the out-of-sample cost.  Every policy of the run (of every
 sample size, for ``sweep``), the clairvoyant one included, is scored in
 one blocked pass, ``_CostPartials``, straight from the evaluation set's
-random stream (the standard normals and the noise of its
-``SyntheticSpec``): neither the set's features nor its demands are
-built, so it is never held as a ``Dataset``.  The stream is drawn on one
-helper thread while the fits run, the noise in chunks of rows, one task
-each, in stream order.  After the fits, the pass scores each block of
+random stream: the standard normals and the noise that
+``data._synthetic_stream`` draws into two arrays, scored with
+``_overage_coefficients``.  Neither the set's features nor its demands
+are built, so it is never held as a ``Dataset``; ``out_of_sample_cost``
+scores a ``Dataset`` only.  The stream is drawn on one helper thread
+while the fits run, the noise in chunks of rows, one task each, in
+stream order.  After the fits, the pass scores each block of
 rows as soon as its chunk is drawn, on the main thread, but for the last
 quarter of the blocks, which the helper scores after the draw.  Each
 block keeps its own partial sums, added in block order at the end, so
@@ -53,7 +55,7 @@ from .data import (
     ErrorDist,
     SyntheticSpec,
     Whitener,
-    _synthetic_draws,
+    _chunk_stops,
     _synthetic_rows,
     _synthetic_stream,
     generate_synthetic,  # noqa: F401  not called here; perfbench's tracer test patches it
@@ -91,17 +93,21 @@ _BLOCK_ROWS = 4096
 _GROUP_POLICIES = 16
 
 
-def out_of_sample_cost(problem: Problem, policy, test_data: Dataset | SyntheticSpec):
+def out_of_sample_cost(problem: Problem, policy, test_data: Dataset):
     """Average newsvendor cost of one or several policies on held-out data.
 
     ``policy`` is a coefficient vector, which gives a float, or a
     ``(p, K)`` matrix with one policy per column, which gives the K costs
-    as an array from a single pass over the data.  The data is a
-    ``Dataset``, whose rows ``(1, z, last)`` are its features and demand,
-    scored with coefficients ``(beta, -1)``, or a ``SyntheticSpec``, whose
-    drawn normals and noise are scored with ``_overage_coefficients``, so
-    its features and demands are never built.
+    as an array from a single pass over the data.  The rows ``(1, z,
+    demand)`` of the ``Dataset`` are scored by ``_CostPartials`` with
+    coefficients ``(beta, -1)``.  A ``SyntheticSpec`` is refused: score
+    ``generate_synthetic(spec)``.
     """
+    if isinstance(test_data, SyntheticSpec):
+        raise TypeError(
+            "out_of_sample_cost takes a Dataset, not a SyntheticSpec: "
+            "score generate_synthetic(spec)"
+        )
     single = np.ndim(policy) == 1
     betas = coefficients(policy)[:, None] if single else np.asarray(policy, dtype=float)
     if betas.ndim != 2:
@@ -110,12 +116,10 @@ def out_of_sample_cost(problem: Problem, policy, test_data: Dataset | SyntheticS
         raise DimensionMismatch(
             f"policy has {betas.shape[0]} coefficients but data has {test_data.p} features"
         )
-    if isinstance(test_data, Dataset):
-        coefs = np.vstack([betas, np.full(betas.shape[1], -1.0)]).T
-        costs = _mean_costs(problem, coefs, test_data.features[:, 1:], test_data.demands)
-    else:
-        coefs = _overage_coefficients(test_data, betas)
-        costs = _mean_costs(problem, coefs, *_synthetic_draws(test_data))
+    coefs = np.vstack([betas, np.full(betas.shape[1], -1.0)]).T
+    partials = _CostPartials(coefs, test_data.features[:, 1:], test_data.demands)
+    partials.score(range(partials.n_blocks))
+    costs = partials.costs(problem)
     return float(costs[0]) if single else costs
 
 
@@ -131,15 +135,6 @@ def _overage_coefficients(spec: SyntheticSpec, betas: np.ndarray) -> np.ndarray:
     for g in range(0, a.shape[1], _GROUP_POLICIES):
         c[g : g + _GROUP_POLICIES, 1:p] = (spec._chol.T @ a[1:, g : g + _GROUP_POLICIES]).T
     return c[:k]
-
-
-def _mean_costs(problem: Problem, coefs: np.ndarray, z: np.ndarray, last: np.ndarray):
-    """Mean cost ``b * (d - q) + (b + h) * (q - d)^+`` of each row ``c`` of
-    ``coefs`` over the rows ``r_i = (1, z_i, last_i)``, ``q - d = c @ r_i``:
-    every block scored by ``_CostPartials`` on this thread."""
-    partials = _CostPartials(coefs, z, last)
-    partials.score(range(partials.n_blocks))
-    return partials.costs(problem)
 
 
 class _CostPartials:
@@ -255,6 +250,10 @@ class ReplicationConfig:
             raise ValueError(f"eval_n must be >= 1, got {self.eval_n}")
         if not self.base_seed >= 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        labels = [self.mu_label(mu) for mu in self.mu_grid]
+        if len(set(labels)) < len(labels):
+            # rows and aggregates tell the levels apart by label alone
+            raise ValueError(f"mu_grid levels must have distinct labels, got {labels}")
         hp = HyperParams(
             bandwidth=self.resolved_bandwidth(),
             n_steps=self.n_steps,
@@ -333,7 +332,7 @@ def _fit_batch(
     for cell, rep_ids in batch:
         x, d = np.empty((len(rep_ids), cell.n, spec.p)), np.empty((len(rep_ids), cell.n))
         for i, r in enumerate(rep_ids):
-            _synthetic_rows(spec._with(n=cell.n, seed=seeds[r - 1]), x[i], d[i])
+            _synthetic_rows(spec, seeds[r - 1], x[i], d[i])
         stacks.append((x, d, cell._hyper.bandwidth))
     reps = [r - 1 for _, rep_ids in batch for r in rep_ids]
     private = iter(optimizer._lockstep_fits(stacks, problem, hp, whitener, noise[:, reps])[-1])
@@ -403,6 +402,8 @@ def sweep(config: ReplicationConfig, ns, R: int, jobs: int = 1) -> ReplicationRe
         raise ValueError(f"R must be >= 1, got {R}")
     if not jobs >= 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if len(set(map(int, ns))) < len(ns):
+        raise ValueError(f"ns must be distinct sample sizes, got {list(ns)}")
     problem = config.problem
     eval_spec = SyntheticSpec(
         theta_star=config.theta_star,
@@ -416,7 +417,9 @@ def sweep(config: ReplicationConfig, ns, R: int, jobs: int = 1) -> ReplicationRe
     # and multiplies the blocks; leaving the block joins the thread
     with ThreadPoolExecutor(max_workers=1) as helper:
         try:
-            z, eps, stops, stream = _synthetic_stream(eval_spec)
+            z, eps = np.empty((config.eval_n, eval_spec.p - 1)), np.empty(config.eval_n)
+            stops = _chunk_stops(config.eval_n)
+            stream = _synthetic_stream(eval_spec, eval_spec.seed, z, eps)
             # one task per chunk: the one worker runs them in stream order
             drawn = [helper.submit(next, stream) for _ in stops]
             betas = _fit_cells(config, ns, R, jobs, eval_spec, whitener)

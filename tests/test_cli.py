@@ -500,7 +500,9 @@ class TestBench:
         draws = []
         stream = evaluation._synthetic_stream
         monkeypatch.setattr(
-            evaluation, "_synthetic_stream", lambda spec: draws.append(spec) or stream(spec)
+            evaluation,
+            "_synthetic_stream",
+            lambda spec, *args: draws.append(spec) or stream(spec, *args),
         )
         capsys.readouterr()
         code = main(["bench", "--config", str(cfg), "--rows", str(tmp_path / "rows.csv"),
@@ -583,11 +585,22 @@ class TestBench:
             ("hyper", "bandwidth = 0", "bandwidth must be finite and > 0, got 0.0"),
             ("hyper", "B = 0.5\n[privacy]\nmu = nonprivate", "clip_radius must be >= 1, got 0.5"),
             ("hyper", "eta0 = inf", "step_size must be finite and > 0, got inf"),
+            ("privacy", "mu = 0.5, 0.5", "config key privacy.mu names the value 0.5 twice"),
+            ("privacy", "mu = nonprivate, 0.9, nonprivate",
+             "config key privacy.mu names the value nonprivate twice"),
+            ("privacy", "mu = 0.5, 0.5000001",
+             "mu_grid levels must have distinct labels, got ['mu=0.5', 'mu=0.5']"),
+            ("problem", "tau = 0.5, 5e-1", "config key problem.tau names the value 5e-1 twice"),
+            ("data", "n = 400, 400", "config key data.n names the value 400 twice"),
+            ("problem", "tau = 0.5, 0.5", "config key problem.tau names the value 0.5 twice"),
+            ("data", "dist = t3, normal, t3", "config key data.dist names the value t3 twice"),
         ],
         ids=["dist", "mode", "mu", "mu-inf", "eval_n", "base_seed", "jobs",
              "empty-n", "empty-tau", "empty-dist", "empty-mu",
              "n", "n-0-bandwidth", "n-negative-bandwidth",
-             "max_step", "bandwidth", "B-nonprivate", "eta0-inf"],
+             "max_step", "bandwidth", "B-nonprivate", "eta0-inf",
+             "repeated-mu", "repeated-nonprivate", "mu-labels-alike", "tau-spelled-twice",
+             "repeated-n", "repeated-tau", "repeated-dist"],
     )
     def test_bad_cell_setting_exits_2(self, tmp_path, capsys, section, setting, message):
         cfg = tmp_path / "bad.ini"

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -183,28 +184,30 @@ class TestGenerateSynthetic:
     def test_rows_drawn_into_a_stack_slice_equal_a_dataset(self, dist):
         spec = default_spec(300, dist, seed=9)
         x, d = np.full((3, spec.n, spec.p), np.nan), np.full((3, spec.n), np.nan)
-        datamod._synthetic_rows(spec, x[1], d[1])
+        datamod._synthetic_rows(spec, spec.seed, x[1], d[1])
         ds = generate_synthetic(spec)
         assert x[1].tobytes() == ds.features.tobytes()
         assert d[1].tobytes() == ds.demands.tobytes()
         # the neighbouring slices are not touched
         assert np.isnan(x[[0, 2]]).all() and np.isnan(d[[0, 2]]).all()
 
-    def test_resized_spec_draws_as_a_new_one(self, monkeypatch):
-        spec = default_spec(100, "mixture", seed=1)
+    @pytest.mark.parametrize("dist", ["normal", "t3", "mixture"])
+    def test_rows_at_another_size_and_seed_equal_that_recipe(self, monkeypatch, dist):
+        spec = default_spec(100, dist, seed=1)
         checks = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: checks.append(m) or eigvalsh(m))
-        resized = spec._with(n=300, seed=4)
+        x, d = np.empty((300, spec.p)), np.empty(300)
+        datamod._synthetic_rows(spec, 4, x, d)
         assert checks == []  # the covariance is not checked again
-        assert resized._chol is spec._chol
-        fresh = generate_synthetic(default_spec(300, "mixture", seed=4))
-        ds = generate_synthetic(resized)
-        assert np.array_equal(ds.features, fresh.features)
-        assert np.array_equal(ds.demands, fresh.demands)
+        fresh = generate_synthetic(default_spec(300, dist, seed=4))
+        assert x.tobytes() == fresh.features.tobytes()
+        assert d.tobytes() == fresh.demands.tobytes()
         assert (spec.n, spec.seed) == (100, 1)
+
+    def test_spec_refuses_an_empty_design(self):
         with pytest.raises(ValueError, match="n must be >= 1"):
-            spec._with(n=0, seed=4)
+            default_spec(0, "normal", seed=4)
 
     def test_mixture_has_heavy_tails(self):
         spec = default_spec(50_000, "mixture", seed=1)
@@ -508,12 +511,28 @@ class TestSplitNormals:
             self._assert_one_call(seed, 1_001, datamod._fill_normals)
         assert joins == [None] * 3
 
+    def test_joined_half_moves_without_a_temporary(self, joins):
+        # 2^20 values: the copy's half of 4 MiB joins behind a lead of
+        # values that are not the stream's, so it moves left onto itself
+        out, seed = np.empty(1 << 20), 5
+        want = np.random.default_rng(seed).standard_normal(out.size)
+        tracemalloc.start()
+        try:
+            datamod._fill_normals(np.random.default_rng(seed), out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        [(i, j)] = joins
+        assert j > i
+        assert out.tobytes() == want.tobytes()
+        assert peak < out.nbytes // 2 // 16
+
     def test_below_the_threshold_the_pool_is_never_touched(self, monkeypatch):
         self._refuse_pool(monkeypatch)
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: 64)
         self._assert_one_call(3, datamod._SPLIT_VALUES - 1, datamod._fill_normals)
         # a spec whose z holds just under the threshold
         spec = default_spec(datamod._SPLIT_VALUES // 4 - 1, "normal", seed=3)
-        z, eps, _, stream = datamod._synthetic_stream(spec)
-        next(stream)
+        z, eps = np.empty((spec.n, spec.p - 1)), np.empty(spec.n)
+        next(datamod._synthetic_stream(spec, spec.seed, z, eps))
         assert z.size == datamod._SPLIT_VALUES - 4

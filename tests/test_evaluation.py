@@ -13,7 +13,6 @@ from dpnewsvendor import data, evaluation, kernels, model, optimizer
 from dpnewsvendor.data import (
     ErrorDist,
     SyntheticSpec,
-    _synthetic_draws,
     ar1_covariance,
     default_spec,
     generate_synthetic,
@@ -49,6 +48,24 @@ def small_config():
         eval_n=20_000,
         base_seed=77,
     )
+
+
+def _drawn(spec: SyntheticSpec):
+    """The recipe's standard normals ``z`` and noise ``eps`` at its seed."""
+    z, eps = np.empty((spec.n, spec.p - 1)), np.empty(spec.n)
+    for _ in data._synthetic_stream(spec, spec.seed, z, eps):
+        pass
+    return z, eps
+
+
+def _spec_costs(problem: Problem, betas: np.ndarray, spec: SyntheticSpec) -> np.ndarray:
+    """The costs of the policy columns of ``betas`` on the recipe's draw,
+    scored as ``sweep`` scores them: ``_CostPartials`` over
+    ``_overage_coefficients`` and the drawn stream."""
+    coefs = evaluation._overage_coefficients(spec, betas)
+    partials = evaluation._CostPartials(coefs, *_drawn(spec))
+    partials.score(range(partials.n_blocks))
+    return partials.costs(problem)
 
 
 class TestEstimationError:
@@ -88,9 +105,7 @@ class TestRegretAndOos:
         beta_star = true_beta_star(spec, prob.tau)
         rng = np.random.default_rng(0)
         others = beta_star[:, None] + rng.normal(scale=0.05, size=(5, len(beta_star))).T
-        clairvoyant_cost, *costs = out_of_sample_cost(
-            prob, np.column_stack([beta_star, others]), spec
-        )
+        clairvoyant_cost, *costs = _spec_costs(prob, np.column_stack([beta_star, others]), spec)
         for cost in costs:
             assert cost - clairvoyant_cost >= -0.002
 
@@ -133,6 +148,11 @@ class TestRegretAndOos:
         with pytest.raises(DimensionMismatch):
             out_of_sample_cost(Problem.from_quantile(0.5), np.zeros((4, 3)), data)
 
+    def test_spec_is_refused(self):
+        spec = default_spec(100, "normal", seed=7)
+        with pytest.raises(TypeError, match=r"generate_synthetic\(spec\)"):
+            out_of_sample_cost(Problem.from_quantile(0.5), np.ones(5), spec)
+
     def test_vector_policy_gives_python_float(self):
         data = generate_synthetic(default_spec(100, "normal", seed=7))
         prob = Problem.from_quantile(0.5)
@@ -161,7 +181,7 @@ class TestStreamedEvaluation:
         prob = Problem(b=50, h=30)
         rng = np.random.default_rng(3)
         betas = true_beta_star(spec, prob.tau)[:, None] + rng.normal(scale=0.3, size=(5, 20))
-        streamed = out_of_sample_cost(prob, betas, spec)
+        streamed = _spec_costs(prob, betas, spec)
         materialised = out_of_sample_cost(prob, betas, generate_synthetic(spec))
         np.testing.assert_allclose(streamed, materialised, rtol=1e-12, atol=0.0)
 
@@ -174,7 +194,7 @@ class TestStreamedEvaluation:
         eps = np.empty(eval_n)
         for _ in data._noise_chunks(spec.error_dist, eps, rng):
             pass
-        drawn_z, drawn_eps = _synthetic_draws(spec)
+        drawn_z, drawn_eps = _drawn(spec)
         np.testing.assert_array_equal(drawn_z, z)
         np.testing.assert_array_equal(drawn_eps, eps)
         x = np.column_stack([np.ones(eval_n), z @ np.linalg.cholesky(spec.covariance).T])
@@ -193,7 +213,7 @@ class TestStreamedEvaluation:
         betas = true_beta_star(spec, prob.tau)[:, None] + rng.normal(scale=0.3, size=(5, k))
         groups = np.zeros((32, spec.p + 1))
         groups[:k] = evaluation._overage_coefficients(spec, betas)
-        z, eps = _synthetic_draws(spec)
+        z, eps = _drawn(spec)
         block = np.ones((spec.p + 1, rows))
         sums, excess = np.zeros(spec.p + 1), np.zeros(32)
         for start in range(0, spec.n, rows):
@@ -205,19 +225,19 @@ class TestStreamedEvaluation:
                 excess[g : g + 16] += np.maximum(groups[g : g + 16] @ block[:, :m], 0.0).sum(axis=1)
         linear = np.concatenate([groups[g : g + 16] @ sums for g in (0, 16)])
         expected = ((prob.b + prob.h) * excess[:k] - prob.b * linear[:k]) / spec.n
-        assert out_of_sample_cost(prob, betas, spec).tolist() == expected.tolist()
+        assert _spec_costs(prob, betas, spec).tolist() == expected.tolist()
 
     def test_spec_cost_of_a_policy_ignores_its_neighbours(self):
         spec = default_spec(10_000, "t3", seed=5)
         prob = Problem.from_quantile(0.3)
         rng = np.random.default_rng(2)
         beta = true_beta_star(spec, prob.tau) + rng.normal(scale=0.3, size=5)
-        alone = out_of_sample_cost(prob, beta[:, None], spec)[0]
+        alone = _spec_costs(prob, beta[:, None], spec)[0]
         for k in (1, 15, 16, 17, 40):
             for pos in sorted({0, k // 2, k - 1}):
                 betas = rng.normal(size=(5, k))
                 betas[:, pos] = beta
-                assert out_of_sample_cost(prob, betas, spec)[pos] == alone, (k, pos)
+                assert _spec_costs(prob, betas, spec)[pos] == alone, (k, pos)
 
     @pytest.mark.parametrize("dist", ["normal", "t3", "mixture"])
     def test_rows_match_scoring_the_materialised_set(self, small_config, dist):
@@ -316,6 +336,16 @@ class TestRunReplications:
         with pytest.raises(NonPositiveMu, match="mu must be > 0, got 0.0"):
             replace(small_config, mu_grid=(None, 0.0))
 
+    @pytest.mark.parametrize("mu_grid", [(None, 0.5, None), (0.5, 0.5), (0.5, 0.5000001)])
+    def test_levels_that_share_a_label_are_refused(self, small_config, mu_grid):
+        # their rows would merge into one aggregate
+        with pytest.raises(ValueError, match="mu_grid levels must have distinct labels"):
+            replace(small_config, mu_grid=mu_grid)
+
+    def test_repeated_sample_sizes_are_refused(self, small_config):
+        with pytest.raises(ValueError, match=r"ns must be distinct sample sizes, got \[60, 60\]"):
+            sweep(small_config, (60, 60), R=2)
+
     @pytest.mark.parametrize(
         "setting, message",
         [({"n_steps": 0}, "n_steps must be >= 1"),
@@ -345,7 +375,7 @@ def _rows_from_single_fits(
     """The rows of ``run_replications`` from one ``optimizer.fit`` per
     (replication, privacy level), written out by hand.  With
     ``materialise`` the evaluation set is scored as the ``Dataset``
-    ``generate_synthetic`` builds, not from its spec."""
+    ``generate_synthetic`` builds, not from its drawn stream."""
     eval_spec = _eval_spec(config)
     whitener = whitener_from(eval_spec)
     betas = []
@@ -370,11 +400,13 @@ def _rows_from_single_fits(
             )
             betas.append(optimizer.fit(train, config.problem, hp, whitener=whitener).beta_final)
     beta_star = true_beta_star(eval_spec, config.problem.tau)
-    clairvoyant, *costs = out_of_sample_cost(
-        config.problem,
-        np.column_stack([beta_star, *betas]),
-        generate_synthetic(eval_spec) if materialise else eval_spec,
-    )
+    policies = np.column_stack([beta_star, *betas])
+    if materialise:
+        clairvoyant, *costs = out_of_sample_cost(
+            config.problem, policies, generate_synthetic(eval_spec)
+        )
+    else:
+        clairvoyant, *costs = _spec_costs(config.problem, policies, eval_spec)
     return np.array(
         [
             [
@@ -646,9 +678,9 @@ class TestEvaluationDraw:
         monkeypatch.setattr(data, "_EPS_CHUNK", chunk)
         spec = default_spec(eval_n, ErrorDist.from_name(dist), seed=11)
         z, eps = _one_whole_draw(spec)
-        drawn_z, drawn_eps, stops, stream = data._synthetic_stream(spec)
-        assert stops == [*range(chunk, eval_n, chunk), eval_n]
-        assert list(stream) == stops
+        drawn_z, drawn_eps = np.empty_like(z), np.empty_like(eps)
+        stream = data._synthetic_stream(spec, spec.seed, drawn_z, drawn_eps)
+        assert list(stream) == data._chunk_stops(eval_n) == [*range(chunk, eval_n, chunk), eval_n]
         np.testing.assert_array_equal(drawn_z, z)
         np.testing.assert_array_equal(drawn_eps, eps)
 
@@ -668,8 +700,9 @@ class TestEvaluationDraw:
         for seed in range(3):
             spec = default_spec(10_001, ErrorDist.from_name(dist), seed=seed)
             z, eps = _one_whole_draw(spec)
-            drawn_z, drawn_eps, stops, stream = data._synthetic_stream(spec)
-            assert list(stream) == stops
+            drawn_z, drawn_eps = np.empty_like(z), np.empty_like(eps)
+            stream = data._synthetic_stream(spec, spec.seed, drawn_z, drawn_eps)
+            assert list(stream) == data._chunk_stops(spec.n)
             assert drawn_z.tobytes() == z.tobytes()
             assert drawn_eps.tobytes() == eps.tobytes()
         assert len(joins) == 3 and None not in joins
@@ -772,7 +805,7 @@ class TestEvaluationDraw:
         rows = run_replications(config, R=2).rows
         spec = _eval_spec(config)
         assert [r.oos_cost for r in rows] == [
-            out_of_sample_cost(config.problem, beta, spec) for beta in fitted
+            _spec_costs(config.problem, beta[:, None], spec)[0] for beta in fitted
         ]
 
     def test_thread_is_joined_after_success(self, small_config):
