@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import lzma
 import math
 import warnings
 from concurrent.futures import wait
@@ -427,31 +428,41 @@ def load_csv(path, demand_column: str) -> Dataset:
     must parse as a finite number.
 
     The file is read in two passes.  The first reads the header with
-    ``csv.reader`` and streams the remaining lines through
-    ``np.loadtxt``'s C parser; the second counts the file's lines in
-    binary chunks.  The table is kept only if ``loadtxt`` parsed one row
-    of ``len(header)`` finite values from every line after the header.
-    Any other file, including every malformed one, is read again by
-    ``_scan_csv``, so results and errors are those of the row scanner.
+    ``csv.reader`` and gives the path to ``np.loadtxt``'s C parser, which
+    skips the header's lines and reads the rest in chunks; the second
+    counts the file's lines in binary chunks.  The table is kept only if
+    ``loadtxt`` parsed one row of ``len(header)`` finite values from every
+    line after the header.  Any other file, including every malformed one
+    and every one that numpy opens otherwise than as plain text (it
+    decompresses by file suffix), is read again by ``_scan_csv``, so
+    results and errors are those of the row scanner.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        header = [h.strip() for h in next(csv.reader(fh), [])]
-        if demand_column not in header:
-            # the scanner raises the empty-file or missing-column error
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader, [])]
+        header_lines = reader.line_num  # a quoted line break adds one
+    if demand_column not in header:
+        # the scanner raises the empty-file or missing-column error
+        return _scan_csv(path, demand_column)
+    with warnings.catch_warnings():
+        # loadtxt warns instead of raising on a header-only file
+        warnings.simplefilter("error", UserWarning)
+        try:
+            table = np.loadtxt(
+                path, delimiter=",", quotechar='"', comments=None, ndmin=2, dtype=float,
+                skiprows=header_lines, encoding="utf-8-sig",
+            )
+        except (ValueError, UserWarning, OSError, lzma.LZMAError):
+            # OSError and LZMAError: a plain file named *.gz, *.bz2, *.xz
             return _scan_csv(path, demand_column)
-        with warnings.catch_warnings():
-            # loadtxt warns instead of raising on a header-only file
-            warnings.simplefilter("error", UserWarning)
-            try:
-                table = np.loadtxt(
-                    fh, delimiter=",", quotechar='"', comments=None, ndmin=2, dtype=float
-                )
-            except (ValueError, UserWarning):
-                return _scan_csv(path, demand_column)
     # loadtxt skips blank lines, which the scanner rejects; one row for
     # every line after the header rules them out
     lines = _count_lines(path)
-    if lines is None or table.shape != (lines - 1, len(header)) or not np.isfinite(table).all():
+    if (
+        lines is None
+        or table.shape != (lines - header_lines, len(header))
+        or not np.isfinite(table).all()
+    ):
         return _scan_csv(path, demand_column)
     d_idx = header.index(demand_column)
     features = np.empty_like(table)

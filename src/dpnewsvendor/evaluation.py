@@ -12,11 +12,13 @@ random stream: the standard normals and the noise that
 are built, so it is never held as a ``Dataset``; ``out_of_sample_cost``
 scores a ``Dataset`` only.  The stream is drawn on one helper thread
 while the fits run, the noise in chunks of rows, one task each, in
-stream order.  After the fits, the pass scores each block of
-rows as soon as its chunk is drawn, on the main thread, but for the last
-quarter of the blocks, which the helper scores after the draw.  Each
-block keeps its own partial sums, added in block order at the end, so
-the costs are bitwise those of one pass on one thread.
+stream order.  After the fits, the main thread takes blocks of rows
+from the front, each as soon as its chunk is drawn, and the helper,
+once the draw has ended, takes blocks from the back, until the two
+meet.  Each block keeps its own partial sums, added in block order at
+the end, so the costs are bitwise those of one pass on one thread.  The
+rows' estimation errors come from one stacked pass over the ``(K, p)``
+coefficient differences, bitwise those of ``estimation_error``.
 
 The private fits of a sweep advance in lockstep: one pass over the
 replications, in (n, replication) order, packs them into batches of at
@@ -45,6 +47,7 @@ and draws only its own training sets from the shared seeds.
 from __future__ import annotations
 
 import csv
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
@@ -158,8 +161,10 @@ class _CostPartials:
         self.sums = np.empty((self.n_blocks, cols))
         self.excess = np.empty((self.n_blocks, len(self.groups)))
 
-    def score(self, blocks: range) -> None:
-        """Fill the partials of ``blocks``, whose rows must be drawn."""
+    def score(self, blocks) -> None:
+        """Fill the partials of the block indices that ``blocks`` yields,
+        whose rows must be drawn; a generator may claim each block as it
+        is asked for the next."""
         groups, z, last = self.groups, self.z, self.last
         block = np.ones((groups.shape[1], _BLOCK_ROWS))
         over = np.empty((_GROUP_POLICIES, _BLOCK_ROWS))
@@ -432,6 +437,12 @@ def sweep(config: ReplicationConfig, ns, R: int, jobs: int = 1) -> ReplicationRe
             helper.shutdown(cancel_futures=True)
             raise
     clairvoyant_cost, *costs = partials.costs(problem).tolist()
+    # estimation_error of every policy in one stacked pass: a (1, p)
+    # product per policy over the C-contiguous (K, p) differences rounds
+    # as estimation_error's vector products do; a (p, K) view does not
+    delta = np.stack(betas) - beta_star
+    l2 = np.sqrt(delta[:, None, :] @ delta[:, :, None]).ravel()
+    sigma = np.sqrt((delta[:, None, :] @ whitener.sigma_matrix) @ delta[:, :, None]).ravel()
     keys = [
         (int(n), rep_id, mu)
         for n in ns
@@ -445,12 +456,14 @@ def sweep(config: ReplicationConfig, ns, R: int, jobs: int = 1) -> ReplicationRe
             mu_label=config.mu_label(mu),
             tau=problem.tau,
             dist_label=config.error_dist.label,
-            l2_error=estimation_error(beta, beta_star),
-            sigma_error=estimation_error(beta, beta_star, whitener),
+            l2_error=l2_error,
+            sigma_error=sigma_error,
             regret=oos - clairvoyant_cost,
             oos_cost=oos,
         )
-        for (n, rep_id, mu), beta, oos in zip(keys, betas, costs)
+        for (n, rep_id, mu), l2_error, sigma_error, oos in zip(
+            keys, l2.tolist(), sigma.tolist(), costs
+        )
     )
     return ReplicationReport(rows=rows)
 
@@ -459,29 +472,45 @@ def _score_as_drawn(partials: _CostPartials, stops, drawn, helper: ThreadPoolExe
     """Score every block of ``partials`` while its rows are still being drawn.
 
     ``drawn[i]`` is the helper's task that draws the rows up to
-    ``stops[i]``.  This thread scores each block once its chunk is
-    drawn, but for the last quarter of the blocks, which the helper
-    scores behind the last chunk, so that both threads score while this
-    one catches up with the draw.  The partials are the same whichever
-    thread scores a block.
+    ``stops[i]``.  This thread takes blocks from the front, those of each
+    chunk once it is drawn; the helper, once the draw has ended, takes
+    blocks from the back.  Each claims one block at a time under a lock,
+    and the two meet wherever they meet.  The partials are the same
+    whichever thread scores a block.
     """
-    n_blocks = partials.n_blocks
-    tail = n_blocks - n_blocks // 4
+    lock = threading.Lock()
+    bounds = [0, partials.n_blocks]  # the unclaimed blocks: [front, back)
 
-    def score_tail():
+    def front(ready: int):
+        while True:
+            with lock:
+                b = bounds[0]
+                if b >= min(ready, bounds[1]):
+                    return
+                bounds[0] = b + 1
+            yield b
+
+    def back():
+        while True:
+            with lock:
+                if bounds[0] >= bounds[1]:
+                    return
+                bounds[1] -= 1
+                b = bounds[1]
+            yield b
+
+    def score_back():
         # a failed chunk ends the stream, so the last chunk's task fails
         # too: never score rows that were not drawn
         drawn[-1].result()
-        partials.score(range(tail, n_blocks))
+        partials.score(back())
 
-    tail_scored = helper.submit(score_tail)
-    scored = 0
+    back_scored = helper.submit(score_back)
     for stop, chunk in zip(stops, drawn):
         chunk.result()
-        ready = min(tail, n_blocks if stop == stops[-1] else stop // _BLOCK_ROWS)
-        partials.score(range(scored, ready))
-        scored = ready
-    tail_scored.result()
+        # one call a chunk: its buffers are not held while the draw goes on
+        partials.score(front(partials.n_blocks if stop == stops[-1] else stop // _BLOCK_ROWS))
+    back_scored.result()
 
 
 def _fit_cells(

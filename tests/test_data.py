@@ -347,6 +347,34 @@ class TestLoadCsv(object):
         assert ds.demands.tobytes() == expected.demands.tobytes()
         assert ds.features.tobytes() == expected.features.tobytes()
 
+    # a plain file under a compressed suffix fails numpy's decompression;
+    # the rest load without the scanner
+    @pytest.mark.parametrize(
+        "name, body, scanned",
+        [
+            ("x.csv.gz", b"demand,temp\n1,2\n3,4\n", True),
+            ("x.csv.bz2", b"demand,temp\n1,2\n3,4\n", True),
+            ("x.csv.xz", b"demand,temp\n1,2\n3,4\n", True),
+            ("x.csv", b'demand,"temp\nC"\n1,2\n3,4\n', False),
+            ("x.csv", b'"temp\r\nC",demand\r\n1,2\r\n3,4\r\n', False),
+            ("x.csv", b"\xef\xbb\xbfdemand,temp\r\n1,2\r\n3,4\r\n", False),
+            ("x.csv", b"demand,temp\r1,2\r3,4", False),
+            ("x.csv", b'demand,"te\rmp"\r1,2\r3,4\r', False),
+        ],
+        ids=["gz", "bz2", "xz", "quoted-lf-header", "quoted-crlf-header", "bom-crlf",
+             "lone-cr", "quoted-cr-header"],
+    )
+    def test_file_gives_the_scanners_table(self, tmp_path, monkeypatch, name, body, scanned):
+        path = tmp_path / name
+        path.write_bytes(body)
+        expected = datamod._scan_csv(path, "demand")
+        if not scanned:
+            monkeypatch.setattr(datamod, "_scan_csv", _refuse_scan)
+        ds = load_csv(path, "demand")
+        assert ds.demands.tobytes() == expected.demands.tobytes()
+        assert ds.features.tobytes() == expected.features.tobytes()
+        assert ds.n == 2
+
     def test_line_count_across_chunk_boundaries(self, tmp_path, monkeypatch):
         path = tmp_path / "x.csv"
         path.write_bytes(b"demand\r\n1\r\n2\r\n3")

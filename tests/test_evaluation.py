@@ -320,6 +320,29 @@ class TestRunReplications:
             estimation_error(beta, beta_star), rel=1e-12
         )
 
+    @pytest.mark.parametrize("mode", ["known_sigma_matrix", "raw_covariates"])
+    @pytest.mark.parametrize("dist", ["normal", "t3", "mixture"])
+    def test_row_errors_are_bitwise_those_of_estimation_error(
+        self, small_config, monkeypatch, dist, mode
+    ):
+        config = replace(
+            small_config, error_dist=ErrorDist.from_name(dist), mode=mode, eval_n=1_000
+        )
+        fitted, fit_cells = [], evaluation._fit_cells
+
+        def recorded(*args):
+            fitted.extend(fit_cells(*args))
+            return fitted
+
+        monkeypatch.setattr(evaluation, "_fit_cells", recorded)
+        rows = sweep(config, (60, 120), R=5).rows
+        spec = _eval_spec(config)
+        beta_star, whitener = true_beta_star(spec, config.problem.tau), whitener_from(spec)
+        assert len(rows) == len(fitted) == 2 * 5 * 3
+        for row, beta in zip(rows, fitted):
+            assert row.l2_error == estimation_error(beta, beta_star)
+            assert row.sigma_error == estimation_error(beta, beta_star, whitener)
+
     def test_jobs_do_not_change_rows(self, small_config):
         seq = run_replications(small_config, R=4, jobs=1)
         par = run_replications(small_config, R=4, jobs=3)
@@ -756,38 +779,103 @@ class TestEvaluationDraw:
         assert ended == [True]
         assert threading.active_count() == before
 
+    @staticmethod
+    def _record_scorers(monkeypatch, before_block=lambda helper: None):
+        """Patch ``_CostPartials.score`` to list ``(on helper, block)`` for
+        every block it scores, calling ``before_block(on helper)`` once
+        each block is claimed and before it is scored."""
+        score, scorers = evaluation._CostPartials.score, []
+
+        def recorded(partials, blocks):
+            helper = threading.current_thread() is not threading.main_thread()
+
+            def claimed():
+                for b in blocks:
+                    before_block(helper)
+                    scorers.append((helper, b))
+                    yield b
+
+            score(partials, claimed())
+
+        monkeypatch.setattr(evaluation._CostPartials, "score", recorded)
+        return scorers
+
+    @staticmethod
+    def _assert_split(scorers, n_blocks):
+        """Every block is scored once, the main thread's a prefix of the
+        blocks and the helper's the rest."""
+        by_block = sorted(scorers, key=lambda s: s[1])
+        assert [b for _, b in by_block] == list(range(n_blocks))
+        on_helper = [helper for helper, _ in by_block]
+        assert on_helper == sorted(on_helper), by_block
+
     @pytest.mark.parametrize("slowed", ["draw", "helper-scoring"])
     def test_rows_ignore_thread_timing(self, small_config, monkeypatch, slowed):
-        # 11 blocks, the helper's share being blocks 9 and 10, drawn in 14
-        # chunks that end inside blocks
+        # 11 blocks, drawn in 14 chunks that end inside blocks
         config = replace(small_config, eval_n=10 * evaluation._BLOCK_ROWS + 7)
         monkeypatch.setattr(data, "_EPS_CHUNK", 3_000)
         rows = sweep(config, (60, 120), R=2).rows
-        chunks, score = data._noise_chunks, evaluation._CostPartials.score
-        scorers = []
-        scoring = threading.Event()  # set once the main thread scores
+        chunks = data._noise_chunks
+        scoring = threading.Event()  # set once the main thread takes a block
 
         def slow_chunks(dist, eps, rng):
             for stop in chunks(dist, eps, rng):
                 yield stop
-                if slowed == "draw" and len(eps) == config.eval_n:
-                    # every later chunk lands while the main thread waits for it
+                evaluated = len(eps) == config.eval_n
+                if slowed == "draw" and evaluated and stop >= evaluation._BLOCK_ROWS:
+                    # every chunk after the one that ends block 0 lands while
+                    # the main thread waits for it
                     assert scoring.wait(timeout=10)
                     time.sleep(0.005)
 
-        def slow_score(partials, blocks):
-            helper = threading.current_thread() is not threading.main_thread()
+        def slow_block(helper):
             if not helper:
                 scoring.set()
             elif slowed == "helper-scoring":
                 time.sleep(0.05)
-            scorers.extend((helper, b) for b in blocks)
-            score(partials, blocks)
 
         monkeypatch.setattr(data, "_noise_chunks", slow_chunks)
-        monkeypatch.setattr(evaluation._CostPartials, "score", slow_score)
+        scorers = self._record_scorers(monkeypatch, slow_block)
         assert sweep(config, (60, 120), R=2).rows == rows
-        assert sorted(scorers, key=lambda s: s[1]) == [(b >= 9, b) for b in range(11)]
+        self._assert_split(scorers, 11)
+
+    def test_helper_takes_blocks_from_the_back_once_the_draw_has_ended(
+        self, small_config, monkeypatch
+    ):
+        # 11 blocks in one chunk, drawn before the fits end
+        config = replace(small_config, eval_n=10 * evaluation._BLOCK_ROWS + 7)
+        rows = sweep(config, (60, 120), R=2).rows
+        chunks, fit_cells = data._noise_chunks, evaluation._fit_cells
+        drawn, helper_took_five = threading.Event(), threading.Event()
+        helper_blocks = []
+
+        def recorded_chunks(dist, eps, rng):
+            for stop in chunks(dist, eps, rng):
+                if stop == len(eps) == config.eval_n:
+                    drawn.set()
+                yield stop
+
+        def fits_after_the_draw(*args):
+            betas = fit_cells(*args)
+            assert drawn.wait(timeout=10)
+            return betas
+
+        def slow_block(helper):
+            if helper:
+                helper_blocks.append(True)
+                if len(helper_blocks) == 5:
+                    helper_took_five.set()
+            else:
+                # the main thread's scoring stalls until the helper has taken
+                # more blocks than a fixed last quarter would give it
+                assert helper_took_five.wait(timeout=10)
+
+        monkeypatch.setattr(data, "_noise_chunks", recorded_chunks)
+        monkeypatch.setattr(evaluation, "_fit_cells", fits_after_the_draw)
+        scorers = self._record_scorers(monkeypatch, slow_block)
+        assert sweep(config, (60, 120), R=2).rows == rows
+        self._assert_split(scorers, 11)
+        assert [b for helper, b in scorers if helper][:5] == [10, 9, 8, 7, 6]
 
     @pytest.mark.parametrize("dist", ["normal", "mixture"])
     def test_each_cost_is_one_pass_over_the_spec(self, small_config, monkeypatch, dist):
