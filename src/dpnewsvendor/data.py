@@ -6,10 +6,10 @@ caller allocates.  ``_synthetic_stream`` fills the standard normals
 ``_EPS_CHUNK`` rows, each chunk one step of a generator, so that a
 consumer can use the first rows while the rest are drawn.
 ``_fill_normals`` draws a ``z`` of at least ``_SPLIT_VALUES`` values on
-two threads when two CPUs are usable: the second half from a copy of
-the stream jumped ahead, joined to the first half where the two parses
-of the stream meet.  Drawn in chunks or whole, on one thread or two, the
-values are the same.  ``_synthetic_rows`` maps ``z`` to features
+two threads when two CPUs are usable: the second half on the kernels'
+pool from a copy of the stream jumped ahead, joined to the first half at
+the stream's next value once generator states prove the join.  Drawn in
+chunks or whole, on one thread or two, the values are the same.  ``_synthetic_rows`` maps ``z`` to features
 ``N(0, covariance)`` by the covariance's Cholesky factor with an
 intercept prepended, and draws ``eps`` straight into the demands, then
 adds ``x @ theta_star``.  The noise law is one of three families:
@@ -26,8 +26,8 @@ import csv
 import lzma
 import math
 import warnings
-from concurrent.futures import wait
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtr, ndtri, stdtr
@@ -56,8 +56,6 @@ _SEPARATOR_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 # Fewest standard normals that _fill_normals draws on two threads: below
 # this the hand-off and the join cost more than the second CPU saves
 _SPLIT_VALUES = 1 << 20
-# Values drawn from the true stream to find where the jumped copy joins it
-_JOIN_PROBES = 16
 # Raw draws by which the jumped copy starts before the second half: a copy
 # that starts at it can parse a value of the stream away and run ahead
 _COPY_LEAD = 8
@@ -238,16 +236,15 @@ def _fill_normals(rng: np.random.Generator, out: np.ndarray) -> np.random.Genera
     of a PCG64 stream advanced by ``_COPY_LEAD`` raw draws fewer than
     ``k`` (O(log k) work) starts a little before the second half of the
     values, and its parse of the raw draws soon falls into step with the
-    stream's.  With at least
-    ``_SPLIT_VALUES`` values, two usable CPUs and a PCG64 stream, this
-    thread draws the first half from ``rng`` while a task on the kernels'
-    pool draws the second half from such a copy; ``_join`` finds and
-    proves where the copy's values become the stream's.  They move left
-    into place in one copy, behind the probe values that precede the
-    join: numpy moves an overlapping 1-d slice in place when both sides
-    run the same way.  The copy draws the missing tail and is returned.
-    Otherwise, or if no join is proven, the values are drawn serially
-    from ``rng``.
+    stream's.  With at least ``_SPLIT_VALUES`` values, two usable CPUs
+    and a PCG64 stream, this thread draws the first half from ``rng``
+    while the kernels' pool draws the second half from such a copy
+    (``kernels._fork_join``); ``_join`` finds and proves the ``j`` at
+    which the copy's values become the stream's.  They move left by
+    ``j`` in place (numpy moves an overlapping 1-d slice in place when
+    both sides run the same way), and the copy draws the last ``j``
+    values and is returned.  Otherwise, or if no join is proven, the
+    values are drawn serially from ``rng``.
     """
     flat = out.reshape(-1)
     n, k = flat.size, flat.size // 2
@@ -261,51 +258,37 @@ def _fill_normals(rng: np.random.Generator, out: np.ndarray) -> np.random.Genera
     start = copy.deepcopy(rng.bit_generator)
     start.advance(max(k - _COPY_LEAD, 0))
     ahead = np.random.Generator(copy.deepcopy(start))
-    task = kernels._executor().submit(ahead.standard_normal, out=flat[k:])
-    try:
-        rng.standard_normal(out=flat[:k])
-    finally:
-        wait([task])  # the task writes into out: never leave before it ends
-    task.result()
-    join = _join(rng, start, flat[k:])
-    if join is None:
+    kernels._fork_join(
+        partial(rng.standard_normal, out=flat[:k]), partial(ahead.standard_normal, out=flat[k:])
+    )
+    j = _join(rng, start, flat[k:])
+    if j is None:
         rng.standard_normal(out=flat[k:])
         return rng
-    probes, j = join
-    i = len(probes)
-    flat[k + i : n - (j - i)] = flat[k + j :]
-    flat[k : k + i] = probes
-    ahead.standard_normal(out=flat[n - (j - i) :])
+    flat[k : n - j] = flat[k + j :]
+    ahead.standard_normal(out=flat[n - j :])
     return ahead
 
 
-def _join(rng: np.random.Generator, start, half: np.ndarray):
+def _join(rng: np.random.Generator, start, half: np.ndarray) -> int | None:
     """Where ``half``, the values of a generator on the bit generator
-    ``start``, joins the stream of ``rng``: ``(probes, j)`` such that the
-    stream's values are ``probes`` and then ``half[j:]``, or None.
+    ``start``, joins the stream of ``rng``: the ``j`` such that the
+    stream's next values are ``half[j:]``, or None.
 
-    ``_JOIN_PROBES`` values are drawn from ``rng``.  The first of them
-    found in the head of ``half``, probe ``i`` at ``half[j]`` with
-    ``j >= i``, is a join once proven: ``rng`` after ``i`` values must
-    have the state of ``start`` after ``j``, found by drawing ``half[:j]``
-    again in place.  Without a join, ``rng`` is left where it was.
+    The stream's next value, drawn from a copy of ``rng``, is looked for
+    in the head of ``half``.  A match at ``j`` is a join once proven:
+    ``start`` after ``j`` values, found by drawing ``half[:j]`` again in
+    place, must have the state of ``rng``.  ``rng`` itself is not moved.
     """
-    after = rng.bit_generator.state
-    probes = rng.standard_normal(_JOIN_PROBES)
+    value = copy.deepcopy(rng).standard_normal()
     # the join lies ~2 % of the half in: about one value in 50 takes an
     # extra raw draw
     head = half[: len(half) // 16 + 64]
-    for i, probe in enumerate(probes):
-        for j in np.flatnonzero(head == probe).tolist():
-            if j < i:
-                continue
-            rng.bit_generator.state = after
-            rng.standard_normal(i)
-            redraw = np.random.Generator(copy.deepcopy(start))
-            redraw.standard_normal(out=half[:j])
-            if redraw.bit_generator.state == rng.bit_generator.state:
-                return probes[:i], j
-    rng.bit_generator.state = after
+    for j in np.flatnonzero(head == value).tolist():
+        redraw = np.random.Generator(copy.deepcopy(start))
+        redraw.standard_normal(out=half[:j])
+        if redraw.bit_generator.state == rng.bit_generator.state:
+            return j
     return None
 
 

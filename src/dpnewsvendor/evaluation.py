@@ -113,8 +113,8 @@ def out_of_sample_cost(problem: Problem, policy, test_data: Dataset):
         )
     single = np.ndim(policy) == 1
     betas = coefficients(policy)[:, None] if single else np.asarray(policy, dtype=float)
-    if betas.ndim != 2:
-        raise ValueError("policies must form a coefficient vector or a (p, K) matrix")
+    if betas.ndim != 2 or betas.shape[1] == 0:
+        raise ValueError("policies must form a coefficient vector or a (p, K) matrix, K >= 1")
     if betas.shape[0] != test_data.p:
         raise DimensionMismatch(
             f"policy has {betas.shape[0]} coefficients but data has {test_data.p} features"
@@ -255,6 +255,8 @@ class ReplicationConfig:
             raise ValueError(f"eval_n must be >= 1, got {self.eval_n}")
         if not self.base_seed >= 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        if not self.mu_grid:
+            raise ValueError("mu_grid must hold at least one level")
         labels = [self.mu_label(mu) for mu in self.mu_grid]
         if len(set(labels)) < len(labels):
             # rows and aggregates tell the levels apart by label alone
@@ -407,6 +409,8 @@ def sweep(config: ReplicationConfig, ns, R: int, jobs: int = 1) -> ReplicationRe
         raise ValueError(f"R must be >= 1, got {R}")
     if not jobs >= 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if len(ns) == 0:
+        raise ValueError("ns must hold at least one sample size")
     if len(set(map(int, ns))) < len(ns):
         raise ValueError(f"ns must be distinct sample sizes, got {list(ns)}")
     problem = config.problem

@@ -19,8 +19,9 @@ and the optimizer's lockstep fits share, evaluate an input of at least
 usable CPU (``os.sched_getaffinity``, so ``taskset`` restricts them), on
 a thread pool that the first such call starts.  The
 closed forms are elementwise, so the results are bitwise the same for
-any number of CPUs.  ``data._fill_normals`` uses the same pool for the
-second half of a large standard-normal draw.
+any number of CPUs.  ``_fork_join`` is the one way onto that pool: the
+row blocks go through it, and so does the second half of a large
+standard-normal draw in ``data._fill_normals``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import expit, ndtr
@@ -194,15 +196,28 @@ def _executor() -> ThreadPoolExecutor:
         return _pool
 
 
+def _fork_join(here, *elsewhere) -> None:
+    """Call ``here()`` on this thread and each of ``elsewhere`` on the pool,
+    each in a copy of the caller's context (so ``np.errstate`` applies
+    there too).  Return once every call has ended; then an exception in
+    any of them reaches the caller, ``here``'s first."""
+    pool = _executor()
+    futures = [pool.submit(contextvars.copy_context().run, call) for call in elsewhere]
+    try:
+        here()
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
 def _elementwise(closed_form, u, blocks: int | None = None):
     """``closed_form(u)`` for an elementwise ``closed_form``, a float if
     ``u`` is 0-d.
 
     ``blocks`` defaults to ``min(usable CPUs, u.size // 32768)``.  With
     more than one, block 0 runs on the calling thread and the others on
-    the pool, each in a copy of the caller's context (so ``np.errstate``
-    applies there too), and each writes its slice of one output.  An
-    exception in any block reaches the caller once every block is done.
+    the pool (``_fork_join``), and each writes its slice of one output.
     """
     u = np.asarray(u, dtype=float)
     if blocks is None:
@@ -215,20 +230,10 @@ def _elementwise(closed_form, u, blocks: int | None = None):
     out = np.empty_like(flat)
     stops = [flat.size * k // blocks for k in range(blocks + 1)]
 
-    def run(lo, hi):
-        out[lo:hi] = closed_form(flat[lo:hi])
+    def run(b):
+        out[stops[b] : stops[b + 1]] = closed_form(flat[stops[b] : stops[b + 1]])
 
-    pool = _executor()
-    futures = [
-        pool.submit(contextvars.copy_context().run, run, lo, hi)
-        for lo, hi in zip(stops[1:-1], stops[2:])
-    ]
-    try:
-        run(0, stops[1])
-    finally:
-        wait(futures)
-    for future in futures:
-        future.result()
+    _fork_join(*(partial(run, b) for b in range(blocks)))
     return _maybe_scalar(out.reshape(u.shape), u)
 
 

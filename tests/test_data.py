@@ -455,20 +455,25 @@ class TestSplitNormals:
     """``_fill_normals`` draws a large ``z`` on two threads, the second
     half from an advanced copy of the stream, joined bitwise."""
 
-    @pytest.fixture
-    def joins(self, monkeypatch):
-        """A low threshold and two usable CPUs; lists each join found."""
-        monkeypatch.setattr(datamod, "_SPLIT_VALUES", 64)
+    @staticmethod
+    def _recorded_joins(monkeypatch):
+        """Two usable CPUs; lists the ``j`` of each join, None where no
+        join is proven."""
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
         found, join = [], datamod._join
 
         def recorded(rng, start, half):
-            result = join(rng, start, half)
-            found.append(None if result is None else (len(result[0]), result[1]))
-            return result
+            found.append(join(rng, start, half))
+            return found[-1]
 
         monkeypatch.setattr(datamod, "_join", recorded)
         return found
+
+    @pytest.fixture
+    def joins(self, monkeypatch):
+        """A low threshold and two usable CPUs; lists each join's ``j``."""
+        monkeypatch.setattr(datamod, "_SPLIT_VALUES", 64)
+        return self._recorded_joins(monkeypatch)
 
     @staticmethod
     def _refuse_pool(monkeypatch):
@@ -492,28 +497,28 @@ class TestSplitNormals:
             self._assert_one_call(seed, shape, datamod._fill_normals)
         assert len(joins) == 12 and None not in joins
 
-    def test_join_behind_a_probe(self, joins, monkeypatch):
+    def test_copy_that_skips_the_next_value_finds_no_join(self, joins, monkeypatch):
         # a copy advanced by exactly k raw draws: at 130 values, seed
         # 19835's copy draws its first value from the raw draw before the
-        # second half and the one at its start, so it is no value of the
-        # stream; the join comes after the first probe
+        # second half and the one at its start, so the stream's next value
+        # is not in the copy's half, and the half is drawn serially
         monkeypatch.setattr(datamod, "_COPY_LEAD", 0)
         self._assert_one_call(19835, 130, datamod._fill_normals)
-        assert joins == [(1, 1)]
+        assert joins == [None]
 
     def test_copy_ahead_of_the_stream_finds_no_join(self, joins, monkeypatch):
         # a copy advanced by exactly k raw draws: at 130 values, seed
         # 88625's copy value j is the stream's value j + 1 of the half,
-        # which no join (j >= i) can express, so the half is drawn serially
+        # so the stream's next value is not in it: the half is drawn serially
         monkeypatch.setattr(datamod, "_COPY_LEAD", 0)
         self._assert_one_call(88625, 130, datamod._fill_normals)
         assert joins == [None]
 
     def test_lead_lets_a_copy_that_ran_ahead_join(self, joins):
         # started _COPY_LEAD raw draws earlier, seed 88625's copy parses
-        # the whole second half, so the first probe joins
+        # the whole second half and joins
         self._assert_one_call(88625, 130, datamod._fill_normals)
-        assert len(joins) == 1 and joins[0] is not None and joins[0][0] == 0
+        assert len(joins) == 1 and joins[0] is not None
 
     def test_one_usable_cpu_draws_serially(self, joins, monkeypatch):
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: 1)
@@ -550,10 +555,19 @@ class TestSplitNormals:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        [(i, j)] = joins
-        assert j > i
+        [j] = joins
+        assert j > 0
         assert out.tobytes() == want.tobytes()
         assert peak < out.nbytes // 2 // 16
+
+    @pytest.mark.parametrize("size, seeds", [(1 << 20, 16), (4_000_000, 2)])
+    def test_every_draw_at_the_threshold_joins(self, monkeypatch, size, seeds):
+        # the real threshold: a full split of z at 2^20 values, and at
+        # table2_cell's 1e6 evaluation rows
+        joins = self._recorded_joins(monkeypatch)
+        for seed in range(seeds):
+            self._assert_one_call(seed, size, datamod._fill_normals)
+        assert len(joins) == seeds and None not in joins
 
     def test_below_the_threshold_the_pool_is_never_touched(self, monkeypatch):
         self._refuse_pool(monkeypatch)

@@ -147,6 +147,8 @@ class TestRegretAndOos:
         data = generate_synthetic(default_spec(100, "normal", seed=6))
         with pytest.raises(DimensionMismatch):
             out_of_sample_cost(Problem.from_quantile(0.5), np.zeros((4, 3)), data)
+        with pytest.raises(ValueError, match=r"\(p, K\) matrix, K >= 1"):
+            out_of_sample_cost(Problem.from_quantile(0.5), np.empty((5, 0)), data)
 
     def test_spec_is_refused(self):
         spec = default_spec(100, "normal", seed=7)
@@ -359,15 +361,23 @@ class TestRunReplications:
         with pytest.raises(NonPositiveMu, match="mu must be > 0, got 0.0"):
             replace(small_config, mu_grid=(None, 0.0))
 
-    @pytest.mark.parametrize("mu_grid", [(None, 0.5, None), (0.5, 0.5), (0.5, 0.5000001)])
+    @pytest.mark.parametrize("mu_grid", [(None, 0.5, None), (0.5, 0.5), (0.5, 0.5000001), ()])
     def test_levels_that_share_a_label_are_refused(self, small_config, mu_grid):
-        # their rows would merge into one aggregate
-        with pytest.raises(ValueError, match="mu_grid levels must have distinct labels"):
+        # their rows would merge into one aggregate; an empty grid has no rows
+        if mu_grid:
+            message = "mu_grid levels must have distinct labels"
+        else:
+            message = "mu_grid must hold at least one level"
+        with pytest.raises(ValueError, match=message):
             replace(small_config, mu_grid=mu_grid)
 
-    def test_repeated_sample_sizes_are_refused(self, small_config):
+    def test_repeated_sample_sizes_are_refused(self, small_config, monkeypatch):
+        # refused before the evaluation set is drawn, as an empty list is
+        monkeypatch.setattr(evaluation, "_synthetic_stream", None)
         with pytest.raises(ValueError, match=r"ns must be distinct sample sizes, got \[60, 60\]"):
             sweep(small_config, (60, 60), R=2)
+        with pytest.raises(ValueError, match="ns must hold at least one sample size"):
+            sweep(small_config, (), R=2)
 
     @pytest.mark.parametrize(
         "setting, message",

@@ -401,6 +401,21 @@ class TestBlocks:
         assert results == [want] * 16
         assert len(pools) == 16 and all(pool is pools[0] for pool in pools)
 
+    def test_pool_stays_unstarted_below_a_split(self):
+        # in a fresh interpreter: importing the package starts no thread,
+        # and neither does an input too small to split
+        src = str(Path(__file__).parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import threading, numpy, dpnewsvendor, dpnewsvendor.cli\n"
+            "from dpnewsvendor import kernels\n"
+            "kernels.smoothed_check_loss('gaussian', numpy.linspace(-3, 3, 1_000), 0.5, 0.3)\n"
+            "print(threading.active_count())"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                             capture_output=True, text=True, check=True).stdout
+        assert out.split() == ["1"]
+
 
 def test_cli_import_starts_no_thread():
     src = str(Path(__file__).parents[1] / "src")
