@@ -28,8 +28,13 @@ training rows straight into its slice of the batch's stack for that
 size; only the non-private ERM gets them as a ``Dataset``.  Every
 private fit of the batch, all its sizes, replications and privacy
 levels, takes each noisy step together in ``optimizer._lockstep_fits``,
-with one kernel evaluation a step.  A fit rounds the same whichever fits
-share its batch, so rows do not depend on ``jobs`` or on the batching.
+with one kernel evaluation a step.  A batch whose rows times private
+levels reach two of the kernels' blocks is cut at replications into
+parts of near-equal rows, one per usable CPU at most (``_parts``); each
+part is fitted as a batch of its own, ERMs included, on the kernels' pool
+(``kernels._fork_join``), the first on the batch's thread.  A fit rounds
+the same whichever fits share its batch, so rows do not depend on
+``jobs``, on the batching or on the parts.
 The noise scale of each privacy level is calibrated when the cell is
 built.
 
@@ -50,10 +55,11 @@ import csv
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
-from . import optimizer
+from . import kernels, optimizer
 from .data import (
     ErrorDist,
     SyntheticSpec,
@@ -526,7 +532,7 @@ def _fit_cells(
     replications into batches of at most ``_STACK_ROWS`` training rows and
     a ``jobs``-th of the sweep's rows, each a list of runs of one size; a
     replication larger than that is a batch of its own.  The batches run
-    on ``jobs`` threads, each in one lockstep."""
+    on ``jobs`` threads, each in one lockstep or in parts (``_parts``)."""
     # sigma does not depend on n, so neither does the noise
     p, sigmas = len(config.theta_star), config._sigmas
     seeds = [derive_seed(config.base_seed, rep_id, 0) for rep_id in range(1, R + 1)]
@@ -538,7 +544,11 @@ def _fit_cells(
 
     def job(batch: list[tuple[ReplicationConfig, range]]) -> list[np.ndarray]:
         try:
-            return _fit_batch(config, batch, spec, whitener, seeds, noise)
+            fits = (
+                partial(_fit_batch, config, part, spec, whitener, seeds, noise)
+                for part in _parts(batch, len(sigmas))
+            )
+            return [beta for part in kernels._fork_join(*fits) for beta in part]
         except Exception as exc:
             if len(batch) == 1 and len(batch[0][1]) == 1:
                 raise ReplicationError(batch[0][1][0], exc) from exc
@@ -570,6 +580,31 @@ def _fit_cells(
     else:
         per_batch = [job(batch) for batch in batches]
     return [beta for batch in per_batch for beta in batch]
+
+
+def _parts(
+    batch: list[tuple[ReplicationConfig, range]], levels: int
+) -> list[list[tuple[ReplicationConfig, range]]]:
+    """``batch`` cut at replication boundaries, in order, into
+    ``min(usable CPUs, elements // kernels._BLOCK_ELEMENTS)`` parts of
+    near-equal rows, ``elements`` being its rows times its private
+    ``levels``: each replication goes to the part that holds its middle
+    row.  Below two blocks of elements, or if no replication shares a part
+    with another, the batch is one part."""
+    rows = sum(cell.n * len(rep_ids) for cell, rep_ids in batch)
+    count = min(kernels._usable_cpus(), rows * levels // kernels._BLOCK_ELEMENTS)
+    if count < 2:
+        return [batch]
+    parts, start = [[] for _ in range(count)], 0
+    for cell, rep_ids in batch:
+        for r in rep_ids:
+            part = parts[(2 * start + cell.n) * count // (2 * rows)]
+            if part and part[-1][0] is cell:
+                part[-1] = (cell, range(part[-1][1].start, r + 1))
+            else:
+                part.append((cell, range(r, r + 1)))
+            start += cell.n
+    return [part for part in parts if part]
 
 
 def write_rows_csv(report: ReplicationReport, path) -> None:

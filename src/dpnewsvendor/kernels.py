@@ -20,8 +20,11 @@ usable CPU (``os.sched_getaffinity``, so ``taskset`` restricts them), on
 a thread pool that the first such call starts.  The
 closed forms are elementwise, so the results are bitwise the same for
 any number of CPUs.  ``_fork_join`` is the one way onto that pool: the
-row blocks go through it, and so does the second half of a large
-standard-normal draw in ``data._fill_normals``.
+row blocks go through it, and so do the second half of a large
+standard-normal draw in ``data._fill_normals`` and the parts of a large
+lockstep batch in ``evaluation._fit_cells``.  A fork-join inside a call
+of another one, such as the CDF of a batch's part, runs its calls in
+turn on that call's thread.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ _BLOCK_ELEMENTS = 32_768
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
+# True in the calls of a fork-join, whose nested fork-joins run in turn
+_forked = contextvars.ContextVar("dpnewsvendor_forked", default=False)
 
 
 @dataclass(frozen=True)
@@ -196,19 +201,29 @@ def _executor() -> ThreadPoolExecutor:
         return _pool
 
 
-def _fork_join(here, *elsewhere) -> None:
+def _fork_join(here, *elsewhere) -> list:
     """Call ``here()`` on this thread and each of ``elsewhere`` on the pool,
     each in a copy of the caller's context (so ``np.errstate`` applies
-    there too).  Return once every call has ended; then an exception in
-    any of them reaches the caller, ``here``'s first."""
+    there too).  Return their results in order once every call has ended;
+    then an exception in any of them reaches the caller, ``here``'s first.
+
+    A lone ``here`` runs as a plain call.  A fork-join inside one of the
+    calls runs its own calls in turn on its thread: the outer calls
+    already hold the pool, and a call on the pool's only worker that
+    waited for its own pool would never return.
+    """
+    if not elsewhere or _forked.get():
+        return [call() for call in (here, *elsewhere)]
+    contexts = [contextvars.copy_context() for _ in range(1 + len(elsewhere))]
+    for context in contexts:
+        context.run(_forked.set, True)
     pool = _executor()
-    futures = [pool.submit(contextvars.copy_context().run, call) for call in elsewhere]
+    futures = [pool.submit(context.run, call) for context, call in zip(contexts[1:], elsewhere)]
     try:
-        here()
+        result = contexts[0].run(here)
     finally:
         wait(futures)
-    for future in futures:
-        future.result()
+    return [result, *(future.result() for future in futures)]
 
 
 def _elementwise(closed_form, u, blocks: int | None = None):

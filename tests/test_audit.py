@@ -87,10 +87,14 @@ def _mean_gap(a, b):
 
 def _auc(a, b):
     """``sqrt(2) * Phi^-1(AUC)``, the AUC being the share of pairs with
-    ``a > b``, from the rank sum of ``a``."""
+    ``a > b``, from the rank sum of ``a``, clamped to ``1 - 1/(2m)`` for
+    ``m`` values of ``a``: fully separated samples would give an infinite
+    mu_hat and, among bootstrap resamples, a nan standard error.  The clamp
+    only lowers mu_hat, so it never helps a power test pass."""
     m, n = a.shape[-1], b.shape[-1]
     ranks = rankdata(np.concatenate([a, b], axis=-1), axis=-1)[..., :m]
-    return np.sqrt(2.0) * ndtri((ranks.sum(axis=-1) - m * (m + 1) / 2) / (m * n))
+    auc = (ranks.sum(axis=-1) - m * (m + 1) / 2) / (m * n)
+    return np.sqrt(2.0) * ndtri(np.minimum(auc, 1.0 - 0.5 / m))
 
 
 def _mu_hat(statistic, plus, minus, rng) -> tuple[float, float]:
@@ -114,6 +118,14 @@ def _audits(mode, sigma, **settings) -> dict[str, tuple[float, float]]:
         name: _mu_hat(statistic, plus, minus, rng)
         for name, statistic in (("mean gap", _mean_gap), ("AUC", _auc))
     }
+
+
+def test_auc_of_separated_samples_is_finite():
+    # every pair has a > b, and so has every bootstrap resample
+    plus, minus = np.arange(100.0) + 1000.0, np.arange(100.0)
+    mu_hat, se = _mu_hat(_auc, plus, minus, np.random.default_rng(0))
+    assert mu_hat == pytest.approx(np.sqrt(2.0) * ndtri(1.0 - 1.0 / 200))
+    assert np.isfinite(mu_hat) and np.isfinite(se)
 
 
 @pytest.mark.parametrize("mode", ["known_sigma_matrix", "raw_covariates"])

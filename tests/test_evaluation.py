@@ -1,9 +1,11 @@
 """Metrics and the replication harness."""
 
 import math
+import sys
 import threading
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -634,10 +636,134 @@ class TestLockstep:
     def test_fused_rows_ignore_the_cdf_blocks(self, small_config, monkeypatch, step_size):
         config = replace(small_config, step_size=step_size, eval_n=2_000)
         whole = sweep(config, (120, 60), R=4)
-        # the batch's buffer, 4 * 180 * 2 = 1,440 elements, in two blocks
-        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 512)
+        # the batch's 4 * 180 * 2 = 1,440 elements in two parts of 720,
+        # each weighed in two blocks on its own thread
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 256)
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
         assert sweep(config, (120, 60), R=4).rows == whole.rows
+
+    @staticmethod
+    def _record_parts(monkeypatch):
+        """Patch ``_fit_batch`` to list each batch or part it fits as
+        ``(n, rep_ids)`` runs, in the order the fits start."""
+        parts, fit_batch = [], evaluation._fit_batch
+
+        def recorded(config, batch, *args):
+            parts.append([(cell.n, reps) for cell, reps in batch])
+            return fit_batch(config, batch, *args)
+
+        monkeypatch.setattr(evaluation, "_fit_batch", recorded)
+        return parts
+
+    @pytest.mark.parametrize("cpus, count", [(1, 1), (2, 2), (3, 3)])
+    @pytest.mark.parametrize("step_size", [None, 0.7], ids=["linesearch", "fixed"])
+    def test_split_batch_gives_the_rows_of_the_whole_batch(
+        self, small_config, monkeypatch, cpus, count, step_size
+    ):
+        # the nonprivate level's ERMs run in the parts too
+        config = replace(small_config, step_size=step_size, eval_n=2_000)
+        whole = sweep(config, (120, 60), R=4)
+        parts = self._record_parts(monkeypatch)
+        # 4 * 180 rows at two private levels: 1,440 elements, five blocks
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 256)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+        assert sweep(config, (120, 60), R=4).rows == whole.rows
+        order = [(n, r) for n in (120, 60) for r in range(1, 5)]
+        parts.sort(key=lambda part: order.index((part[0][0], part[0][1].start)))
+        assert len(parts) == count
+        assert [(n, r) for part in parts for n, reps in part for r in reps] == order
+        # near-equal rows: each cut lies within half a replication of its share
+        rows = [sum(n * len(reps) for n, reps in part) for part in parts]
+        assert max(rows) - min(rows) <= 2 * 120
+
+    def test_split_batches_of_several_jobs_share_the_pool(self, small_config, monkeypatch):
+        # two job threads, each cutting its batch of 360 rows into three
+        # parts on the one pool, with thread switches as often as possible
+        config = replace(small_config, step_size=0.7, eval_n=2_000)
+        whole = sweep(config, (120, 60), R=4)
+        parts = self._record_parts(monkeypatch)
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 128)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert sweep(config, (120, 60), R=4, jobs=2).rows == whole.rows
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(parts) == 5 * 6
+
+    def test_parts_cut_at_replications_into_near_equal_rows(self, small_config, monkeypatch):
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 100)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 3)
+        small, large = replace(small_config, n=60), replace(small_config, n=120)
+        batch = [(small, range(3, 6)), (large, range(1, 4))]
+        # 540 rows at two levels, 10 blocks, in three parts cut at rows 180
+        # and 360: the replications' middle rows 30, 90, 150 | 240 | 360, 480
+        parts = evaluation._parts(batch, 2)
+        assert [[(cell.n, reps) for cell, reps in part] for part in parts] == [
+            [(60, range(3, 6))],
+            [(120, range(1, 2))],
+            [(120, range(2, 4))],
+        ]
+        # under two blocks of elements, and a lone replication, stay whole
+        assert evaluation._parts(batch, 0) == [batch]
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 541)
+        assert evaluation._parts(batch, 2) == [batch]
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 10)
+        assert evaluation._parts([(large, range(2, 3))], 3) == [[(large, range(2, 3))]]
+
+    def test_five_levels_split_on_one_worker_finish(self, small_config, monkeypatch):
+        # 8 * 4000 rows at five private levels: 160,000 elements, two parts
+        # of 80,000 on two CPUs, so the CDF of the part on the pool's one
+        # worker would itself split; run in turn there, it cannot wait for
+        # its own busy pool
+        config = replace(
+            small_config, n=4000, mu_grid=(2, 0.9, 0.5, 0.3, 0.2), step_size=1.0, eval_n=20_000
+        )
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 1)
+        whole = sweep(config, (4000,), R=8)
+        parts = self._record_parts(monkeypatch)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+        pool = ThreadPoolExecutor(max_workers=1)
+        monkeypatch.setattr(kernels, "_pool", pool)
+        split = []
+        runner = threading.Thread(
+            target=lambda: split.append(sweep(config, (4000,), R=8)), daemon=True
+        )
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        pool.shutdown()
+        assert len(parts) == 2
+        assert split[0].rows == whole.rows
+
+    @pytest.mark.parametrize("rep_id", [1, 5], ids=["here", "on-the-pool"])
+    def test_failure_in_a_split_batch_names_its_replication(
+        self, small_config, monkeypatch, rep_id
+    ):
+        seed = derive_seed(small_config.base_seed, rep_id, 0)
+        bad = generate_synthetic(replace(_eval_spec(small_config), n=120, seed=seed)).demands
+        erm = optimizer.smoothed_erm
+
+        def failing_erm(data, *args, **kwargs):
+            if np.array_equal(data.demands, bad):
+                raise MaxIterExceeded("stuck")
+            return erm(data, *args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "smoothed_erm", failing_erm)
+        parts = self._record_parts(monkeypatch)
+        # 5 * 180 rows at two private levels, in two parts: replication 1
+        # at n=120 ends the first, replication 5 the second
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 256)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+        with pytest.raises(evaluation.ReplicationError) as failure:
+            sweep(small_config, (60, 120), R=5)
+        assert failure.value.rep_id == rep_id
+        assert isinstance(failure.value.__cause__, MaxIterExceeded)
+        assert sorted(parts[:2]) == [
+            [(60, range(1, 6)), (120, range(1, 2))], [(120, range(2, 6))]
+        ]
 
     @pytest.mark.parametrize("mu_grid, made", [((0.9, 0.3), 0), ((None, 0.3), 6)])
     def test_only_the_erm_gets_a_dataset(self, small_config, monkeypatch, mu_grid, made):

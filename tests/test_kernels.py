@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -359,6 +361,34 @@ class TestBlocks:
 
         with pytest.raises(ZeroDivisionError, match="nan in block"):
             kernels._elementwise(refuse_nan, u, blocks=3)
+
+    def test_fork_join_inside_a_call_runs_in_turn_on_its_thread(self, monkeypatch):
+        # a call on the pool's only worker that forked onto the pool again
+        # would wait for ever for its own busy worker
+        pool = ThreadPoolExecutor(max_workers=1)
+        monkeypatch.setattr(kernels, "_pool", pool)
+        threads = {}
+
+        def record(name):
+            threads[name] = threading.get_ident()
+
+        def outer(name):
+            record(name)
+            kernels._fork_join(partial(record, f"{name}.0"), partial(record, f"{name}.1"))
+
+        runner = threading.Thread(
+            target=kernels._fork_join, args=(partial(outer, "here"), partial(outer, "pool")),
+            daemon=True,
+        )
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        assert threads["here"] == threads["here.0"] == threads["here.1"] == runner.ident
+        assert threads["pool"] == threads["pool.0"] == threads["pool.1"] != runner.ident
+        # the rule holds inside the calls only: the caller forks again
+        kernels._fork_join(partial(record, "after"), partial(record, "after.pool"))
+        assert threads["after"] == threading.get_ident() != threads["after.pool"]
+        pool.shutdown()
 
     def test_concurrent_callers_share_one_pool(self, monkeypatch):
         # as the replication harness's job threads do: several callers
