@@ -47,8 +47,9 @@ class ExperimentConfig:
     """Parsed benchmark configuration.
 
     ``cells`` holds one ``ReplicationConfig`` per grid point, in dist,
-    then problem, then n order; each runs ``reps`` replications on
-    ``jobs`` threads, the cells of one dist and problem as one sweep.
+    then problem, then n order; each runs ``reps`` replications, the
+    cells of one dist and problem as one sweep, in at least ``jobs``
+    lanes up to the usable CPUs (``evaluation.sweep``).
     """
 
     cells: tuple[evaluation.ReplicationConfig, ...]

@@ -20,21 +20,18 @@ the end, so the costs are bitwise those of one pass on one thread.  The
 rows' estimation errors come from one stacked pass over the ``(K, p)``
 coefficient differences, bitwise those of ``estimation_error``.
 
-The private fits of a sweep advance in lockstep: one pass over the
-replications, in (n, replication) order, packs them into batches of at
-most ``_STACK_ROWS`` training rows and a ``jobs``-th of the sweep's
-rows, which run on ``jobs`` threads.  A batch draws each replication's
-training rows straight into its slice of the batch's stack for that
-size; only the non-private ERM gets them as a ``Dataset``.  Every
-private fit of the batch, all its sizes, replications and privacy
-levels, takes each noisy step together in ``optimizer._lockstep_fits``,
-with one kernel evaluation a step.  A batch whose rows times private
-levels reach two of the kernels' blocks is cut at replications into
-parts of near-equal rows, one per usable CPU at most (``_parts``); each
-part is fitted as a batch of its own, ERMs included, on the kernels' pool
-(``kernels._fork_join``), the first on the batch's thread.  A fit rounds
-the same whichever fits share its batch, so rows do not depend on
-``jobs``, on the batching or on the parts.
+The private fits of a sweep advance in lockstep.  The sweep is cut for
+the CPUs once: its replications, in (n, replication) order, are dealt
+into lanes of near-equal rows (``_fit_cells``), which run through one
+``kernels._fork_join``, the first on the calling thread.  Each lane
+packs its replications into batches of at most ``_STACK_ROWS`` training
+rows.  A batch draws each replication's training rows straight into its
+slice of the batch's stack for that size; only the non-private ERM gets
+them as a ``Dataset``.  Every private fit of the batch, all its sizes,
+replications and privacy levels, takes each noisy step together in
+``optimizer._lockstep_fits``, with one kernel evaluation a step.  A fit
+rounds the same whichever fits share its batch, so rows do not depend
+on ``jobs``, on the lanes or on the batching.
 The noise scale of each privacy level is calibrated when the cell is
 built.
 
@@ -393,9 +390,10 @@ def aggregate_rows(rows) -> tuple[AggregateCell, ...]:
 def run_replications(config: ReplicationConfig, R: int, jobs: int = 1) -> ReplicationReport:
     """Run R independent replications of the experiment cell.
 
-    Deterministic given ``config.base_seed``.  ``jobs`` threads fit
-    contiguous batches of replications concurrently; rows are always
-    assembled in rep_id order and do not depend on ``jobs``.
+    Deterministic given ``config.base_seed``.  ``jobs`` is the fewest
+    lanes of replications fitted concurrently, capped at the usable CPUs;
+    rows are always assembled in rep_id order and do not depend on
+    ``jobs``.
     """
     return sweep(config, (config.n,), R, jobs=jobs)
 
@@ -409,7 +407,8 @@ def sweep(config: ReplicationConfig, ns, R: int, jobs: int = 1) -> ReplicationRe
     as soon as its rows are drawn (see ``_score_as_drawn``).  Each
     replication's seeds and noise are derived once and shared by every
     sample size, so the rows of each size are those of its own
-    ``run_replications``.
+    ``run_replications``.  The fits run in lanes of replications, at
+    least ``jobs`` and at most one per usable CPU (``_fit_cells``).
     """
     if not R >= 1:
         raise ValueError(f"R must be >= 1, got {R}")
@@ -417,8 +416,13 @@ def sweep(config: ReplicationConfig, ns, R: int, jobs: int = 1) -> ReplicationRe
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if len(ns) == 0:
         raise ValueError("ns must hold at least one sample size")
-    if len(set(map(int, ns))) < len(ns):
+    sizes = [int(n) for n in ns]
+    if sizes != list(ns):
+        raise ValueError(f"ns must be whole sample sizes, got {list(ns)}")
+    if len(set(sizes)) < len(sizes):
         raise ValueError(f"ns must be distinct sample sizes, got {list(ns)}")
+    # each cell checks its size and settings before anything is drawn
+    cells = [replace(config, n=n) for n in sizes]
     problem = config.problem
     eval_spec = SyntheticSpec(
         theta_star=config.theta_star,
@@ -430,14 +434,14 @@ def sweep(config: ReplicationConfig, ns, R: int, jobs: int = 1) -> ReplicationRe
     whitener = whitener_from(eval_spec)
     # numpy releases the interpreter lock while it fills the draw's arrays
     # and multiplies the blocks; leaving the block joins the thread
-    with ThreadPoolExecutor(max_workers=1) as helper:
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="dpnv-evaluation") as helper:
         try:
             z, eps = np.empty((config.eval_n, eval_spec.p - 1)), np.empty(config.eval_n)
             stops = _chunk_stops(config.eval_n)
             stream = _synthetic_stream(eval_spec, eval_spec.seed, z, eps)
             # one task per chunk: the one worker runs them in stream order
             drawn = [helper.submit(next, stream) for _ in stops]
-            betas = _fit_cells(config, ns, R, jobs, eval_spec, whitener)
+            betas = _fit_cells(config, cells, R, jobs, eval_spec, whitener)
             beta_star = true_beta_star(eval_spec, problem.tau)
             coefs = _overage_coefficients(eval_spec, np.column_stack([beta_star, *betas]))
             partials = _CostPartials(coefs, z, eps)
@@ -454,8 +458,8 @@ def sweep(config: ReplicationConfig, ns, R: int, jobs: int = 1) -> ReplicationRe
     l2 = np.sqrt(delta[:, None, :] @ delta[:, :, None]).ravel()
     sigma = np.sqrt((delta[:, None, :] @ whitener.sigma_matrix) @ delta[:, :, None]).ravel()
     keys = [
-        (int(n), rep_id, mu)
-        for n in ns
+        (cell.n, rep_id, mu)
+        for cell in cells
         for rep_id in range(1, R + 1)
         for mu in config.mu_grid
     ]
@@ -524,15 +528,16 @@ def _score_as_drawn(partials: _CostPartials, stops, drawn, helper: ThreadPoolExe
 
 
 def _fit_cells(
-    config: ReplicationConfig, ns, R: int, jobs: int, spec: SyntheticSpec, whitener: Whitener
+    config: ReplicationConfig, cells, R: int, jobs: int, spec: SyntheticSpec, whitener: Whitener
 ) -> list[np.ndarray]:
-    """Every policy of the sweep in (n, rep_id, mu_grid) order.  The
-    replications' training seeds and ``(T, R, p, M)`` scaled noise are
-    built once, here.  One pass over the (n, rep_id) order packs the
-    replications into batches of at most ``_STACK_ROWS`` training rows and
-    a ``jobs``-th of the sweep's rows, each a list of runs of one size; a
-    replication larger than that is a batch of its own.  The batches run
-    on ``jobs`` threads, each in one lockstep or in parts (``_parts``)."""
+    """Every policy of the sweep over ``cells`` in (n, rep_id, mu_grid)
+    order.  The replications' training seeds and ``(T, R, p, M)`` scaled
+    noise are built once, here.  The (n, rep_id) runs are dealt, in
+    order, into ``min(usable CPUs, max(jobs, elements //
+    kernels._BLOCK_ELEMENTS))`` lanes, ``elements`` being the sweep's rows
+    times its private levels, each replication to the lane that holds its
+    middle row.  Lane 0 runs on this thread; with one lane, its kernel
+    evaluations still run in the kernels' row blocks."""
     # sigma does not depend on n, so neither does the noise
     p, sigmas = len(config.theta_star), config._sigmas
     seeds = [derive_seed(config.base_seed, rep_id, 0) for rep_id in range(1, R + 1)]
@@ -541,70 +546,56 @@ def _fit_cells(
         for m, (j, sigma) in enumerate(sigmas.items()):
             draws = NoiseSource(derive_seed(config.base_seed, r + 1, 1 + j))
             noise[:, r, :, m] = sigma * draws.standard_normal((config.n_steps, p))
-
-    def job(batch: list[tuple[ReplicationConfig, range]]) -> list[np.ndarray]:
-        try:
-            fits = (
-                partial(_fit_batch, config, part, spec, whitener, seeds, noise)
-                for part in _parts(batch, len(sigmas))
-            )
-            return [beta for part in kernels._fork_join(*fits) for beta in part]
-        except Exception as exc:
-            if len(batch) == 1 and len(batch[0][1]) == 1:
-                raise ReplicationError(batch[0][1][0], exc) from exc
-        # rows do not depend on the batching: refit one size and
-        # replication at a time to name the one that failed
-        return [
-            beta
-            for cell, rep_ids in batch
-            for rep_id in rep_ids
-            for beta in job([(cell, range(rep_id, rep_id + 1))])
-        ]
-
-    cells = [replace(config, n=int(n)) for n in ns]
-    cap = min(_STACK_ROWS, -(-R * sum(cell.n for cell in cells) // jobs))
-    batches, rows = [], cap  # as if full: the first run opens a batch
+    rows = R * sum(cell.n for cell in cells)
+    count = min(kernels._usable_cpus(), max(jobs, rows * len(sigmas) // kernels._BLOCK_ELEMENTS))
+    lanes, start = [[] for _ in range(count)], 0
     for cell in cells:
-        first = 1
-        while first <= R:
-            if rows + cell.n > cap:
-                batches.append([])
-                rows = 0
-            stop = min(R + 1, first + max(1, (cap - rows) // cell.n))
-            batches[-1].append((cell, range(first, stop)))
-            rows += cell.n * (stop - first)
-            first = stop
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            per_batch = list(pool.map(job, batches))
-    else:
-        per_batch = [job(batch) for batch in batches]
-    return [beta for batch in per_batch for beta in batch]
-
-
-def _parts(
-    batch: list[tuple[ReplicationConfig, range]], levels: int
-) -> list[list[tuple[ReplicationConfig, range]]]:
-    """``batch`` cut at replication boundaries, in order, into
-    ``min(usable CPUs, elements // kernels._BLOCK_ELEMENTS)`` parts of
-    near-equal rows, ``elements`` being its rows times its private
-    ``levels``: each replication goes to the part that holds its middle
-    row.  Below two blocks of elements, or if no replication shares a part
-    with another, the batch is one part."""
-    rows = sum(cell.n * len(rep_ids) for cell, rep_ids in batch)
-    count = min(kernels._usable_cpus(), rows * levels // kernels._BLOCK_ELEMENTS)
-    if count < 2:
-        return [batch]
-    parts, start = [[] for _ in range(count)], 0
-    for cell, rep_ids in batch:
-        for r in rep_ids:
-            part = parts[(2 * start + cell.n) * count // (2 * rows)]
-            if part and part[-1][0] is cell:
-                part[-1] = (cell, range(part[-1][1].start, r + 1))
-            else:
-                part.append((cell, range(r, r + 1)))
+        for r in range(1, R + 1):
+            lanes[(2 * start + cell.n) * count // (2 * rows)].append((cell, r))
             start += cell.n
-    return [part for part in parts if part]
+    fits = (partial(_fit_lane, config, lane, spec, whitener, seeds, noise) for lane in lanes if lane)
+    return [beta for lane in kernels._fork_join(*fits) for beta in lane]
+
+
+def _fit_lane(
+    config: ReplicationConfig,
+    runs: list[tuple[ReplicationConfig, int]],
+    spec: SyntheticSpec,
+    whitener: Whitener,
+    seeds: list[int],
+    noise: np.ndarray,
+) -> list[np.ndarray]:
+    """The policies of a lane's ``(cell, rep_id)`` runs, in order, fitted
+    in one lockstep per batch of at most ``_STACK_ROWS`` training rows
+    (``_fit_batch``); a replication larger than that is a batch of its
+    own."""
+    batches, rows = [], _STACK_ROWS  # as if full: the first run opens a batch
+    for cell, r in runs:
+        if rows + cell.n > _STACK_ROWS:
+            batches.append([])
+            rows = 0
+        batch = batches[-1]
+        if batch and batch[-1][0] is cell:
+            batch[-1] = (cell, range(batch[-1][1].start, r + 1))
+        else:
+            batch.append((cell, range(r, r + 1)))
+        rows += cell.n
+    betas = []
+    for batch in batches:
+        try:
+            betas += _fit_batch(config, batch, spec, whitener, seeds, noise)
+        except Exception:
+            # rows do not depend on the batching: refit one size and
+            # replication at a time to name the one that failed
+            for cell, rep_ids in batch:
+                for r in rep_ids:
+                    try:
+                        betas += _fit_batch(
+                            config, [(cell, range(r, r + 1))], spec, whitener, seeds, noise
+                        )
+                    except Exception as exc:
+                        raise ReplicationError(r, exc) from exc
+    return betas
 
 
 def write_rows_csv(report: ReplicationReport, path) -> None:

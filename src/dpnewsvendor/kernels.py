@@ -19,12 +19,12 @@ and the optimizer's lockstep fits share, evaluate an input of at least
 usable CPU (``os.sched_getaffinity``, so ``taskset`` restricts them), on
 a thread pool that the first such call starts.  The
 closed forms are elementwise, so the results are bitwise the same for
-any number of CPUs.  ``_fork_join`` is the one way onto that pool: the
-row blocks go through it, and so do the second half of a large
-standard-normal draw in ``data._fill_normals`` and the parts of a large
-lockstep batch in ``evaluation._fit_cells``.  A fork-join inside a call
-of another one, such as the CDF of a batch's part, runs its calls in
-turn on that call's thread.
+any number of CPUs.  ``_fork_join`` is the one way onto that pool, the
+only one that runs fits: the row blocks go through it, and so do the
+second half of a large standard-normal draw in ``data._fill_normals``
+and the lanes of a sweep in ``evaluation._fit_cells``.  A fork-join
+inside a call of another one, such as the CDF of a lane's batch, runs
+its calls in turn on that call's thread.
 """
 
 from __future__ import annotations

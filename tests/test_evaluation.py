@@ -1,7 +1,6 @@
 """Metrics and the replication harness."""
 
 import math
-import sys
 import threading
 import time
 import tracemalloc
@@ -382,6 +381,22 @@ class TestRunReplications:
             sweep(small_config, (), R=2)
 
     @pytest.mark.parametrize(
+        "ns, message",
+        [((60, 0), "n must be >= 1, got 0"),
+         ((1,), "n must be >= 2, got 1"),
+         ((400.7,), r"ns must be whole sample sizes, got \[400.7\]")],
+        ids=["zero", "one-with-auto-bandwidth", "fractional"],
+    )
+    def test_unfit_sample_sizes_are_refused_before_the_draw(
+        self, small_config, monkeypatch, ns, message
+    ):
+        # each cell is built and checked before the evaluation set is drawn;
+        # a fractional size is refused, not fitted at its integer part
+        monkeypatch.setattr(evaluation, "_synthetic_stream", None)
+        with pytest.raises(ValueError, match=message):
+            sweep(small_config, ns, R=2)
+
+    @pytest.mark.parametrize(
         "setting, message",
         [({"n_steps": 0}, "n_steps must be >= 1"),
          ({"clip_radius": math.inf}, "clip_radius must be finite")],
@@ -636,7 +651,7 @@ class TestLockstep:
     def test_fused_rows_ignore_the_cdf_blocks(self, small_config, monkeypatch, step_size):
         config = replace(small_config, step_size=step_size, eval_n=2_000)
         whole = sweep(config, (120, 60), R=4)
-        # the batch's 4 * 180 * 2 = 1,440 elements in two parts of 720,
+        # the sweep's 4 * 180 * 2 = 1,440 elements in two lanes of 720,
         # each weighed in two blocks on its own thread
         monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 256)
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
@@ -676,46 +691,63 @@ class TestLockstep:
         rows = [sum(n * len(reps) for n, reps in part) for part in parts]
         assert max(rows) - min(rows) <= 2 * 120
 
-    def test_split_batches_of_several_jobs_share_the_pool(self, small_config, monkeypatch):
-        # two job threads, each cutting its batch of 360 rows into three
-        # parts on the one pool, with thread switches as often as possible
-        config = replace(small_config, step_size=0.7, eval_n=2_000)
-        whole = sweep(config, (120, 60), R=4)
-        parts = self._record_parts(monkeypatch)
-        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 128)
-        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 3)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                assert sweep(config, (120, 60), R=4, jobs=2).rows == whole.rows
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(parts) == 5 * 6
+    @staticmethod
+    def _record_lanes(monkeypatch):
+        """Patch ``_fit_lane`` to list each lane it fits as ``(n, rep_id)``
+        runs, in the order the lanes start."""
+        lanes, fit_lane = [], evaluation._fit_lane
 
-    def test_parts_cut_at_replications_into_near_equal_rows(self, small_config, monkeypatch):
-        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 100)
-        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 3)
-        small, large = replace(small_config, n=60), replace(small_config, n=120)
-        batch = [(small, range(3, 6)), (large, range(1, 4))]
-        # 540 rows at two levels, 10 blocks, in three parts cut at rows 180
-        # and 360: the replications' middle rows 30, 90, 150 | 240 | 360, 480
-        parts = evaluation._parts(batch, 2)
-        assert [[(cell.n, reps) for cell, reps in part] for part in parts] == [
-            [(60, range(3, 6))],
-            [(120, range(1, 2))],
-            [(120, range(2, 4))],
-        ]
-        # under two blocks of elements, and a lone replication, stay whole
-        assert evaluation._parts(batch, 0) == [batch]
-        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 541)
-        assert evaluation._parts(batch, 2) == [batch]
-        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 10)
-        assert evaluation._parts([(large, range(2, 3))], 3) == [[(large, range(2, 3))]]
+        def recorded(config, runs, *args):
+            lanes.append([(cell.n, r) for cell, r in runs])
+            return fit_lane(config, runs, *args)
+
+        monkeypatch.setattr(evaluation, "_fit_lane", recorded)
+        return lanes
+
+    @pytest.mark.parametrize(
+        "cpus, block, jobs, cuts",
+        [(3, 100, 1, [3, 4]), (3, 10**6, 2, [4]), (2, 10**6, 8, [4]), (3, 541, 1, [])],
+        ids=["blocks", "jobs", "jobs-over-cpus", "under-two-blocks"],
+    )
+    def test_lanes_cut_the_sweep_at_replications_into_near_equal_rows(
+        self, small_config, monkeypatch, cpus, block, jobs, cuts
+    ):
+        # 3 * 180 rows at two private levels, 1,080 elements.  With blocks
+        # of 100, three lanes cut at rows 180 and 360: the replications'
+        # middle rows 30, 90, 150 | 240 | 360, 480.  Two lanes, from jobs
+        # or from the CPUs, cut at row 270; under two blocks, one lane
+        config = replace(small_config, eval_n=1_000)
+        whole = sweep(config, (60, 120), R=3)
+        lanes = self._record_lanes(monkeypatch)
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+        assert sweep(config, (60, 120), R=3, jobs=jobs).rows == whole.rows
+        runs = [(n, r) for n in (60, 120) for r in range(1, 4)]
+        assert sorted(lanes) == [runs[a:b] for a, b in zip([0, *cuts], [*cuts, len(runs)])]
+        # a lone replication is one lane however many are cut
+        lanes.clear()
+        sweep(config, (120,), R=1, jobs=jobs)
+        assert lanes == [[(120, 1)]]
+
+    def test_jobs_above_the_usable_cpus_start_no_extra_threads(self, small_config, monkeypatch):
+        config = replace(small_config, eval_n=1_000)
+        alone = sweep(config, (60, 120), R=5)
+        before, started = set(threading.enumerate()), set()
+        fit_batch = evaluation._fit_batch
+
+        def recorded(*args):
+            started.update(t.name for t in threading.enumerate() if t not in before)
+            return fit_batch(*args)
+
+        monkeypatch.setattr(evaluation, "_fit_batch", recorded)
+        assert sweep(config, (60, 120), R=5, jobs=8).rows == alone.rows
+        # only the evaluation helper and the kernels' pool run beside the fits
+        assert any(name.startswith("dpnv-evaluation") for name in started)
+        assert all(name.startswith(("dpnv-evaluation", "dpnv-kernels")) for name in started)
 
     def test_five_levels_split_on_one_worker_finish(self, small_config, monkeypatch):
-        # 8 * 4000 rows at five private levels: 160,000 elements, two parts
-        # of 80,000 on two CPUs, so the CDF of the part on the pool's one
+        # 8 * 4000 rows at five private levels: 160,000 elements, two lanes
+        # of 80,000 on two CPUs, so the CDF of the lane on the pool's one
         # worker would itself split; run in turn there, it cannot wait for
         # its own busy pool
         config = replace(
@@ -786,26 +818,36 @@ class TestLockstep:
     def test_batches_pack_runs_in_order_under_the_limits(
         self, small_config, monkeypatch, stack_rows, jobs
     ):
-        batches = []
+        lanes = self._record_lanes(monkeypatch)
+        batches = []  # (thread, runs): the lanes record theirs concurrently
         fit_batch = evaluation._fit_batch
 
         def recorded(config, batch, *args):
-            batches.append([(cell.n, reps) for cell, reps in batch])
+            runs = [(cell.n, r) for cell, reps in batch for r in reps]
+            batches.append((threading.get_ident(), runs))
             return fit_batch(config, batch, *args)
 
         monkeypatch.setattr(evaluation, "_STACK_ROWS", stack_rows)
         monkeypatch.setattr(evaluation, "_fit_batch", recorded)
         R = 5
         sweep(replace(small_config, eval_n=1_000), (60, 120), R=R, jobs=jobs)
-        runs = [(n, r) for batch in batches for n, reps in batch for r in reps]
-        assert sorted(runs) == runs == [(n, r) for n in (60, 120) for r in range(1, R + 1)]
-        for batch in batches:
-            rows = sum(n * len(reps) for n, reps in batch)
+        order = [(n, r) for n in (60, 120) for r in range(1, R + 1)]
+        lanes.sort(key=lambda lane: order.index(lane[0]))
+        assert [run for lane in lanes for run in lane] == order
+        # every run is fitted once; each thread fits its lanes' batches in
+        # order, each batch a slice of one lane
+        assert sorted(run for _, batch in batches for run in batch) == sorted(order)
+        for thread in {thread for thread, _ in batches}:
+            runs = [order.index(run) for t, batch in batches if t == thread for run in batch]
+            assert runs == sorted(runs)
+        for _, batch in batches:
+            slices = (lane[i : i + len(batch)] for lane in lanes for i in range(len(lane)))
+            assert batch in slices
             # a replication over the limit is a batch of its own
-            assert rows <= stack_rows or (len(batch) == 1 and len(batch[0][1]) == 1)
-        assert len(batches) >= min(jobs, len(runs))
+            assert sum(n for n, _ in batch) <= stack_rows or len(batch) == 1
+        assert len(lanes) >= min(jobs, kernels._usable_cpus(), len(order))
         if stack_rows == 100:
-            assert len(batches) == len(runs)
+            assert len(batches) == len(order)
 
 
 def _one_whole_draw(spec):
