@@ -48,8 +48,9 @@ class ExperimentConfig:
 
     ``cells`` holds one ``ReplicationConfig`` per grid point, in dist,
     then problem, then n order; each runs ``reps`` replications, the
-    cells of one dist and problem as one sweep, in at least ``jobs``
-    lanes up to the usable CPUs (``evaluation.sweep``).
+    cells of one dist and problem as one sweep, in as many lanes as its
+    rows call for, up to the usable CPUs (``evaluation.sweep``).
+    ``jobs`` is checked and has no other effect.
     """
 
     cells: tuple[evaluation.ReplicationConfig, ...]

@@ -24,16 +24,16 @@ The private fits of a sweep advance in lockstep.  The sweep is cut for
 the CPUs once: its replications, in (n, replication) order, are dealt
 into lanes of near-equal rows (``_fit_cells``), which run through one
 ``kernels._fork_join``, the first on the calling thread.  Each lane
-packs its replications into batches of at most ``_STACK_ROWS`` training
-rows.  A batch draws each replication's training rows straight into its
-slice of the batch's stack for that size; only the non-private ERM gets
-them as a ``Dataset``.  Every private fit of the batch, all its sizes,
-replications and privacy levels, takes each noisy step together in
-``optimizer._lockstep_fits``, with one kernel evaluation a step.  A fit
-rounds the same whichever fits share its batch, so rows do not depend
-on ``jobs``, on the lanes or on the batching.
-The noise scale of each privacy level is calibrated when the cell is
-built.
+packs its replications into batches of at most its share of
+``_STACK_ROWS`` training rows.  A batch draws each replication's
+training rows straight into its slice of the batch's stack for that
+size; only the non-private ERM gets them as a ``Dataset``.  Every
+private fit of the batch, all its sizes, replications and privacy
+levels, takes each noisy step together in ``optimizer._lockstep_fits``,
+with one kernel evaluation a step.  A fit rounds the same whichever
+fits share its batch, so rows do not depend on the lanes or on the
+batching.  The noise scale of each privacy level is calibrated when the
+cell is built.
 
 Seeding is splittable and documented: replication ``r`` derives its
 streams from ``SeedSequence((base_seed, r, k))`` where ``k = 0`` is the
@@ -316,8 +316,9 @@ def derive_seed(base_seed: int, rep_id: int, stream: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-# Training rows per lockstep batch: a batch's stacked designs and
-# residuals stay a few megabytes however many replications a sweep has.
+# Training rows of the lockstep batches in flight at once, shared out
+# among a sweep's lanes: their stacked designs and residuals stay a few
+# megabytes however many replications and CPUs a sweep has.
 _STACK_ROWS = 1 << 15
 
 
@@ -390,10 +391,9 @@ def aggregate_rows(rows) -> tuple[AggregateCell, ...]:
 def run_replications(config: ReplicationConfig, R: int, jobs: int = 1) -> ReplicationReport:
     """Run R independent replications of the experiment cell.
 
-    Deterministic given ``config.base_seed``.  ``jobs`` is the fewest
-    lanes of replications fitted concurrently, capped at the usable CPUs;
-    rows are always assembled in rep_id order and do not depend on
-    ``jobs``.
+    Deterministic given ``config.base_seed``; rows are assembled in
+    rep_id order.  ``jobs`` is checked but has no effect: the sweep's
+    rows choose its lanes (``sweep``).
     """
     return sweep(config, (config.n,), R, jobs=jobs)
 
@@ -407,8 +407,10 @@ def sweep(config: ReplicationConfig, ns, R: int, jobs: int = 1) -> ReplicationRe
     as soon as its rows are drawn (see ``_score_as_drawn``).  Each
     replication's seeds and noise are derived once and shared by every
     sample size, so the rows of each size are those of its own
-    ``run_replications``.  The fits run in lanes of replications, at
-    least ``jobs`` and at most one per usable CPU (``_fit_cells``).
+    ``run_replications``.  The fits run in lanes of replications, as
+    many as the sweep's rows call for, at most one per usable CPU
+    (``_fit_cells``).  ``jobs`` must be at least 1 and has no other
+    effect.
     """
     if not R >= 1:
         raise ValueError(f"R must be >= 1, got {R}")
@@ -441,7 +443,7 @@ def sweep(config: ReplicationConfig, ns, R: int, jobs: int = 1) -> ReplicationRe
             stream = _synthetic_stream(eval_spec, eval_spec.seed, z, eps)
             # one task per chunk: the one worker runs them in stream order
             drawn = [helper.submit(next, stream) for _ in stops]
-            betas = _fit_cells(config, cells, R, jobs, eval_spec, whitener)
+            betas = _fit_cells(config, cells, R, eval_spec, whitener)
             beta_star = true_beta_star(eval_spec, problem.tau)
             coefs = _overage_coefficients(eval_spec, np.column_stack([beta_star, *betas]))
             partials = _CostPartials(coefs, z, eps)
@@ -528,15 +530,16 @@ def _score_as_drawn(partials: _CostPartials, stops, drawn, helper: ThreadPoolExe
 
 
 def _fit_cells(
-    config: ReplicationConfig, cells, R: int, jobs: int, spec: SyntheticSpec, whitener: Whitener
+    config: ReplicationConfig, cells, R: int, spec: SyntheticSpec, whitener: Whitener
 ) -> list[np.ndarray]:
     """Every policy of the sweep over ``cells`` in (n, rep_id, mu_grid)
     order.  The replications' training seeds and ``(T, R, p, M)`` scaled
     noise are built once, here.  The (n, rep_id) runs are dealt, in
-    order, into ``min(usable CPUs, max(jobs, elements //
-    kernels._BLOCK_ELEMENTS))`` lanes, ``elements`` being the sweep's rows
-    times its private levels, each replication to the lane that holds its
-    middle row.  Lane 0 runs on this thread; with one lane, its kernel
+    order, into ``min(usable CPUs, elements // kernels._BLOCK_ELEMENTS)``
+    lanes, at least one, ``elements`` being the sweep's rows times its
+    private levels, each replication to the lane that holds its middle
+    row, and packs them into batches of a lane's share of ``_STACK_ROWS``
+    rows.  Lane 0 runs on this thread; with one lane, its kernel
     evaluations still run in the kernels' row blocks."""
     # sigma does not depend on n, so neither does the noise
     p, sigmas = len(config.theta_star), config._sigmas
@@ -547,31 +550,33 @@ def _fit_cells(
             draws = NoiseSource(derive_seed(config.base_seed, r + 1, 1 + j))
             noise[:, r, :, m] = sigma * draws.standard_normal((config.n_steps, p))
     rows = R * sum(cell.n for cell in cells)
-    count = min(kernels._usable_cpus(), max(jobs, rows * len(sigmas) // kernels._BLOCK_ELEMENTS))
+    count = min(kernels._usable_cpus(), max(1, rows * len(sigmas) // kernels._BLOCK_ELEMENTS))
     lanes, start = [[] for _ in range(count)], 0
     for cell in cells:
         for r in range(1, R + 1):
             lanes[(2 * start + cell.n) * count // (2 * rows)].append((cell, r))
             start += cell.n
-    fits = (partial(_fit_lane, config, lane, spec, whitener, seeds, noise) for lane in lanes if lane)
+    args = (_STACK_ROWS // count, spec, whitener, seeds, noise)
+    fits = (partial(_fit_lane, config, lane, *args) for lane in lanes if lane)
     return [beta for lane in kernels._fork_join(*fits) for beta in lane]
 
 
 def _fit_lane(
     config: ReplicationConfig,
     runs: list[tuple[ReplicationConfig, int]],
+    limit: int,
     spec: SyntheticSpec,
     whitener: Whitener,
     seeds: list[int],
     noise: np.ndarray,
 ) -> list[np.ndarray]:
     """The policies of a lane's ``(cell, rep_id)`` runs, in order, fitted
-    in one lockstep per batch of at most ``_STACK_ROWS`` training rows
-    (``_fit_batch``); a replication larger than that is a batch of its
-    own."""
-    batches, rows = [], _STACK_ROWS  # as if full: the first run opens a batch
+    in one lockstep per batch of at most ``limit`` training rows
+    (``_fit_batch``); a replication larger than that, or any with a
+    ``limit`` of 0, is a batch of its own."""
+    batches, rows = [], limit  # as if full: the first run opens a batch
     for cell, r in runs:
-        if rows + cell.n > _STACK_ROWS:
+        if rows + cell.n > limit:
             batches.append([])
             rows = 0
         batch = batches[-1]
@@ -584,17 +589,13 @@ def _fit_lane(
     for batch in batches:
         try:
             betas += _fit_batch(config, batch, spec, whitener, seeds, noise)
-        except Exception:
+        except Exception as exc:
+            failed = [(cell, r) for cell, rep_ids in batch for r in rep_ids]
+            if len(failed) == 1:
+                raise ReplicationError(failed[0][1], exc) from exc
             # rows do not depend on the batching: refit one size and
             # replication at a time to name the one that failed
-            for cell, rep_ids in batch:
-                for r in rep_ids:
-                    try:
-                        betas += _fit_batch(
-                            config, [(cell, range(r, r + 1))], spec, whitener, seeds, noise
-                        )
-                    except Exception as exc:
-                        raise ReplicationError(r, exc) from exc
+            betas += _fit_lane(config, failed, 0, spec, whitener, seeds, noise)
     return betas
 
 

@@ -571,6 +571,24 @@ class TestLockstep:
         assert failure.value.rep_id == 3
         assert isinstance(failure.value.__cause__, MaxIterExceeded)
 
+    def test_a_lone_failed_replication_is_fitted_once(self, small_config, monkeypatch):
+        fitted, fit_batch = [], evaluation._fit_batch
+
+        def failing(config, batch, *args):
+            fitted.append([r for _, reps in batch for r in reps])
+            if 3 in fitted[-1]:
+                raise MaxIterExceeded("stuck")
+            return fit_batch(config, batch, *args)
+
+        # each replication is a batch of its own, which names it already
+        monkeypatch.setattr(evaluation, "_STACK_ROWS", 1)
+        monkeypatch.setattr(evaluation, "_fit_batch", failing)
+        with pytest.raises(evaluation.ReplicationError) as failure:
+            run_replications(small_config, R=5)
+        assert failure.value.rep_id == 3
+        assert isinstance(failure.value.__cause__, MaxIterExceeded)
+        assert fitted == [[1], [2], [3]]
+
     def test_sweep_rows_equal_separate_runs(self, small_config):
         ns = (60, 120)
         rows = sum((run_replications(replace(small_config, n=n), R=2).rows for n in ns), ())
@@ -705,28 +723,31 @@ class TestLockstep:
         return lanes
 
     @pytest.mark.parametrize(
-        "cpus, block, jobs, cuts",
-        [(3, 100, 1, [3, 4]), (3, 10**6, 2, [4]), (2, 10**6, 8, [4]), (3, 541, 1, [])],
-        ids=["blocks", "jobs", "jobs-over-cpus", "under-two-blocks"],
+        "cpus, block, cuts",
+        [(3, 100, [3, 4]), (2, 100, [4]), (3, 541, [])],
+        ids=["blocks", "cpus", "under-two-blocks"],
     )
     def test_lanes_cut_the_sweep_at_replications_into_near_equal_rows(
-        self, small_config, monkeypatch, cpus, block, jobs, cuts
+        self, small_config, monkeypatch, cpus, block, cuts
     ):
         # 3 * 180 rows at two private levels, 1,080 elements.  With blocks
         # of 100, three lanes cut at rows 180 and 360: the replications'
-        # middle rows 30, 90, 150 | 240 | 360, 480.  Two lanes, from jobs
-        # or from the CPUs, cut at row 270; under two blocks, one lane
+        # middle rows 30, 90, 150 | 240 | 360, 480.  Two lanes, from the
+        # CPUs, cut at row 270; under two blocks, one lane
         config = replace(small_config, eval_n=1_000)
         whole = sweep(config, (60, 120), R=3)
         lanes = self._record_lanes(monkeypatch)
         monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", block)
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
-        assert sweep(config, (60, 120), R=3, jobs=jobs).rows == whole.rows
         runs = [(n, r) for n in (60, 120) for r in range(1, 4)]
-        assert sorted(lanes) == [runs[a:b] for a, b in zip([0, *cuts], [*cuts, len(runs)])]
+        # jobs leaves the lanes as the rows and the CPUs cut them
+        for jobs in (1, 3, 8):
+            lanes.clear()
+            assert sweep(config, (60, 120), R=3, jobs=jobs).rows == whole.rows
+            assert sorted(lanes) == [runs[a:b] for a, b in zip([0, *cuts], [*cuts, len(runs)])]
         # a lone replication is one lane however many are cut
         lanes.clear()
-        sweep(config, (120,), R=1, jobs=jobs)
+        sweep(config, (120,), R=1)
         assert lanes == [[(120, 1)]]
 
     def test_jobs_above_the_usable_cpus_start_no_extra_threads(self, small_config, monkeypatch):
@@ -813,10 +834,10 @@ class TestLockstep:
         assert len(built) == made
         assert [d.n for d in built] == [60] * (made // 2) + [120] * (made // 2)
 
-    @pytest.mark.parametrize("jobs", [1, 2, 3, 4])
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
     @pytest.mark.parametrize("stack_rows", [1 << 15, 250, 130, 100])
     def test_batches_pack_runs_in_order_under_the_limits(
-        self, small_config, monkeypatch, stack_rows, jobs
+        self, small_config, monkeypatch, stack_rows, cpus
     ):
         lanes = self._record_lanes(monkeypatch)
         batches = []  # (thread, runs): the lanes record theirs concurrently
@@ -829,8 +850,11 @@ class TestLockstep:
 
         monkeypatch.setattr(evaluation, "_STACK_ROWS", stack_rows)
         monkeypatch.setattr(evaluation, "_fit_batch", recorded)
+        # 5 * 180 rows at two private levels: 18 blocks, a lane per CPU
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 100)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
         R = 5
-        sweep(replace(small_config, eval_n=1_000), (60, 120), R=R, jobs=jobs)
+        sweep(replace(small_config, eval_n=1_000), (60, 120), R=R)
         order = [(n, r) for n in (60, 120) for r in range(1, R + 1)]
         lanes.sort(key=lambda lane: order.index(lane[0]))
         assert [run for lane in lanes for run in lane] == order
@@ -843,9 +867,10 @@ class TestLockstep:
         for _, batch in batches:
             slices = (lane[i : i + len(batch)] for lane in lanes for i in range(len(lane)))
             assert batch in slices
-            # a replication over the limit is a batch of its own
-            assert sum(n for n, _ in batch) <= stack_rows or len(batch) == 1
-        assert len(lanes) >= min(jobs, kernels._usable_cpus(), len(order))
+            # the lanes share the limit; a replication over a lane's share
+            # is a batch of its own
+            assert sum(n for n, _ in batch) <= stack_rows // cpus or len(batch) == 1
+        assert len(lanes) == cpus
         if stack_rows == 100:
             assert len(batches) == len(order)
 
