@@ -50,12 +50,10 @@ class ExperimentConfig:
     then problem, then n order; each runs ``reps`` replications, the
     cells of one dist and problem as one sweep, in as many lanes as its
     rows call for, up to the usable CPUs (``evaluation.sweep``).
-    ``jobs`` is checked and has no other effect.
     """
 
     cells: tuple[evaluation.ReplicationConfig, ...]
     reps: int = 300
-    jobs: int = 1
 
 
 def _float_or_auto(raw: str) -> float | None:
@@ -85,7 +83,7 @@ def _mu(item: str) -> float | None:
 
 
 # (section, key, field, parse), in file order.  taus, b, h, dists and ns
-# span the grid, reps and jobs set the run, and any other field names
+# span the grid, reps sets the run, and any other field names
 # the ReplicationConfig setting of every cell.  Only the syntax is read
 # here: ErrorDist.from_name, Problem and each cell's ReplicationConfig
 # check the values when parse_config builds the cells.
@@ -106,7 +104,6 @@ _CONFIG_KEYS = (
     ("replication", "reps", "reps", int),
     ("replication", "base_seed", "base_seed", int),
     ("replication", "eval_n", "eval_n", int),
-    ("replication", "jobs", "jobs", int),
 )
 
 
@@ -140,7 +137,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ValueError("problem.b and problem.h must be given together")
     else:
         problems = (Problem(b=b, h=h),)
-    run = {name: cell.pop(name) for name in ("reps", "jobs") if name in cell}
+    run = {"reps": cell.pop("reps")} if "reps" in cell else {}
     dists, ns = cell.pop("dists", ("normal",)), cell.pop("ns", (400,))
     covariance = datamod.ar1_covariance(len(datamod.DEFAULT_THETA_STAR) - 1, 0.5)
     cells = tuple(
@@ -320,12 +317,15 @@ def cmd_privacy(args) -> int:
 def cmd_bench(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:  # a missing file exits 3 in main
         config = parse_config(fh.read())
+    # an output that cannot be written exits 3 in main before any replication runs
+    for path in (args.rows, args.aggregates):
+        open(path, "w", encoding="utf-8").close()
     rows = []
     # the cells of one (dist, problem) differ only in n: one sweep draws
     # their evaluation set and replication streams once
     for _, group in itertools.groupby(config.cells, lambda c: (c.error_dist, c.problem)):
         cells = list(group)
-        report = evaluation.sweep(cells[0], [c.n for c in cells], config.reps, jobs=config.jobs)
+        report = evaluation.sweep(cells[0], [c.n for c in cells], config.reps)
         rows.extend(report.rows)
         per_cell = len(report.rows) // len(cells)
         for cell in cells:

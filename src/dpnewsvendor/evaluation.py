@@ -24,16 +24,15 @@ The private fits of a sweep advance in lockstep.  The sweep is cut for
 the CPUs once: its replications, in (n, replication) order, are dealt
 into lanes of near-equal rows (``_fit_cells``), which run through one
 ``kernels._fork_join``, the first on the calling thread.  Each lane
-packs its replications into batches of at most its share of
-``_STACK_ROWS`` training rows.  A batch draws each replication's
-training rows straight into its slice of the batch's stack for that
-size; only the non-private ERM gets them as a ``Dataset``.  Every
-private fit of the batch, all its sizes, replications and privacy
-levels, takes each noisy step together in ``optimizer._lockstep_fits``,
-with one kernel evaluation a step.  A fit rounds the same whichever
-fits share its batch, so rows do not depend on the lanes or on the
-batching.  The noise scale of each privacy level is calibrated when the
-cell is built.
+packs its replications into batches of one sample size and at most its
+share of ``_STACK_ROWS`` training rows.  A batch draws each
+replication's training rows straight into its slice of the batch's size
+stack; only the non-private ERM gets them as a ``Dataset``.  Every
+private fit of the batch, all its replications and privacy levels,
+takes each noisy step together in ``optimizer._lockstep_fits``, with one
+kernel evaluation a step.  A fit rounds the same whichever fits share
+its batch, so rows do not depend on the lanes or on the batching.  The
+noise scale of each privacy level is calibrated when the cell is built.
 
 Seeding is splittable and documented: replication ``r`` derives its
 streams from ``SeedSequence((base_seed, r, k))`` where ``k = 0`` is the
@@ -324,39 +323,36 @@ _STACK_ROWS = 1 << 15
 
 def _fit_batch(
     config: ReplicationConfig,
-    batch: list[tuple[ReplicationConfig, range]],
+    cell: ReplicationConfig,
+    rep_ids: range,
     spec: SyntheticSpec,
     whitener: Whitener,
     seeds: list[int],
     noise: np.ndarray,
 ) -> list[np.ndarray]:
-    """Fit every estimator of the privacy grid on a batch of ``(cell,
-    rep_ids)`` runs of replications, the private fits of all of them in
-    lockstep; betas in (n, rep_id, mu_grid) order.  Replication ``r`` of a
-    cell trains on ``spec`` at ``cell.n`` rows and seed ``seeds[r - 1]``,
-    drawn straight into its slice of the run's size stack, at the cell's
-    bandwidth, and its private fits take the scaled noise
-    ``noise[:, r - 1]``: the sweep derives both once, for every sample
-    size.  Only an ERM gets its training set as a ``Dataset``."""
-    problem, hp = config.problem, config._hyper
-    stacks = []
-    for cell, rep_ids in batch:
-        x, d = np.empty((len(rep_ids), cell.n, spec.p)), np.empty((len(rep_ids), cell.n))
-        for i, r in enumerate(rep_ids):
-            _synthetic_rows(spec, seeds[r - 1], x[i], d[i])
-        stacks.append((x, d, cell._hyper.bandwidth))
-    reps = [r - 1 for _, rep_ids in batch for r in rep_ids]
-    private = iter(optimizer._lockstep_fits(stacks, problem, hp, whitener, noise[:, reps])[-1])
+    """Fit every estimator of the privacy grid on replications ``rep_ids``
+    of ``cell``, the private fits of all of them in one lockstep; betas in
+    (rep_id, mu_grid) order.  Replication ``r`` trains on ``spec`` at
+    ``cell.n`` rows and seed ``seeds[r - 1]``, drawn straight into its
+    slice of the batch's size stack, at the cell's bandwidth, and its
+    private fits take the scaled noise ``noise[:, r - 1]``: the sweep
+    derives both once, for every sample size.  Only an ERM gets its
+    training set as a ``Dataset``."""
+    problem, hp, bandwidth = config.problem, config._hyper, cell._hyper.bandwidth
+    x, d = np.empty((len(rep_ids), cell.n, spec.p)), np.empty((len(rep_ids), cell.n))
+    for i, r in enumerate(rep_ids):
+        _synthetic_rows(spec, seeds[r - 1], x[i], d[i])
+    reps = noise[:, rep_ids.start - 1 : rep_ids.stop - 1]
+    private = optimizer._lockstep_fits(x, d, bandwidth, problem, hp, whitener, reps)[-1]
     betas = []
-    for x, d, bandwidth in stacks:
-        for i in range(len(x)):
-            columns = iter(next(private).T)
-            for mu in config.mu_grid:
-                if mu is None:
-                    train = Dataset(demands=d[i], features=x[i])
-                    betas.append(optimizer.smoothed_erm(train, problem, hp.kernel, bandwidth))
-                else:
-                    betas.append(next(columns))
+    for i, fits in enumerate(private):
+        columns = iter(fits.T)
+        for mu in config.mu_grid:
+            if mu is None:
+                train = Dataset(demands=d[i], features=x[i])
+                betas.append(optimizer.smoothed_erm(train, problem, hp.kernel, bandwidth))
+            else:
+                betas.append(next(columns))
     return betas
 
 
@@ -392,8 +388,7 @@ def run_replications(config: ReplicationConfig, R: int, jobs: int = 1) -> Replic
     """Run R independent replications of the experiment cell.
 
     Deterministic given ``config.base_seed``; rows are assembled in
-    rep_id order.  ``jobs`` is checked but has no effect: the sweep's
-    rows choose its lanes (``sweep``).
+    rep_id order.  ``jobs`` is checked but has no effect, as in ``sweep``.
     """
     return sweep(config, (config.n,), R, jobs=jobs)
 
@@ -410,7 +405,7 @@ def sweep(config: ReplicationConfig, ns, R: int, jobs: int = 1) -> ReplicationRe
     ``run_replications``.  The fits run in lanes of replications, as
     many as the sweep's rows call for, at most one per usable CPU
     (``_fit_cells``).  ``jobs`` must be at least 1 and has no other
-    effect.
+    effect; it goes once the benchmark stops passing it (ROADMAP item 1a).
     """
     if not R >= 1:
         raise ValueError(f"R must be >= 1, got {R}")
@@ -535,12 +530,12 @@ def _fit_cells(
     """Every policy of the sweep over ``cells`` in (n, rep_id, mu_grid)
     order.  The replications' training seeds and ``(T, R, p, M)`` scaled
     noise are built once, here.  The (n, rep_id) runs are dealt, in
-    order, into ``min(usable CPUs, elements // kernels._BLOCK_ELEMENTS)``
-    lanes, at least one, ``elements`` being the sweep's rows times its
-    private levels, each replication to the lane that holds its middle
-    row, and packs them into batches of a lane's share of ``_STACK_ROWS``
-    rows.  Lane 0 runs on this thread; with one lane, its kernel
-    evaluations still run in the kernels' row blocks."""
+    order, into ``kernels._block_count(elements)`` lanes, ``elements``
+    being the sweep's rows times its private levels, each replication to
+    the lane that holds its middle row; each lane fits its runs in batches
+    of one size and at most its share of ``_STACK_ROWS`` rows
+    (``_fit_lane``).  Lane 0 runs on this thread; with one lane, its
+    kernel evaluations still run in the kernels' row blocks."""
     # sigma does not depend on n, so neither does the noise
     p, sigmas = len(config.theta_star), config._sigmas
     seeds = [derive_seed(config.base_seed, rep_id, 0) for rep_id in range(1, R + 1)]
@@ -550,7 +545,7 @@ def _fit_cells(
             draws = NoiseSource(derive_seed(config.base_seed, r + 1, 1 + j))
             noise[:, r, :, m] = sigma * draws.standard_normal((config.n_steps, p))
     rows = R * sum(cell.n for cell in cells)
-    count = min(kernels._usable_cpus(), max(1, rows * len(sigmas) // kernels._BLOCK_ELEMENTS))
+    count = kernels._block_count(rows * len(sigmas))
     lanes, start = [[] for _ in range(count)], 0
     for cell in cells:
         for r in range(1, R + 1):
@@ -571,30 +566,26 @@ def _fit_lane(
     noise: np.ndarray,
 ) -> list[np.ndarray]:
     """The policies of a lane's ``(cell, rep_id)`` runs, in order, fitted
-    in one lockstep per batch of at most ``limit`` training rows
-    (``_fit_batch``); a replication larger than that, or any with a
-    ``limit`` of 0, is a batch of its own."""
-    batches, rows = [], limit  # as if full: the first run opens a batch
+    in one lockstep per batch (``_fit_batch``): consecutive replications
+    of one size, at most ``limit`` training rows.  A new size opens a new
+    batch; a replication larger than ``limit``, or any with a ``limit`` of
+    0, is a batch of its own."""
+    batches = []
     for cell, r in runs:
-        if rows + cell.n > limit:
-            batches.append([])
-            rows = 0
-        batch = batches[-1]
-        if batch and batch[-1][0] is cell:
-            batch[-1] = (cell, range(batch[-1][1].start, r + 1))
+        if batches and batches[-1][0] is cell and (len(batches[-1][1]) + 1) * cell.n <= limit:
+            batches[-1][1] = range(batches[-1][1].start, r + 1)
         else:
-            batch.append((cell, range(r, r + 1)))
-        rows += cell.n
+            batches.append([cell, range(r, r + 1)])
     betas = []
-    for batch in batches:
+    for cell, rep_ids in batches:
         try:
-            betas += _fit_batch(config, batch, spec, whitener, seeds, noise)
+            betas += _fit_batch(config, cell, rep_ids, spec, whitener, seeds, noise)
         except Exception as exc:
-            failed = [(cell, r) for cell, rep_ids in batch for r in rep_ids]
-            if len(failed) == 1:
-                raise ReplicationError(failed[0][1], exc) from exc
-            # rows do not depend on the batching: refit one size and
-            # replication at a time to name the one that failed
+            if len(rep_ids) == 1:
+                raise ReplicationError(rep_ids[0], exc) from exc
+            # rows do not depend on the batching: refit one replication
+            # at a time to name the one that failed
+            failed = [(cell, r) for r in rep_ids]
             betas += _fit_lane(config, failed, 0, spec, whitener, seeds, noise)
     return betas
 

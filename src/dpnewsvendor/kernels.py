@@ -22,7 +22,8 @@ closed forms are elementwise, so the results are bitwise the same for
 any number of CPUs.  ``_fork_join`` is the one way onto that pool, the
 only one that runs fits: the row blocks go through it, and so do the
 second half of a large standard-normal draw in ``data._fill_normals``
-and the lanes of a sweep in ``evaluation._fit_cells``.  A fork-join
+and the lanes of a sweep in ``evaluation._fit_cells``, which
+``_block_count`` counts by the same rule as the row blocks.  A fork-join
 inside a call of another one, such as the CDF of a lane's batch, runs
 its calls in turn on that call's thread.
 """
@@ -226,19 +227,24 @@ def _fork_join(here, *elsewhere) -> list:
     return [result, *(future.result() for future in futures)]
 
 
+def _block_count(elements: int) -> int:
+    """Blocks for ``elements`` elements of work: ``min(usable CPUs,
+    elements // _BLOCK_ELEMENTS)`` when that is at least 2, else 1."""
+    blocks = elements // _BLOCK_ELEMENTS
+    return min(blocks, _usable_cpus()) if blocks > 1 else 1
+
+
 def _elementwise(closed_form, u, blocks: int | None = None):
     """``closed_form(u)`` for an elementwise ``closed_form``, a float if
     ``u`` is 0-d.
 
-    ``blocks`` defaults to ``min(usable CPUs, u.size // 32768)``.  With
-    more than one, block 0 runs on the calling thread and the others on
-    the pool (``_fork_join``), and each writes its slice of one output.
+    ``blocks`` defaults to ``_block_count(u.size)``.  With more than one,
+    block 0 runs on the calling thread and the others on the pool
+    (``_fork_join``), and each writes its slice of one output.
     """
     u = np.asarray(u, dtype=float)
     if blocks is None:
-        blocks = u.size // _BLOCK_ELEMENTS
-        if blocks > 1:
-            blocks = min(blocks, _usable_cpus())
+        blocks = _block_count(u.size)
     if blocks <= 1:
         return _maybe_scalar(closed_form(u), u)
     flat = u.reshape(-1)  # a copy if u is not C-contiguous

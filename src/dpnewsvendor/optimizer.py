@@ -28,23 +28,20 @@ noised gradient, so it sits outside the formal privacy accounting; runs
 that must match the certificate exactly should fix ``step_size`` by hand.
 
 Fits advance in lockstep.  One step loop, ``_lockstep_fits``, moves a
-batch of fits together: R training sets, each fitted at M noise
-levels, as ``(R, p, M)`` coefficients.  The sets come as size stacks,
-the ``(R_n, n, p)`` features and ``(R_n, n)`` demands of the sets of one
-size n with that size's bandwidth, so a caller can draw its rows
-straight into the arrays the steps read.  The clip does not depend on
-beta, so each stack's rows ``x A`` are clipped once, before the first
-step.  Each step makes one batched residual product per
-stack, writes every stack's scaled residuals into one buffer and
-evaluates the kernel's CDF once over it, giving one weight per
-observation and fit, and makes one batched clipped sum per stack; with
-the line search, that weight serves each fit's slope and direction, and
-one Armijo search per stack, ``_armijo_steps``, tries the steps of the
-whole stack with one kernel call per round.  ``fit`` is the batch of one
-dataset at one level, and ``noisy_step`` is one step of that batch.
+stack of fits together: R training sets of one size n, each fitted at M
+noise levels, as ``(R, p, M)`` coefficients.  The sets come as the
+``(R, n, p)`` features and ``(R, n)`` demands, so a caller can draw its
+rows straight into the arrays the steps read.  The clip does not depend
+on beta, so the rows ``x A`` are clipped once, before the first step.
+Each step makes one batched residual product, evaluates the kernel's CDF
+once over it, giving one weight per observation and fit, and makes one
+batched clipped sum; with the line search, that weight serves each fit's
+slope and direction, and one Armijo search, ``_armijo_steps``, tries the
+steps of the whole stack with one kernel call per round.  ``fit`` is the
+stack of one dataset at one level, and ``noisy_step`` is one step of it.
 numpy hands each item of a stacked product to BLAS on its own, and the
 CDF is elementwise, so a fit's iterates do not depend on the other
-datasets of its batch.  A single column goes to the matrix-vector
+datasets of its stack.  A single column goes to the matrix-vector
 routine, so ``fit`` rounds as a plain loop of matrix-vector steps; with
 M > 1 levels the matrix-matrix products may round the last bits
 differently.
@@ -291,103 +288,69 @@ def noisy_step(
     if g.shape != (data.p,):
         raise DimensionMismatch(f"noise vector must have shape ({data.p},)")
     noise = (hp.sigma * g)[None, None, :, None]
-    stack = (data.features[None], data.demands[None], hp.bandwidth)
     return _lockstep_fits(
-        [stack], problem, hp, whitener, noise, start=beta[None, :, None]
+        data.features[None], data.demands[None], hp.bandwidth, problem, hp, whitener, noise,
+        start=beta[None, :, None],
     )[-1][0, :, 0]
 
 
-class _SizeStack:
-    """One size stack of a lockstep batch: the ``(R, n, p)`` features
-    ``x``, the ``(R, n, 1)`` demands, the clipped rows ``clip(x A)`` as
-    ``(R, p, n)``, and the size's bandwidth.  The clip does not depend on
-    beta, so it is made here, once, in place on one stacked product
-    ``x A``, which numpy hands to BLAS item by item.
-    ``_lockstep_fits`` then places the stack in its batch: its slice
-    ``fits`` of the fits, and its ``(R, n, M)`` view ``scaled``, at
-    ``elements``, of the residual buffer."""
-
-    def __init__(self, x, d, a: np.ndarray, radius: float, bandwidth: float):
-        self.x = x
-        self.demands = d[:, :, None]
-        clipped = x @ a
-        rows = clipped.reshape(-1, clipped.shape[-1])
-        clip(rows, radius, out=rows)
-        self.clipped_t = clipped.transpose(0, 2, 1)
-        self.bandwidth = bandwidth
-
-
 def _lockstep_fits(
-    stacks: list[tuple[np.ndarray, np.ndarray, float]],
+    x: np.ndarray,
+    d: np.ndarray,
+    bandwidth: float,
     problem: Problem,
     hp: HyperParams,
     whitener: Whitener | None,
     noise: np.ndarray,
     start: np.ndarray | None = None,
 ) -> list[np.ndarray]:
-    """Run noisy updates of a batch of fits, one per step of ``noise``.
+    """Run noisy updates of a stack of fits, one per step of ``noise``.
 
-    ``stacks`` holds the batch's training rows as size stacks
-    ``(x, d, bandwidth)``: the ``(R_n, n, p)`` features and ``(R_n, n)``
-    demands of ``R_n`` training sets of one size n, fitted at that
-    bandwidth; the R training sets are the stacks' in order.  The rows are
-    read, never written or copied.  ``noise`` holds the
-    ``(T, R, p, M)`` noise already scaled by each fit's sigma:
+    The R training sets come as one size stack: the ``(R, n, p)`` features
+    ``x`` and ``(R, n)`` demands ``d`` of sets of one size n, fitted at
+    ``bandwidth``.  The rows are read, never written or copied.  ``noise``
+    holds the ``(T, R, p, M)`` noise already scaled by each fit's sigma:
     ``noise[t, r, :, m]`` is added to the clipped sum of fit ``(r, m)`` at
     step ``t``, so the fits take T steps.  They start from zero, or from the
     ``(R, p, M)`` coefficients ``start``.  ``hp`` gives every other setting;
-    its ``n_steps``, ``sigma`` and ``seed`` are not read.  Returns the path:
-    the T+1 ``(R, p, M)`` iterates, from the start to the final
-    coefficients ``[-1]``.
-
-    Each step writes every size's ``(x beta - d) / h`` into its slice of one
-    buffer and evaluates the kernel's CDF over the whole buffer in one call;
-    the products, the clipped sums, the line search and the update are made
-    per size, on the shapes a stack of that size alone would have.
+    its ``bandwidth``, ``n_steps``, ``sigma`` and ``seed`` are not read.
+    Returns the path: the T+1 ``(R, p, M)`` iterates, from the start to the
+    final coefficients ``[-1]``.  The rows ``clip(x A)`` are made once, in
+    place on one stacked product.
     """
     _warn_if_flat_kernel(hp.kernel, stacklevel=4)
+    n = x.shape[1]
     _, _, p, n_levels = noise.shape
     a = _feature_map(hp, whitener, p)
-    stacks = [_SizeStack(x, d, a, hp.clip_radius, bandwidth) for x, d, bandwidth in stacks]
-    scaled = np.empty(n_levels * sum(stack.demands.size for stack in stacks))
-    fits = elements = 0
-    for stack in stacks:
-        stack.fits = slice(fits, fits + len(stack.x))
-        stack.elements = slice(elements, elements + n_levels * stack.demands.size)
-        stack.scaled = scaled[stack.elements].reshape(*stack.demands.shape[:2], n_levels)
-        fits, elements = stack.fits.stop, stack.elements.stop
-    betas = np.zeros((fits, p, n_levels)) if start is None else start
+    clipped = x @ a
+    rows = clipped.reshape(-1, p)
+    clip(rows, hp.clip_radius, out=rows)
+    clipped_t = clipped.transpose(0, 2, 1)
+    demands = d[:, :, None]
+    betas = np.zeros((len(x), p, n_levels)) if start is None else start
     path = [betas]
     for step_noise in noise:
-        for stack in stacks:
-            # x beta - d is bitwise -(d - x beta): negation is exact
-            np.matmul(stack.x, betas[stack.fits], out=stack.scaled)
-            stack.scaled -= stack.demands
-            stack.scaled /= stack.bandwidth
-        weights = kernels._standard_cdf(hp.kernel, scaled)
-        weights -= problem.tau
-        stepped = np.empty(betas.shape)
-        for stack in stacks:
-            x, beta, n = stack.x, betas[stack.fits], stack.x.shape[1]
-            w = weights[stack.elements].reshape(stack.scaled.shape)
-            summed = stack.clipped_t @ w
-            eta = hp.step_size
-            if eta is None:
-                grads = x.transpose(0, 2, 1) @ w / n
-                directions = a @ summed / n
-                gt, dt = grads.transpose(0, 2, 1), directions.transpose(0, 2, 1)
-                slope = gt[..., None, :] @ dt[..., None]  # a 1-d dot per fit, as g @ d rounds
-                eta = _armijo_steps(
-                    lambda eta: _scaled_costs(
-                        x, stack.demands, problem, hp.kernel, stack.bandwidth,
-                        beta - eta * directions,
-                    ),
-                    slope.reshape(len(x), 1, n_levels),
-                    hp.max_step_size,
-                )
-            update = (eta / n) * (a @ (summed + step_noise[stack.fits]))
-            np.subtract(beta, update, out=stepped[stack.fits])
-        betas = stepped
+        # x beta - d is bitwise -(d - x beta): negation is exact
+        scaled = x @ betas
+        scaled -= demands
+        scaled /= bandwidth
+        w = kernels._standard_cdf(hp.kernel, scaled)
+        w -= problem.tau
+        summed = clipped_t @ w
+        eta = hp.step_size
+        if eta is None:
+            grads = x.transpose(0, 2, 1) @ w / n
+            directions = a @ summed / n
+            gt, dt = grads.transpose(0, 2, 1), directions.transpose(0, 2, 1)
+            slope = gt[..., None, :] @ dt[..., None]  # a 1-d dot per fit, as g @ d rounds
+            eta = _armijo_steps(
+                lambda eta: _scaled_costs(
+                    x, demands, problem, hp.kernel, bandwidth, betas - eta * directions
+                ),
+                slope.reshape(len(x), 1, n_levels),
+                hp.max_step_size,
+            )
+        betas = betas - (eta / n) * (a @ (summed + step_noise))
         path.append(betas)
     return path
 
@@ -424,8 +387,10 @@ def fit(
     if noise is None:
         noise = NoiseSource(hp.seed)
     g = hp.sigma * noise.standard_normal((hp.n_steps, data.p))
-    stack = (data.features[None], data.demands[None], hp.bandwidth)
-    path = np.stack(_lockstep_fits([stack], problem, hp, whitener, g[:, None, :, None]))
+    path = np.stack(_lockstep_fits(
+        data.features[None], data.demands[None], hp.bandwidth, problem, hp, whitener,
+        g[:, None, :, None],
+    ))
     path = path[:, 0, :, 0]
     return FitResult(beta_final=path[-1], trajectory=path, certificate=certificate)
 

@@ -78,7 +78,7 @@ class TestConfig:
                     continue
                 expected = 1 if f.name == "base_seed" else getattr(defaults, f.name)
                 assert getattr(cell, f.name) == expected, f.name
-        assert (cfg.reps, cfg.jobs) == (300, 1)
+        assert cfg.reps == 300
 
     def test_unknown_key_rejected_by_name(self):
         with pytest.raises(ValueError, match="warmup"):
@@ -461,6 +461,26 @@ class TestBench:
     def test_missing_config_exits_3(self, tmp_path):
         assert main(["bench", "--config", str(tmp_path / "nope.ini")]) == EXIT_IO
 
+    @pytest.mark.parametrize("output", ["--rows", "--aggregates"])
+    def test_unwritable_output_exits_3_before_any_sweep(self, tmp_path, monkeypatch, output):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a sweep ran before the outputs were opened")
+
+        monkeypatch.setattr(evaluation, "sweep", no_sweep)
+        cfg = tmp_path / "bench.ini"
+        cfg.write_text(SMOKE_CONFIG)
+        outputs = {"--rows": str(tmp_path / "rows.csv"), "--aggregates": str(tmp_path / "a.csv")}
+        outputs[output] = str(tmp_path / "nodir" / "out.csv")
+        argv = ["bench", "--config", str(cfg), *(arg for pair in outputs.items() for arg in pair)]
+        assert main(argv) == EXIT_IO
+
+    def test_jobs_key_exits_2(self, tmp_path, capsys):
+        # the run's size alone sets its lanes, so no key does
+        cfg = tmp_path / "bench.ini"
+        cfg.write_text(SMOKE_CONFIG + "jobs = 2\n")
+        assert main(["bench", "--config", str(cfg)]) == EXIT_USAGE
+        assert "unknown config key 'jobs'" in capsys.readouterr().err
+
     def test_malformed_config_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[problem]\ntau = 0.5\n[plotting]\nx = 1\n")
@@ -521,8 +541,8 @@ class TestBench:
     def test_every_cell_key_reaches_replication_config(self, tmp_path, monkeypatch):
         seen = []
 
-        def capture(cell, ns, R, jobs=1):
-            seen.append((cell, ns, R, jobs))
+        def capture(cell, ns, R):
+            seen.append((cell, ns, R))
             return evaluation.ReplicationReport(rows=())
 
         monkeypatch.setattr(evaluation, "sweep", capture)
@@ -532,13 +552,13 @@ class TestBench:
             "[hyper]\nT = 7\nB = 3\nkernel = logistic\nbandwidth = 0.2\n"
             "eta0 = 0.5\nmax_step = 2\nmode = raw_covariates\n"
             "[privacy]\nmu = 0.9, nonprivate\n"
-            "[replication]\nreps = 4\nbase_seed = 5\neval_n = 777\njobs = 2\n"
+            "[replication]\nreps = 4\nbase_seed = 5\neval_n = 777\n"
         )
         code = main(["bench", "--config", str(cfg), "--rows", str(tmp_path / "r.csv"),
                      "--aggregates", str(tmp_path / "a.csv")])
         assert code == EXIT_OK
-        [(cell, ns, reps, jobs)] = seen
-        assert (ns, reps, jobs) == ([123], 4, 2)
+        [(cell, ns, reps)] = seen
+        assert (ns, reps) == ([123], 4)
         expected = {
             "problem": Problem.from_quantile(0.7),
             "error_dist": datamod.ErrorDist.student_t(3.0),
@@ -573,7 +593,6 @@ class TestBench:
             ("privacy", "mu = inf", "mu must be finite and > 0, got inf"),
             ("replication", "eval_n = 0", "eval_n must be >= 1, got 0"),
             ("replication", "base_seed = -1", "base_seed must be >= 0, got -1"),
-            ("replication", "jobs = 0", "jobs must be >= 1, got 0"),
             ("data", "n =", "config key data.n lists no values"),
             ("problem", "tau =", "config key problem.tau lists no values"),
             ("data", "dist =", "config key data.dist lists no values"),
@@ -595,7 +614,7 @@ class TestBench:
             ("problem", "tau = 0.5, 0.5", "config key problem.tau names the value 0.5 twice"),
             ("data", "dist = t3, normal, t3", "config key data.dist names the value t3 twice"),
         ],
-        ids=["dist", "mode", "mu", "mu-inf", "eval_n", "base_seed", "jobs",
+        ids=["dist", "mode", "mu", "mu-inf", "eval_n", "base_seed",
              "empty-n", "empty-tau", "empty-dist", "empty-mu",
              "n", "n-0-bandwidth", "n-negative-bandwidth",
              "max_step", "bandwidth", "B-nonprivate", "eta0-inf",

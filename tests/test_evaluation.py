@@ -540,14 +540,12 @@ class TestLockstep:
         run_replications(config, R=5)
         assert calls == {"clip": chunks, "cdf": 7 * chunks}
 
-    def test_fixed_step_sweep_weighs_once_per_step_over_every_size(
-        self, small_config, monkeypatch
-    ):
-        # both sizes in one batch: one clip per size, one CDF call per step
+    def test_fixed_step_sweep_weighs_once_per_step_and_size(self, small_config, monkeypatch):
+        # one batch per size: each clips its stack once and weighs it once a step
         calls = self._count_clips_and_cdfs(monkeypatch)
         config = replace(small_config, mu_grid=(0.9, 0.5, 0.3), step_size=0.5, n_steps=7)
         sweep(config, (60, 120), R=5)
-        assert calls == {"clip": 2, "cdf": 7}
+        assert calls == {"clip": 2, "cdf": 14}
 
     def test_failure_names_its_replication(self, small_config, monkeypatch):
         spec = SyntheticSpec(
@@ -574,11 +572,11 @@ class TestLockstep:
     def test_a_lone_failed_replication_is_fitted_once(self, small_config, monkeypatch):
         fitted, fit_batch = [], evaluation._fit_batch
 
-        def failing(config, batch, *args):
-            fitted.append([r for _, reps in batch for r in reps])
-            if 3 in fitted[-1]:
+        def failing(config, cell, rep_ids, *args):
+            fitted.append(list(rep_ids))
+            if 3 in rep_ids:
                 raise MaxIterExceeded("stuck")
-            return fit_batch(config, batch, *args)
+            return fit_batch(config, cell, rep_ids, *args)
 
         # each replication is a batch of its own, which names it already
         monkeypatch.setattr(evaluation, "_STACK_ROWS", 1)
@@ -652,11 +650,10 @@ class TestLockstep:
     @pytest.mark.parametrize("mode", ["known_sigma_matrix", "raw_covariates"])
     @pytest.mark.parametrize("step_size", [None, 0.7], ids=["linesearch", "fixed"])
     @pytest.mark.parametrize("bandwidth", [None, 0.4], ids=["rule_of_thumb", "explicit"])
-    def test_fused_sizes_give_the_rows_of_one_run_per_size(
+    def test_sweep_sizes_give_the_rows_of_one_run_per_size(
         self, small_config, kernel, mode, step_size, bandwidth
     ):
-        # unsorted sizes, both in one batch: every step evaluates the CDF
-        # once over both, each size at its own bandwidth
+        # unsorted sizes, each in its own batch at its own bandwidth
         config = replace(
             small_config, kernel=kernel, mode=mode, step_size=step_size,
             bandwidth=bandwidth, eval_n=2_000,
@@ -666,24 +663,26 @@ class TestLockstep:
         assert sweep(config, ns, R=3).rows == rows
 
     @pytest.mark.parametrize("step_size", [None, 0.7], ids=["linesearch", "fixed"])
-    def test_fused_rows_ignore_the_cdf_blocks(self, small_config, monkeypatch, step_size):
+    def test_sweep_rows_ignore_the_cdf_blocks(self, small_config, monkeypatch, step_size):
         config = replace(small_config, step_size=step_size, eval_n=2_000)
         whole = sweep(config, (120, 60), R=4)
-        # the sweep's 4 * 180 * 2 = 1,440 elements in two lanes of 720,
-        # each weighed in two blocks on its own thread
-        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 256)
+        # the sweep's 4 * 180 * 2 = 1,440 elements in two lanes of 720:
+        # replications 1-3 at n=120, then 4 at n=120 and 1-4 at n=60; each
+        # batch's CDF, at least 240 elements, in two blocks run in turn on
+        # its lane's thread
+        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 100)
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
         assert sweep(config, (120, 60), R=4).rows == whole.rows
 
     @staticmethod
     def _record_parts(monkeypatch):
-        """Patch ``_fit_batch`` to list each batch or part it fits as
-        ``(n, rep_ids)`` runs, in the order the fits start."""
+        """Patch ``_fit_batch`` to list each batch it fits as ``(n,
+        rep_ids)``, in the order the fits start."""
         parts, fit_batch = [], evaluation._fit_batch
 
-        def recorded(config, batch, *args):
-            parts.append([(cell.n, reps) for cell, reps in batch])
-            return fit_batch(config, batch, *args)
+        def recorded(config, cell, rep_ids, *args):
+            parts.append((cell.n, rep_ids))
+            return fit_batch(config, cell, rep_ids, *args)
 
         monkeypatch.setattr(evaluation, "_fit_batch", recorded)
         return parts
@@ -693,20 +692,23 @@ class TestLockstep:
     def test_split_batch_gives_the_rows_of_the_whole_batch(
         self, small_config, monkeypatch, cpus, count, step_size
     ):
-        # the nonprivate level's ERMs run in the parts too
+        # the nonprivate level's ERMs run in the lanes too
         config = replace(small_config, step_size=step_size, eval_n=2_000)
         whole = sweep(config, (120, 60), R=4)
+        lanes = self._record_lanes(monkeypatch)
         parts = self._record_parts(monkeypatch)
         # 4 * 180 rows at two private levels: 1,440 elements, five blocks
         monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 256)
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
         assert sweep(config, (120, 60), R=4).rows == whole.rows
         order = [(n, r) for n in (120, 60) for r in range(1, 5)]
-        parts.sort(key=lambda part: order.index((part[0][0], part[0][1].start)))
-        assert len(parts) == count
-        assert [(n, r) for part in parts for n, reps in part for r in reps] == order
+        lanes.sort(key=lambda lane: order.index(lane[0]))
+        assert len(lanes) == count
+        assert [run for lane in lanes for run in lane] == order
+        # each replication is fitted once, in a batch of its own size
+        assert sorted((n, r) for n, reps in parts for r in reps) == sorted(order)
         # near-equal rows: each cut lies within half a replication of its share
-        rows = [sum(n * len(reps) for n, reps in part) for part in parts]
+        rows = [sum(n for n, _ in lane) for lane in lanes]
         assert max(rows) - min(rows) <= 2 * 120
 
     @staticmethod
@@ -806,17 +808,15 @@ class TestLockstep:
 
         monkeypatch.setattr(optimizer, "smoothed_erm", failing_erm)
         parts = self._record_parts(monkeypatch)
-        # 5 * 180 rows at two private levels, in two parts: replication 1
-        # at n=120 ends the first, replication 5 the second
+        # 5 * 180 rows at two private levels, in two lanes: replications
+        # 1-5 at n=60 and 1 at n=120, one batch each, then 2-5 at n=120
         monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 256)
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
         with pytest.raises(evaluation.ReplicationError) as failure:
             sweep(small_config, (60, 120), R=5)
         assert failure.value.rep_id == rep_id
         assert isinstance(failure.value.__cause__, MaxIterExceeded)
-        assert sorted(parts[:2]) == [
-            [(60, range(1, 6)), (120, range(1, 2))], [(120, range(2, 6))]
-        ]
+        assert {(60, range(1, 6)), (120, range(1, 2)), (120, range(2, 6))} <= set(parts)
 
     @pytest.mark.parametrize("mu_grid, made", [((0.9, 0.3), 0), ((None, 0.3), 6)])
     def test_only_the_erm_gets_a_dataset(self, small_config, monkeypatch, mu_grid, made):
@@ -843,10 +843,9 @@ class TestLockstep:
         batches = []  # (thread, runs): the lanes record theirs concurrently
         fit_batch = evaluation._fit_batch
 
-        def recorded(config, batch, *args):
-            runs = [(cell.n, r) for cell, reps in batch for r in reps]
-            batches.append((threading.get_ident(), runs))
-            return fit_batch(config, batch, *args)
+        def recorded(config, cell, rep_ids, *args):
+            batches.append((threading.get_ident(), [(cell.n, r) for r in rep_ids]))
+            return fit_batch(config, cell, rep_ids, *args)
 
         monkeypatch.setattr(evaluation, "_STACK_ROWS", stack_rows)
         monkeypatch.setattr(evaluation, "_fit_batch", recorded)
@@ -871,6 +870,11 @@ class TestLockstep:
             # is a batch of its own
             assert sum(n for n, _ in batch) <= stack_rows // cpus or len(batch) == 1
         assert len(lanes) == cpus
+        # every batch holds one size; under a roomy limit, all a lane has of it
+        sizes_per_lane = sum(len({n for n, _ in lane}) for lane in lanes)
+        assert all(len({n for n, _ in batch}) == 1 for _, batch in batches)
+        if stack_rows == 1 << 15:
+            assert len(batches) == sizes_per_lane
         if stack_rows == 100:
             assert len(batches) == len(order)
 

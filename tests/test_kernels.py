@@ -321,6 +321,7 @@ class TestBlocks:
         assert blocks_of(100_000, 2) == [50_000, 50_000]
         assert blocks_of(100_000, 1) == [100_000]
         assert blocks_of(2 * kernels._BLOCK_ELEMENTS - 1, 64) == [2 * kernels._BLOCK_ELEMENTS - 1]
+        assert blocks_of(2 * kernels._BLOCK_ELEMENTS, 64) == [kernels._BLOCK_ELEMENTS] * 2
 
     def test_inputs_under_two_blocks_never_touch_the_pool(self, monkeypatch):
         def refuse():
