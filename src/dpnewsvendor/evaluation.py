@@ -319,10 +319,18 @@ def derive_seed(base_seed: int, rep_id: int, stream: int) -> int:
 # among a sweep's lanes: their stacked designs and residuals stay a few
 # megabytes however many replications and CPUs a sweep has.
 _STACK_ROWS = 1 << 15
+# Fewest elements (rows times private levels) per lane of a sweep: below
+# this a thread hand-off costs more than the lane saves
+_LANE_ELEMENTS = 32_768
+
+
+def _lane_count(elements: int) -> int:
+    """Lanes for a sweep of ``elements`` elements: ``elements //
+    _LANE_ELEMENTS``, at most one per usable CPU, at least one."""
+    return max(1, min(elements // _LANE_ELEMENTS, kernels._usable_cpus()))
 
 
 def _fit_batch(
-    config: ReplicationConfig,
     cell: ReplicationConfig,
     rep_ids: range,
     spec: SyntheticSpec,
@@ -338,19 +346,19 @@ def _fit_batch(
     private fits take the scaled noise ``noise[:, r - 1]``: the sweep
     derives both once, for every sample size.  Only an ERM gets its
     training set as a ``Dataset``."""
-    problem, hp, bandwidth = config.problem, config._hyper, cell._hyper.bandwidth
+    problem, hp = cell.problem, cell._hyper
     x, d = np.empty((len(rep_ids), cell.n, spec.p)), np.empty((len(rep_ids), cell.n))
     for i, r in enumerate(rep_ids):
         _synthetic_rows(spec, seeds[r - 1], x[i], d[i])
     reps = noise[:, rep_ids.start - 1 : rep_ids.stop - 1]
-    private = optimizer._lockstep_fits(x, d, bandwidth, problem, hp, whitener, reps)[-1]
+    private = optimizer._lockstep_fits(x, d, problem, hp, whitener, reps)[-1]
     betas = []
     for i, fits in enumerate(private):
         columns = iter(fits.T)
-        for mu in config.mu_grid:
+        for mu in cell.mu_grid:
             if mu is None:
                 train = Dataset(demands=d[i], features=x[i])
-                betas.append(optimizer.smoothed_erm(train, problem, hp.kernel, bandwidth))
+                betas.append(optimizer.smoothed_erm(train, problem, hp.kernel, hp.bandwidth))
             else:
                 betas.append(next(columns))
     return betas
@@ -530,12 +538,11 @@ def _fit_cells(
     """Every policy of the sweep over ``cells`` in (n, rep_id, mu_grid)
     order.  The replications' training seeds and ``(T, R, p, M)`` scaled
     noise are built once, here.  The (n, rep_id) runs are dealt, in
-    order, into ``kernels._block_count(elements)`` lanes, ``elements``
-    being the sweep's rows times its private levels, each replication to
-    the lane that holds its middle row; each lane fits its runs in batches
-    of one size and at most its share of ``_STACK_ROWS`` rows
-    (``_fit_lane``).  Lane 0 runs on this thread; with one lane, its
-    kernel evaluations still run in the kernels' row blocks."""
+    order, into ``_lane_count(elements)`` lanes, ``elements`` being the
+    sweep's rows times its private levels, each replication to the lane
+    that holds its middle row; each lane fits its runs in batches of one
+    size and at most its share of ``_STACK_ROWS`` rows (``_fit_lane``).
+    Lane 0 runs on this thread, and a lone lane starts no thread."""
     # sigma does not depend on n, so neither does the noise
     p, sigmas = len(config.theta_star), config._sigmas
     seeds = [derive_seed(config.base_seed, rep_id, 0) for rep_id in range(1, R + 1)]
@@ -545,19 +552,18 @@ def _fit_cells(
             draws = NoiseSource(derive_seed(config.base_seed, r + 1, 1 + j))
             noise[:, r, :, m] = sigma * draws.standard_normal((config.n_steps, p))
     rows = R * sum(cell.n for cell in cells)
-    count = kernels._block_count(rows * len(sigmas))
+    count = _lane_count(rows * len(sigmas))
     lanes, start = [[] for _ in range(count)], 0
     for cell in cells:
         for r in range(1, R + 1):
             lanes[(2 * start + cell.n) * count // (2 * rows)].append((cell, r))
             start += cell.n
     args = (_STACK_ROWS // count, spec, whitener, seeds, noise)
-    fits = (partial(_fit_lane, config, lane, *args) for lane in lanes if lane)
+    fits = (partial(_fit_lane, lane, *args) for lane in lanes if lane)
     return [beta for lane in kernels._fork_join(*fits) for beta in lane]
 
 
 def _fit_lane(
-    config: ReplicationConfig,
     runs: list[tuple[ReplicationConfig, int]],
     limit: int,
     spec: SyntheticSpec,
@@ -579,14 +585,14 @@ def _fit_lane(
     betas = []
     for cell, rep_ids in batches:
         try:
-            betas += _fit_batch(config, cell, rep_ids, spec, whitener, seeds, noise)
+            betas += _fit_batch(cell, rep_ids, spec, whitener, seeds, noise)
         except Exception as exc:
             if len(rep_ids) == 1:
                 raise ReplicationError(rep_ids[0], exc) from exc
             # rows do not depend on the batching: refit one replication
             # at a time to name the one that failed
             failed = [(cell, r) for r in rep_ids]
-            betas += _fit_lane(config, failed, 0, spec, whitener, seeds, noise)
+            betas += _fit_lane(failed, 0, spec, whitener, seeds, noise)
     return betas
 
 

@@ -12,20 +12,14 @@ The smoothed loss is a convex upper approximation of the check loss:
 for every symmetric non-negative kernel the gap is between 0 and
 ``kappa_1 * bandwidth / 2`` uniformly in the residual.
 
-``scaled_density``, ``scaled_cdf`` and ``smoothed_check_loss``, and
-``_standard_cdf``, the CDF at already scaled points that ``scaled_cdf``
-and the optimizer's lockstep fits share, evaluate an input of at least
-65,536 elements in row blocks of at least 32,768 elements, one per
-usable CPU (``os.sched_getaffinity``, so ``taskset`` restricts them), on
-a thread pool that the first such call starts.  The
-closed forms are elementwise, so the results are bitwise the same for
-any number of CPUs.  ``_fork_join`` is the one way onto that pool, the
-only one that runs fits: the row blocks go through it, and so do the
-second half of a large standard-normal draw in ``data._fill_normals``
-and the lanes of a sweep in ``evaluation._fit_cells``, which
-``_block_count`` counts by the same rule as the row blocks.  A fork-join
-inside a call of another one, such as the CDF of a lane's batch, runs
-its calls in turn on that call's thread.
+Every kernel evaluation is one call of its closed form on the calling
+thread, whatever its size.  The module also holds the package's one
+thread pool, which the first fork-join starts: ``_fork_join`` is the
+one way onto it, for whole units of work only, the lanes of a sweep
+(``evaluation._fit_cells``) and the second half of a large
+standard-normal draw (``data._fill_normals``).  A fork-join inside a
+call of another one, such as a lane's large draw, runs its calls in
+turn on that call's thread.
 """
 
 from __future__ import annotations
@@ -36,7 +30,6 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.special import expit, ndtr
@@ -46,9 +39,6 @@ from .errors import NonPositiveBandwidth
 KERNEL_NAMES = ("gaussian", "laplacian", "logistic", "uniform", "epanechnikov")
 
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
-# Fewest elements per block: below this a thread hand-off costs more
-# than the block saves
-_BLOCK_ELEMENTS = 32_768
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
@@ -194,8 +184,8 @@ def _executor() -> ThreadPoolExecutor:
     global _pool
     with _pool_lock:
         if _pool is None:
-            # the caller computes one block itself; one worker at least,
-            # so a split forced on one CPU still runs
+            # the caller runs one call itself; one worker at least, so a
+            # fork-join forced on one CPU still runs
             _pool = ThreadPoolExecutor(
                 max_workers=max(_usable_cpus() - 1, 1), thread_name_prefix="dpnv-kernels"
             )
@@ -227,42 +217,12 @@ def _fork_join(here, *elsewhere) -> list:
     return [result, *(future.result() for future in futures)]
 
 
-def _block_count(elements: int) -> int:
-    """Blocks for ``elements`` elements of work: ``min(usable CPUs,
-    elements // _BLOCK_ELEMENTS)`` when that is at least 2, else 1."""
-    blocks = elements // _BLOCK_ELEMENTS
-    return min(blocks, _usable_cpus()) if blocks > 1 else 1
-
-
-def _elementwise(closed_form, u, blocks: int | None = None):
-    """``closed_form(u)`` for an elementwise ``closed_form``, a float if
-    ``u`` is 0-d.
-
-    ``blocks`` defaults to ``_block_count(u.size)``.  With more than one,
-    block 0 runs on the calling thread and the others on the pool
-    (``_fork_join``), and each writes its slice of one output.
-    """
-    u = np.asarray(u, dtype=float)
-    if blocks is None:
-        blocks = _block_count(u.size)
-    if blocks <= 1:
-        return _maybe_scalar(closed_form(u), u)
-    flat = u.reshape(-1)  # a copy if u is not C-contiguous
-    out = np.empty_like(flat)
-    stops = [flat.size * k // blocks for k in range(blocks + 1)]
-
-    def run(b):
-        out[stops[b] : stops[b + 1]] = closed_form(flat[stops[b] : stops[b + 1]])
-
-    _fork_join(*(partial(run, b) for b in range(blocks)))
-    return _maybe_scalar(out.reshape(u.shape), u)
-
-
 def scaled_density(kernel: str, u, bandwidth: float):
     """Density of the kernel rescaled to the given bandwidth."""
     bandwidth = check_bandwidth(bandwidth)
     pdf = _PDF[check_kernel(kernel)]
-    return _elementwise(lambda v: pdf(v / bandwidth) / bandwidth, u)
+    u = np.asarray(u, dtype=float)
+    return _maybe_scalar(pdf(u / bandwidth) / bandwidth, u)
 
 
 def scaled_cdf(kernel: str, u, bandwidth: float):
@@ -272,9 +232,10 @@ def scaled_cdf(kernel: str, u, bandwidth: float):
 
 
 def _standard_cdf(kernel: str, t):
-    """The kernel's CDF at the already scaled ``t``, in row blocks, as a new
-    array (a float if ``t`` is 0-d)."""
-    return _elementwise(_CDF[kernel], t)
+    """The kernel's CDF at the already scaled ``t``, as a new array (a
+    float if ``t`` is 0-d)."""
+    t = np.asarray(t, dtype=float)
+    return _maybe_scalar(_CDF[kernel](t), t)
 
 
 def constants(kernel: str) -> KernelConstants:
@@ -317,7 +278,8 @@ def smoothed_check_loss(kernel: str, u, tau: float, bandwidth: float):
     tau = float(tau)
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must be in (0, 1), got {tau}")
-    return _elementwise(lambda v: _smoothed_loss(kernel, v, tau, bandwidth), u)
+    u = np.asarray(u, dtype=float)
+    return _maybe_scalar(_smoothed_loss(kernel, u, tau, bandwidth), u)
 
 
 def _smoothed_loss(kernel, u, tau, bandwidth):

@@ -222,7 +222,7 @@ def _scaled_costs(x, demands, problem: Problem, kernel: str, bandwidth: float, b
     return problem.total_cost * mean / problem.total_cost
 
 
-def _armijo_steps(objective, slope: np.ndarray, max_step: float) -> np.ndarray:
+def _armijo_steps(objective, slope: np.ndarray, max_step: float, q0=None) -> np.ndarray:
     """Armijo step sizes for a stack of descent directions.
 
     ``objective(eta)`` gives Q at ``beta - eta * direction``, for one float
@@ -235,8 +235,10 @@ def _armijo_steps(objective, slope: np.ndarray, max_step: float) -> np.ndarray:
     Q is convex, so the passing steps form one interval ``[0, eta*]`` and
     halving from 1, then doubling a passing unit step, reaches the same
     step; a passing start, as on almost every private step, saves its log2
-    rounds (2 at cap 4), and a step below 1 costs that many rounds more."""
-    q0 = objective(0.0)
+    rounds (2 at cap 4), and a step below 1 costs that many rounds more.
+    A caller that already holds Q(0) passes it as ``q0``."""
+    if q0 is None:
+        q0 = objective(0.0)
     eta = np.where((slope <= 0.0) | (_ARMIJO_C * slope <= _EPS * np.abs(q0)), 1.0, 0.0)
     trial = math.ldexp(0.5, math.frexp(max_step)[1])  # exact, unlike 2**floor(log2)
     while not eta.all() and trial >= 0.5**_MAX_SHRINKS:
@@ -289,7 +291,7 @@ def noisy_step(
         raise DimensionMismatch(f"noise vector must have shape ({data.p},)")
     noise = (hp.sigma * g)[None, None, :, None]
     return _lockstep_fits(
-        data.features[None], data.demands[None], hp.bandwidth, problem, hp, whitener, noise,
+        data.features[None], data.demands[None], problem, hp, whitener, noise,
         start=beta[None, :, None],
     )[-1][0, :, 0]
 
@@ -297,7 +299,6 @@ def noisy_step(
 def _lockstep_fits(
     x: np.ndarray,
     d: np.ndarray,
-    bandwidth: float,
     problem: Problem,
     hp: HyperParams,
     whitener: Whitener | None,
@@ -308,18 +309,18 @@ def _lockstep_fits(
 
     The R training sets come as one size stack: the ``(R, n, p)`` features
     ``x`` and ``(R, n)`` demands ``d`` of sets of one size n, fitted at
-    ``bandwidth``.  The rows are read, never written or copied.  ``noise``
+    ``hp.bandwidth``.  The rows are read, never written or copied.  ``noise``
     holds the ``(T, R, p, M)`` noise already scaled by each fit's sigma:
     ``noise[t, r, :, m]`` is added to the clipped sum of fit ``(r, m)`` at
     step ``t``, so the fits take T steps.  They start from zero, or from the
     ``(R, p, M)`` coefficients ``start``.  ``hp`` gives every other setting;
-    its ``bandwidth``, ``n_steps``, ``sigma`` and ``seed`` are not read.
+    its ``n_steps``, ``sigma`` and ``seed`` are not read.
     Returns the path: the T+1 ``(R, p, M)`` iterates, from the start to the
     final coefficients ``[-1]``.  The rows ``clip(x A)`` are made once, in
     place on one stacked product.
     """
     _warn_if_flat_kernel(hp.kernel, stacklevel=4)
-    n = x.shape[1]
+    n, bandwidth = x.shape[1], hp.bandwidth
     _, _, p, n_levels = noise.shape
     a = _feature_map(hp, whitener, p)
     clipped = x @ a
@@ -388,8 +389,7 @@ def fit(
         noise = NoiseSource(hp.seed)
     g = hp.sigma * noise.standard_normal((hp.n_steps, data.p))
     path = np.stack(_lockstep_fits(
-        data.features[None], data.demands[None], hp.bandwidth, problem, hp, whitener,
-        g[:, None, :, None],
+        data.features[None], data.demands[None], problem, hp, whitener, g[:, None, :, None],
     ))
     path = path[:, 0, :, 0]
     return FitResult(beta_final=path[-1], trajectory=path, certificate=certificate)
@@ -410,17 +410,19 @@ def smoothed_erm(
     with S the design's second moment ``X'X / n`` and
     ``lam = 0.1 sqrt(g' S^+ g)``, and is damped by the line-search fit's
     Armijo search, run on the dataset as a stack of one with unit steps at
-    most.  The shift makes the direction a descent direction where the
-    Hessian is singular (compact kernels, tiny bandwidths), keeps Newton's
-    local quadratic rate (Li, Fukushima, Qi & Yamashita 2004) and,
-    measured in S, leaves no step depending on how the features are
-    scaled.
+    most; a search starts from the cost its predecessor's passing trial
+    took at the new iterate, so no iterate is scored twice.  The shift
+    makes the direction a descent direction where the Hessian is singular
+    (compact kernels, tiny bandwidths), keeps Newton's local quadratic
+    rate (Li, Fukushima, Qi & Yamashita 2004) and, measured in S, leaves
+    no step depending on how the features are scaled.
     """
     _warn_if_flat_kernel(kernel)
     x = data.features
     beta = np.linalg.lstsq(x, data.demands, rcond=None)[0]
     second_moment = x.T @ x / data.n
     metric = np.linalg.pinv(second_moment, hermitian=True)
+    q = None  # Q at beta, once a search has scored it
     for _ in range(max_iter):
         g = model.smoothed_gradient(problem, data, beta, kernel, bandwidth)
         if np.linalg.norm(g) <= tol:
@@ -428,15 +430,20 @@ def smoothed_erm(
         hessian = model.smoothed_hessian(problem, data, beta, kernel, bandwidth)
         lam = _NEWTON_SHIFT * math.sqrt(g @ metric @ g)
         direction = np.linalg.lstsq(hessian + lam * second_moment, g, rcond=None)[0]
-        eta = _armijo_steps(
-            lambda eta: _scaled_costs(
+        trials = {}  # Q at each trial step
+
+        def objective(eta):
+            trials[eta] = _scaled_costs(
                 x[None], data.demands[None, :, None], problem, kernel, bandwidth,
                 beta[:, None] - eta * direction[:, None],
-            ),
-            np.full((1, 1, 1), float(g @ direction)),
-            1.0,
-        )
-        beta = beta - eta[0, 0, 0] * direction
+            )
+            return trials[eta]
+
+        eta = _armijo_steps(objective, np.full((1, 1, 1), float(g @ direction)), 1.0, q)[0, 0, 0]
+        # the next beta is formed as the passing trial was, so that trial
+        # scored it; a unit step the search took unscored leaves it unscored
+        q = trials.get(eta)
+        beta = beta - eta * direction
     g = model.smoothed_gradient(problem, data, beta, kernel, bandwidth)
     raise MaxIterExceeded(
         f"gradient norm {np.linalg.norm(g):.3g} still above {tol} "

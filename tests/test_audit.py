@@ -74,9 +74,7 @@ def _held_out(mode, sigma, seed=0, canary=SIGN_CANARY, step_size=2.0, runs=RUNS)
     rng = np.random.default_rng(seed)
     noise = sigma * rng.standard_normal((hp.n_steps, 2, spec.p, runs))
     x, d = _neighbours(spec, canary)
-    betas = optimizer._lockstep_fits(
-        x, d, hp.bandwidth, problem, hp, whitener_from(spec), noise
-    )[-1]
+    betas = optimizer._lockstep_fits(x, d, problem, hp, whitener_from(spec), noise)[-1]
     half = runs // 2
     direction = betas[0, :, :half].mean(axis=1) - betas[1, :, :half].mean(axis=1)
     return direction @ betas[0, :, half:], direction @ betas[1, :, half:], rng

@@ -572,11 +572,11 @@ class TestLockstep:
     def test_a_lone_failed_replication_is_fitted_once(self, small_config, monkeypatch):
         fitted, fit_batch = [], evaluation._fit_batch
 
-        def failing(config, cell, rep_ids, *args):
+        def failing(cell, rep_ids, *args):
             fitted.append(list(rep_ids))
             if 3 in rep_ids:
                 raise MaxIterExceeded("stuck")
-            return fit_batch(config, cell, rep_ids, *args)
+            return fit_batch(cell, rep_ids, *args)
 
         # each replication is a batch of its own, which names it already
         monkeypatch.setattr(evaluation, "_STACK_ROWS", 1)
@@ -663,14 +663,12 @@ class TestLockstep:
         assert sweep(config, ns, R=3).rows == rows
 
     @pytest.mark.parametrize("step_size", [None, 0.7], ids=["linesearch", "fixed"])
-    def test_sweep_rows_ignore_the_cdf_blocks(self, small_config, monkeypatch, step_size):
+    def test_sweep_rows_ignore_the_lanes(self, small_config, monkeypatch, step_size):
         config = replace(small_config, step_size=step_size, eval_n=2_000)
         whole = sweep(config, (120, 60), R=4)
         # the sweep's 4 * 180 * 2 = 1,440 elements in two lanes of 720:
-        # replications 1-3 at n=120, then 4 at n=120 and 1-4 at n=60; each
-        # batch's CDF, at least 240 elements, in two blocks run in turn on
-        # its lane's thread
-        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 100)
+        # replications 1-3 at n=120, then 4 at n=120 and 1-4 at n=60
+        monkeypatch.setattr(evaluation, "_LANE_ELEMENTS", 100)
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
         assert sweep(config, (120, 60), R=4).rows == whole.rows
 
@@ -680,9 +678,9 @@ class TestLockstep:
         rep_ids)``, in the order the fits start."""
         parts, fit_batch = [], evaluation._fit_batch
 
-        def recorded(config, cell, rep_ids, *args):
+        def recorded(cell, rep_ids, *args):
             parts.append((cell.n, rep_ids))
-            return fit_batch(config, cell, rep_ids, *args)
+            return fit_batch(cell, rep_ids, *args)
 
         monkeypatch.setattr(evaluation, "_fit_batch", recorded)
         return parts
@@ -697,8 +695,8 @@ class TestLockstep:
         whole = sweep(config, (120, 60), R=4)
         lanes = self._record_lanes(monkeypatch)
         parts = self._record_parts(monkeypatch)
-        # 4 * 180 rows at two private levels: 1,440 elements, five blocks
-        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 256)
+        # 4 * 180 rows at two private levels: 1,440 elements, five lanes' worth
+        monkeypatch.setattr(evaluation, "_LANE_ELEMENTS", 256)
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
         assert sweep(config, (120, 60), R=4).rows == whole.rows
         order = [(n, r) for n in (120, 60) for r in range(1, 5)]
@@ -717,29 +715,29 @@ class TestLockstep:
         runs, in the order the lanes start."""
         lanes, fit_lane = [], evaluation._fit_lane
 
-        def recorded(config, runs, *args):
+        def recorded(runs, *args):
             lanes.append([(cell.n, r) for cell, r in runs])
-            return fit_lane(config, runs, *args)
+            return fit_lane(runs, *args)
 
         monkeypatch.setattr(evaluation, "_fit_lane", recorded)
         return lanes
 
     @pytest.mark.parametrize(
-        "cpus, block, cuts",
+        "cpus, lane, cuts",
         [(3, 100, [3, 4]), (2, 100, [4]), (3, 541, [])],
-        ids=["blocks", "cpus", "under-two-blocks"],
+        ids=["size", "cpus", "under-two-lanes"],
     )
     def test_lanes_cut_the_sweep_at_replications_into_near_equal_rows(
-        self, small_config, monkeypatch, cpus, block, cuts
+        self, small_config, monkeypatch, cpus, lane, cuts
     ):
-        # 3 * 180 rows at two private levels, 1,080 elements.  With blocks
-        # of 100, three lanes cut at rows 180 and 360: the replications'
-        # middle rows 30, 90, 150 | 240 | 360, 480.  Two lanes, from the
-        # CPUs, cut at row 270; under two blocks, one lane
+        # 3 * 180 rows at two private levels, 1,080 elements.  With lanes
+        # of 100 at least, three lanes cut at rows 180 and 360: the
+        # replications' middle rows 30, 90, 150 | 240 | 360, 480.  Two
+        # lanes, from the CPUs, cut at row 270; under two lanes' worth, one
         config = replace(small_config, eval_n=1_000)
         whole = sweep(config, (60, 120), R=3)
         lanes = self._record_lanes(monkeypatch)
-        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(evaluation, "_LANE_ELEMENTS", lane)
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
         runs = [(n, r) for n in (60, 120) for r in range(1, 4)]
         # jobs leaves the lanes as the rows and the CPUs cut them
@@ -751,6 +749,20 @@ class TestLockstep:
         lanes.clear()
         sweep(config, (120,), R=1)
         assert lanes == [[(120, 1)]]
+
+    def test_lane_count_follows_size_and_usable_cpus(self, monkeypatch):
+        lane = evaluation._LANE_ELEMENTS
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 64)
+        assert evaluation._lane_count(0) == 1
+        assert evaluation._lane_count(2 * lane - 1) == 1
+        assert evaluation._lane_count(2 * lane) == 2
+        assert evaluation._lane_count(64 * lane) == 64
+        # no more lanes than usable CPUs
+        assert evaluation._lane_count(65 * lane) == 64
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 3)
+        assert evaluation._lane_count(100_000) == 3
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 1)
+        assert evaluation._lane_count(2 * lane) == 1
 
     def test_jobs_above_the_usable_cpus_start_no_extra_threads(self, small_config, monkeypatch):
         config = replace(small_config, eval_n=1_000)
@@ -770,9 +782,7 @@ class TestLockstep:
 
     def test_five_levels_split_on_one_worker_finish(self, small_config, monkeypatch):
         # 8 * 4000 rows at five private levels: 160,000 elements, two lanes
-        # of 80,000 on two CPUs, so the CDF of the lane on the pool's one
-        # worker would itself split; run in turn there, it cannot wait for
-        # its own busy pool
+        # of 80,000 on two CPUs, one on the pool's only worker
         config = replace(
             small_config, n=4000, mu_grid=(2, 0.9, 0.5, 0.3, 0.2), step_size=1.0, eval_n=20_000
         )
@@ -810,7 +820,7 @@ class TestLockstep:
         parts = self._record_parts(monkeypatch)
         # 5 * 180 rows at two private levels, in two lanes: replications
         # 1-5 at n=60 and 1 at n=120, one batch each, then 2-5 at n=120
-        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 256)
+        monkeypatch.setattr(evaluation, "_LANE_ELEMENTS", 256)
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
         with pytest.raises(evaluation.ReplicationError) as failure:
             sweep(small_config, (60, 120), R=5)
@@ -843,14 +853,14 @@ class TestLockstep:
         batches = []  # (thread, runs): the lanes record theirs concurrently
         fit_batch = evaluation._fit_batch
 
-        def recorded(config, cell, rep_ids, *args):
+        def recorded(cell, rep_ids, *args):
             batches.append((threading.get_ident(), [(cell.n, r) for r in rep_ids]))
-            return fit_batch(config, cell, rep_ids, *args)
+            return fit_batch(cell, rep_ids, *args)
 
         monkeypatch.setattr(evaluation, "_STACK_ROWS", stack_rows)
         monkeypatch.setattr(evaluation, "_fit_batch", recorded)
-        # 5 * 180 rows at two private levels: 18 blocks, a lane per CPU
-        monkeypatch.setattr(kernels, "_BLOCK_ELEMENTS", 100)
+        # 5 * 180 rows at two private levels: 18 lanes' worth, one per CPU
+        monkeypatch.setattr(evaluation, "_LANE_ELEMENTS", 100)
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
         R = 5
         sweep(replace(small_config, eval_n=1_000), (60, 120), R=R)

@@ -251,7 +251,7 @@ class TestSmoothedCheckLoss:
             smoothed_check_loss("gaussian", 0.0, 0.0, 1.0)
 
 
-def _blocked_inputs():
+def _large_inputs():
     rng = np.random.default_rng(22)
     long = rng.normal(scale=2.0, size=(1, 100_000, 1))
     stack = rng.normal(scale=2.0, size=(81, 400, 3))
@@ -260,108 +260,78 @@ def _blocked_inputs():
         flat = u.reshape(-1)
         at = rng.choice(flat.size, 40, replace=False)
         flat[at] = np.resize(extremes, at.size)
-        flat[[0, flat.size // 2, flat.size // 3, -1]] = extremes[:4]  # block edges
     view = rng.normal(scale=2.0, size=(800, 81, 3))[::2].transpose(1, 0, 2)
     assert not view.flags.c_contiguous and view.shape == (81, 400, 3)
-    return {"long": long, "stack": stack, "view": view, "0-d": np.float64(-0.3)}
+    return {
+        "long": long,
+        "2**17": rng.normal(scale=2.0, size=1 << 17),
+        "stack": stack,
+        "view": view,
+        "0-d": np.float64(-0.3),
+    }
 
 
 def _bytes(values):
     return np.asarray(values).tobytes()
 
 
-BLOCKED_INPUTS = _blocked_inputs()
+LARGE_INPUTS = _large_inputs()
 EVALUATIONS = {
     "density": lambda kind, u: scaled_density(kind, u, 0.3),
     "cdf": lambda kind, u: scaled_cdf(kind, u, 0.3),
+    "standard-cdf": lambda kind, u: kernels._standard_cdf(kind, u),
     "loss": lambda kind, u: smoothed_check_loss(kind, u, 0.7, 0.3),
 }
 
 
-class TestBlocks:
-    @staticmethod
-    def _force_blocks(monkeypatch, blocks, real=kernels._elementwise):
-        monkeypatch.setattr(
-            kernels, "_elementwise", lambda closed_form, u: real(closed_form, u, blocks=blocks)
-        )
-
+class TestPool:
     @pytest.mark.parametrize("kind", KERNEL_NAMES)
     @pytest.mark.parametrize("evaluation", EVALUATIONS)
-    def test_any_block_count_is_bitwise_one_block(self, kind, evaluation, monkeypatch):
-        evaluate = EVALUATIONS[evaluation]
-        with np.errstate(all="ignore"):
-            default = {name: evaluate(kind, u) for name, u in BLOCKED_INPUTS.items()}
-            self._force_blocks(monkeypatch, 1)
-            want = {name: evaluate(kind, u) for name, u in BLOCKED_INPUTS.items()}
-            for blocks in (2, 3):
-                self._force_blocks(monkeypatch, blocks)
-                got = {name: evaluate(kind, u) for name, u in BLOCKED_INPUTS.items()}
-                for name, u in BLOCKED_INPUTS.items():
-                    assert np.shape(got[name]) == np.shape(u), (blocks, name)
-                    assert _bytes(got[name]) == _bytes(want[name]), (blocks, name)
-        assert type(want["0-d"]) is float
-        assert type(got["0-d"]) is float and type(default["0-d"]) is float
-        for name in BLOCKED_INPUTS:
-            assert _bytes(default[name]) == _bytes(want[name]), name
-
-    def test_block_count_follows_size_and_usable_cpus(self, monkeypatch):
-        sizes = []
-
-        def record(v):
-            sizes.append(v.size)
-            return v
-
-        def blocks_of(n, cpus):
-            monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
-            sizes.clear()
-            kernels._elementwise(record, np.zeros(n))
-            return sorted(sizes)
-
-        assert blocks_of(100_000, 3) == [33_333, 33_333, 33_334]
-        assert blocks_of(100_000, 2) == [50_000, 50_000]
-        assert blocks_of(100_000, 1) == [100_000]
-        assert blocks_of(2 * kernels._BLOCK_ELEMENTS - 1, 64) == [2 * kernels._BLOCK_ELEMENTS - 1]
-        assert blocks_of(2 * kernels._BLOCK_ELEMENTS, 64) == [kernels._BLOCK_ELEMENTS] * 2
-
-    def test_inputs_under_two_blocks_never_touch_the_pool(self, monkeypatch):
-        def refuse():
+    def test_kernel_evaluations_of_any_size_never_touch_the_pool(
+        self, kind, evaluation, monkeypatch
+    ):
+        def refuse(*args):
             raise AssertionError("the pool was used")
 
         monkeypatch.setattr(kernels, "_executor", refuse)
+        monkeypatch.setattr(kernels, "_fork_join", refuse)
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: 64)
-        # a table2_cell stack, a private_sweep stack, the largest one-block input
-        for shape in [(3, 400, 3), (30, 400, 3), (2 * kernels._BLOCK_ELEMENTS - 1,)]:
-            u = np.linspace(-3.0, 3.0, math.prod(shape)).reshape(shape)
-            for kind in KERNEL_NAMES:
-                for evaluate in EVALUATIONS.values():
-                    evaluate(kind, u)
+        evaluate = EVALUATIONS[evaluation]
+        with np.errstate(all="ignore"):
+            for name, u in LARGE_INPUTS.items():
+                assert np.shape(evaluate(kind, u)) == np.shape(u), name
+            assert type(evaluate(kind, LARGE_INPUTS["0-d"])) is float
 
-    def test_caller_errstate_applies_in_worker_blocks(self):
-        u = np.zeros(2 * kernels._BLOCK_ELEMENTS)
-        u[-1] = 1e300  # only the last block, which a pool thread computes
+    def test_caller_errstate_applies_on_the_pool(self):
         threads = set()
 
         def square(v):
             threads.add(threading.get_ident())
             return v * v
 
+        # only the call on the pool overflows
+        calls = (partial(square, np.zeros(1)), partial(square, np.array([1e300])))
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
-            kernels._elementwise(square, u, blocks=2)
+            kernels._fork_join(*calls)
         assert len(threads) == 2 and threading.get_ident() in threads
         with np.errstate(over="ignore"):
-            assert kernels._elementwise(square, u, blocks=2)[-1] == math.inf
+            assert kernels._fork_join(*calls)[1][0] == math.inf
 
-    def test_worker_block_exception_reaches_the_caller(self):
-        u = np.zeros(3 * kernels._BLOCK_ELEMENTS)
-        u[-1] = math.nan
-
-        def refuse_nan(v):
+    def test_exception_on_the_pool_reaches_the_caller(self):
+        def refuse_nan(v, message):
             if np.isnan(v).any():
-                raise ZeroDivisionError("nan in block")
+                raise ZeroDivisionError(message)
             return v
 
-        with pytest.raises(ZeroDivisionError, match="nan in block"):
-            kernels._elementwise(refuse_nan, u, blocks=3)
+        fine, bad = np.zeros(1), np.array([math.nan])
+        with pytest.raises(ZeroDivisionError, match="elsewhere"):
+            kernels._fork_join(
+                partial(refuse_nan, fine, "here"), partial(refuse_nan, fine, "pool"),
+                partial(refuse_nan, bad, "elsewhere"),
+            )
+        # when several fail, the caller's own call's error comes first
+        with pytest.raises(ZeroDivisionError, match="here"):
+            kernels._fork_join(partial(refuse_nan, bad, "here"), partial(refuse_nan, bad, "pool"))
 
     def test_fork_join_inside_a_call_runs_in_turn_on_its_thread(self, monkeypatch):
         # a call on the pool's only worker that forked onto the pool again
@@ -392,12 +362,11 @@ class TestBlocks:
         pool.shutdown()
 
     def test_concurrent_callers_share_one_pool(self, monkeypatch):
-        # as the replication harness's job threads do: several callers
-        # split large inputs at once while the pool is first started
-        u = BLOCKED_INPUTS["long"]
-        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 1)
-        with np.errstate(all="ignore"):
-            want = _bytes(smoothed_check_loss("gaussian", u, 0.7, 0.3))
+        # as the lanes of sweeps run side by side would: several callers
+        # fork at once while the pool is first started
+        u = np.linspace(-3.0, 3.0, 4096)
+        want = _bytes(smoothed_check_loss("gaussian", u, 0.7, 0.3))
+        halves = [partial(smoothed_check_loss, "gaussian", h, 0.7, 0.3) for h in np.split(u, 2)]
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: 3)
         monkeypatch.setattr(kernels, "_pool", None)
         real_executor, pools, results = kernels._executor, [], []
@@ -411,9 +380,8 @@ class TestBlocks:
 
         def caller():
             start.wait(timeout=60)
-            with np.errstate(all="ignore"):
-                for _ in range(4):
-                    results.append(_bytes(smoothed_check_loss("gaussian", u, 0.7, 0.3)))
+            for _ in range(4):
+                results.append(_bytes(np.concatenate(kernels._fork_join(*halves))))
 
         monkeypatch.setattr(kernels, "_executor", recording_executor)
         interval = sys.getswitchinterval()
@@ -432,20 +400,24 @@ class TestBlocks:
         assert results == [want] * 16
         assert len(pools) == 16 and all(pool is pools[0] for pool in pools)
 
-    def test_pool_stays_unstarted_below_a_split(self):
+    def test_no_kernel_evaluation_starts_the_pool(self):
         # in a fresh interpreter: importing the package starts no thread,
-        # and neither does an input too small to split
+        # and neither does a kernel evaluation of any size on any CPUs
         src = str(Path(__file__).parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = (
             "import threading, numpy, dpnewsvendor, dpnewsvendor.cli\n"
             "from dpnewsvendor import kernels\n"
-            "kernels.smoothed_check_loss('gaussian', numpy.linspace(-3, 3, 1_000), 0.5, 0.3)\n"
-            "print(threading.active_count())"
+            "kernels._usable_cpus = lambda: 2\n"
+            "u = numpy.linspace(-3, 3, 200_000)\n"
+            "kernels.scaled_density('gaussian', u, 0.3)\n"
+            "kernels.scaled_cdf('gaussian', u, 0.3)\n"
+            "kernels.smoothed_check_loss('gaussian', u, 0.5, 0.3)\n"
+            "print(threading.active_count(), kernels._pool)"
         )
         out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                              capture_output=True, text=True, check=True).stdout
-        assert out.split() == ["1"]
+        assert out.split() == ["1", "None"]
 
 
 def test_cli_import_starts_no_thread():

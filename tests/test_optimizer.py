@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -783,6 +784,34 @@ class TestSmoothedErm:
         beta = smoothed_erm(data, problem, "gaussian", bw, tol=tol)
         assert 1 <= len(calls) <= 10
         assert np.linalg.norm(smoothed_gradient(problem, data, beta, "gaussian", bw)) <= tol
+
+    @pytest.mark.parametrize(
+        "kernel, tau, dist, n",
+        [
+            ("gaussian", 0.5, "normal", 400),
+            ("logistic", 0.9, "t3", 60),
+            ("epanechnikov", 0.1, "normal", 400),
+            ("uniform", 0.05, "t3", 60),
+        ],
+    )
+    def test_no_coefficients_are_scored_twice(self, monkeypatch, kernel, tau, dist, n):
+        # each search starts from the cost its predecessor's passing trial
+        # gave the new iterate, so no cost is taken twice
+        data = generate_synthetic(default_spec(n, dist, seed=5))
+        problem = Problem.from_quantile(tau)
+        scored, costs = [], optimizer._scaled_costs
+
+        def recorded(x, demands, problem, kernel, bandwidth, betas):
+            scored.append(betas.tobytes())
+            return costs(x, demands, problem, kernel, bandwidth, betas)
+
+        monkeypatch.setattr(optimizer, "_scaled_costs", recorded)
+        bw = default_bandwidth(tau, data.n, data.p)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "the epanechnikov kernel has zero", RuntimeWarning)
+            smoothed_erm(data, problem, kernel, bw)
+        assert len(scored) >= 3
+        assert len(set(scored)) == len(scored)
 
     def test_zero_hessian_at_start(self):
         # at the least-squares start 0 both residuals lie outside the
