@@ -389,7 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(func=cmd_fit)
 
     p_eval = sub.add_parser(
-        "evaluate", parents=[column, costs], help="out-of-sample cost of a saved fit"
+        "evaluate", parents=[column, costs], help="out-of-sample cost of a saved fit",
+        description="oos_cost is the mean newsvendor cost over the raw test rows: "
+        "a local-only value that no privacy certificate covers.",
     )
     p_eval.add_argument("--fit", required=True)
     p_eval.add_argument("--test", required=True)

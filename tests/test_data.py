@@ -455,10 +455,11 @@ class TestSplitNormals:
     """``_fill_normals`` draws a large ``z`` on two threads, the second
     half from an advanced copy of the stream, joined bitwise."""
 
-    @staticmethod
-    def _recorded_joins(monkeypatch):
-        """Two usable CPUs; lists the ``j`` of each join, None where no
-        join is proven."""
+    @pytest.fixture
+    def joins(self, monkeypatch):
+        """A low threshold and two usable CPUs; lists the ``j`` of each
+        join, None where no join is proven."""
+        monkeypatch.setattr(datamod, "_SPLIT_VALUES", 64)
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
         found, join = [], datamod._join
 
@@ -468,12 +469,6 @@ class TestSplitNormals:
 
         monkeypatch.setattr(datamod, "_join", recorded)
         return found
-
-    @pytest.fixture
-    def joins(self, monkeypatch):
-        """A low threshold and two usable CPUs; lists each join's ``j``."""
-        monkeypatch.setattr(datamod, "_SPLIT_VALUES", 64)
-        return self._recorded_joins(monkeypatch)
 
     @staticmethod
     def _refuse_pool(monkeypatch):
@@ -514,12 +509,6 @@ class TestSplitNormals:
         self._assert_one_call(88625, 130, datamod._fill_normals)
         assert joins == [None]
 
-    def test_lead_lets_a_copy_that_ran_ahead_join(self, joins):
-        # started _COPY_LEAD raw draws earlier, seed 88625's copy parses
-        # the whole second half and joins
-        self._assert_one_call(88625, 130, datamod._fill_normals)
-        assert len(joins) == 1 and joins[0] is not None
-
     def test_one_usable_cpu_draws_serially(self, joins, monkeypatch):
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: 1)
         self._refuse_pool(monkeypatch)
@@ -559,15 +548,6 @@ class TestSplitNormals:
         assert j > 0
         assert out.tobytes() == want.tobytes()
         assert peak < out.nbytes // 2 // 16
-
-    @pytest.mark.parametrize("size, seeds", [(1 << 20, 16), (4_000_000, 2)])
-    def test_every_draw_at_the_threshold_joins(self, monkeypatch, size, seeds):
-        # the real threshold: a full split of z at 2^20 values, and at
-        # table2_cell's 1e6 evaluation rows
-        joins = self._recorded_joins(monkeypatch)
-        for seed in range(seeds):
-            self._assert_one_call(seed, size, datamod._fill_normals)
-        assert len(joins) == seeds and None not in joins
 
     def test_below_the_threshold_the_pool_is_never_touched(self, monkeypatch):
         self._refuse_pool(monkeypatch)

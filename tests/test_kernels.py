@@ -400,25 +400,6 @@ class TestPool:
         assert results == [want] * 16
         assert len(pools) == 16 and all(pool is pools[0] for pool in pools)
 
-    def test_no_kernel_evaluation_starts_the_pool(self):
-        # in a fresh interpreter: importing the package starts no thread,
-        # and neither does a kernel evaluation of any size on any CPUs
-        src = str(Path(__file__).parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = (
-            "import threading, numpy, dpnewsvendor, dpnewsvendor.cli\n"
-            "from dpnewsvendor import kernels\n"
-            "kernels._usable_cpus = lambda: 2\n"
-            "u = numpy.linspace(-3, 3, 200_000)\n"
-            "kernels.scaled_density('gaussian', u, 0.3)\n"
-            "kernels.scaled_cdf('gaussian', u, 0.3)\n"
-            "kernels.smoothed_check_loss('gaussian', u, 0.5, 0.3)\n"
-            "print(threading.active_count(), kernels._pool)"
-        )
-        out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                             capture_output=True, text=True, check=True).stdout
-        assert out.split() == ["1", "None"]
-
 
 def test_cli_import_starts_no_thread():
     src = str(Path(__file__).parents[1] / "src")
