@@ -133,9 +133,13 @@ def test_auc_of_separated_samples_is_finite():
 # that moves by up to 2 tau_bar = 1.8; the sign canary moves it by 1.  Over
 # noise seeds 0-11 the raw-covariate fits of dpnv fit read mu_hat 0.07-0.27
 # against the sign canary and 0.06-0.22 against the kink canary (both
-# statistics), each at least 0.37 below MU + 3 se; whitened fits, not run
-# here, read 0.11-0.27 and 0.12-0.27.
-AT_TAU = [("known_sigma_matrix", 0.5), ("raw_covariates", 0.5), ("raw_covariates", 0.9)]
+# statistics), each at least 0.37 below MU + 3 se; whitened fits read
+# 0.11-0.27 and 0.12-0.27.
+AT_TAU = [
+    pytest.param(mode, tau, id=mode + ("" if tau == 0.5 else f"-tau{tau}"))
+    for tau in (0.5, 0.9)
+    for mode in ("known_sigma_matrix", "raw_covariates")
+]
 
 
 @pytest.mark.parametrize("mode, tau", AT_TAU)
@@ -150,8 +154,8 @@ def test_audit_catches_a_quarter_of_the_noise(mode, tau):
     # the audit's power: with sigma / 4 the fit is only 2-GDP, not MU-GDP.
     # At tau = 0.9 the sign canary's weight moves by 1 of the 1.8 that sigma
     # covers, so the fit is ~1.1-GDP against it: over noise seeds 0-11,
-    # mu_hat 0.85-0.99 raw, at least 0.19 above MU + 3 se (whitened, not
-    # run here: 0.78-0.92, at least 0.13 above)
+    # mu_hat 0.85-0.99 raw, at least 0.19 above MU + 3 se, and 0.78-0.92
+    # whitened, at least 0.13 above
     sigma = calibrate_sigma(MU, 2.0, 10, max(tau, 1 - tau)) / 4
     mu_hat, se = _audit(mode, sigma, tau=tau)
     assert mu_hat > MU + 3 * se, (mu_hat, se)

@@ -503,6 +503,15 @@ class TestLockstep:
             _metrics(report), _rows_from_single_fits(config, 3), rtol=1e-12, atol=0.0
         )
 
+    @pytest.mark.parametrize("step_size", [None, 0.7], ids=["linesearch", "fixed"])
+    def test_rows_ignore_the_chunking(self, small_config, monkeypatch, step_size):
+        config = replace(small_config, step_size=step_size)
+        whole = run_replications(config, R=5)
+        # two replications of 120 rows a batch: batches of 2, 2 and 1
+        monkeypatch.setattr(evaluation, "_STACK_ROWS", 250)
+        assert run_replications(config, R=5).rows == whole.rows
+        assert run_replications(config, R=5, jobs=2).rows == whole.rows
+
     @staticmethod
     def _count_clips_and_cdfs(monkeypatch) -> dict[str, int]:
         """Count calls of ``optimizer.clip`` and of ``kernels._standard_cdf``,
@@ -518,6 +527,17 @@ class TestLockstep:
         monkeypatch.setattr(optimizer, "clip", counted("clip", optimizer.clip))
         monkeypatch.setattr(kernels, "_standard_cdf", counted("cdf", kernels._standard_cdf))
         return calls
+
+    @pytest.mark.parametrize("stack_rows, chunks", [(1 << 15, 1), (250, 3)])
+    def test_fixed_step_cell_weighs_once_per_step_and_chunk(
+        self, small_config, monkeypatch, stack_rows, chunks
+    ):
+        # one size: each batch clips its one stack once
+        calls = self._count_clips_and_cdfs(monkeypatch)
+        monkeypatch.setattr(evaluation, "_STACK_ROWS", stack_rows)
+        config = replace(small_config, mu_grid=(0.9, 0.5, 0.3), step_size=0.5, n_steps=7)
+        run_replications(config, R=5)
+        assert calls == {"clip": chunks, "cdf": 7 * chunks}
 
     def test_fixed_step_sweep_weighs_once_per_step_and_size(self, small_config, monkeypatch):
         # one batch per size: each clips its stack once and weighs it once a step
@@ -552,6 +572,17 @@ class TestLockstep:
         ns = (60, 120)
         rows = sum((run_replications(replace(small_config, n=n), R=2).rows for n in ns), ())
         assert sweep(small_config, ns, R=2).rows == rows
+
+    @pytest.mark.parametrize("step_size", [None, 0.7], ids=["linesearch", "fixed"])
+    def test_sweep_rows_ignore_the_chunking(self, small_config, monkeypatch, step_size):
+        config = replace(small_config, step_size=step_size)
+        whole = sweep(config, (60, 120), R=5)
+        # batches of replications 1-4 at n=60, 5 at n=60 and 1 at n=120,
+        # then 2-3 and 4-5 at n=120: each run takes its own slice of the
+        # shared seeds and noise
+        monkeypatch.setattr(evaluation, "_STACK_ROWS", 250)
+        assert sweep(config, (60, 120), R=5).rows == whole.rows
+        assert sweep(config, (60, 120), R=5, jobs=2).rows == whole.rows
 
     def test_streams_are_derived_once_per_sweep(self, small_config, monkeypatch):
         calls = {"derive_seed": 0, "NoiseSource": 0}
@@ -594,6 +625,119 @@ class TestLockstep:
         rows = sum((run_replications(replace(config, n=n), R=3).rows for n in ns), ())
         assert sweep(config, ns, R=3).rows == rows
 
+    @pytest.mark.parametrize("step_size", [None, 0.7], ids=["linesearch", "fixed"])
+    def test_sweep_rows_ignore_the_lanes(self, small_config, monkeypatch, step_size):
+        config = replace(small_config, step_size=step_size, eval_n=2_000)
+        whole = sweep(config, (120, 60), R=4)
+        # the sweep's 4 * 180 * 2 = 1,440 elements in two lanes of 720:
+        # replications 1-3 at n=120, then 4 at n=120 and 1-4 at n=60
+        monkeypatch.setattr(evaluation, "_LANE_ELEMENTS", 100)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+        assert sweep(config, (120, 60), R=4).rows == whole.rows
+
+    @staticmethod
+    def _record_parts(monkeypatch):
+        """Patch ``_fit_batch`` to list each batch it fits as ``(n,
+        rep_ids)``, in the order the fits start."""
+        parts, fit_batch = [], evaluation._fit_batch
+
+        def recorded(cell, rep_ids, *args):
+            parts.append((cell.n, rep_ids))
+            return fit_batch(cell, rep_ids, *args)
+
+        monkeypatch.setattr(evaluation, "_fit_batch", recorded)
+        return parts
+
+    @pytest.mark.parametrize("cpus, count", [(1, 1), (2, 2), (3, 3)])
+    @pytest.mark.parametrize("step_size", [None, 0.7], ids=["linesearch", "fixed"])
+    def test_split_batch_gives_the_rows_of_the_whole_batch(
+        self, small_config, monkeypatch, cpus, count, step_size
+    ):
+        # the nonprivate level's ERMs run in the lanes too
+        config = replace(small_config, step_size=step_size, eval_n=2_000)
+        whole = sweep(config, (120, 60), R=4)
+        lanes = self._record_lanes(monkeypatch)
+        parts = self._record_parts(monkeypatch)
+        # 4 * 180 rows at two private levels: 1,440 elements, five lanes' worth
+        monkeypatch.setattr(evaluation, "_LANE_ELEMENTS", 256)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+        assert sweep(config, (120, 60), R=4).rows == whole.rows
+        order = [(n, r) for n in (120, 60) for r in range(1, 5)]
+        lanes.sort(key=lambda lane: order.index(lane[0]))
+        assert len(lanes) == count
+        assert [run for lane in lanes for run in lane] == order
+        # each replication is fitted once, in a batch of its own size
+        assert sorted((n, r) for n, reps in parts for r in reps) == sorted(order)
+        # near-equal rows: each cut lies within half a replication of its share
+        rows = [sum(n for n, _ in lane) for lane in lanes]
+        assert max(rows) - min(rows) <= 2 * 120
+
+    @staticmethod
+    def _record_lanes(monkeypatch):
+        """Patch ``_fit_lane`` to list each lane it fits as ``(n, rep_id)``
+        runs, in the order the lanes start."""
+        lanes, fit_lane = [], evaluation._fit_lane
+
+        def recorded(runs, *args):
+            lanes.append([(cell.n, r) for cell, r in runs])
+            return fit_lane(runs, *args)
+
+        monkeypatch.setattr(evaluation, "_fit_lane", recorded)
+        return lanes
+
+    @pytest.mark.parametrize(
+        "cpus, lane, cuts",
+        [(3, 100, [3, 4]), (2, 100, [4]), (3, 541, [])],
+        ids=["size", "cpus", "under-two-lanes"],
+    )
+    def test_lanes_cut_the_sweep_at_replications_into_near_equal_rows(
+        self, small_config, monkeypatch, cpus, lane, cuts
+    ):
+        # 3 * 180 rows at two private levels, 1,080 elements.  With lanes
+        # of 100 at least, three lanes cut at rows 180 and 360: the
+        # replications' middle rows 30, 90, 150 | 240 | 360, 480.  Two
+        # lanes, from the CPUs, cut at row 270; under two lanes' worth, one
+        config = replace(small_config, eval_n=1_000)
+        whole = sweep(config, (60, 120), R=3)
+        lanes = self._record_lanes(monkeypatch)
+        monkeypatch.setattr(evaluation, "_LANE_ELEMENTS", lane)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+        runs = [(n, r) for n in (60, 120) for r in range(1, 4)]
+        # jobs leaves the lanes as the rows and the CPUs cut them
+        for jobs in (1, 3, 8):
+            lanes.clear()
+            assert sweep(config, (60, 120), R=3, jobs=jobs).rows == whole.rows
+            assert sorted(lanes) == [runs[a:b] for a, b in zip([0, *cuts], [*cuts, len(runs)])]
+        # a lone replication is one lane however many are cut
+        lanes.clear()
+        sweep(config, (120,), R=1)
+        assert lanes == [[(120, 1)]]
+
+    @pytest.mark.parametrize("rep_id", [1, 5], ids=["here", "on-the-pool"])
+    def test_failure_in_a_split_batch_names_its_replication(
+        self, small_config, monkeypatch, rep_id
+    ):
+        seed = derive_seed(small_config.base_seed, rep_id, 0)
+        bad = generate_synthetic(replace(_eval_spec(small_config), n=120, seed=seed)).demands
+        erm = optimizer.smoothed_erm
+
+        def failing_erm(data, *args, **kwargs):
+            if np.array_equal(data.demands, bad):
+                raise MaxIterExceeded("stuck")
+            return erm(data, *args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "smoothed_erm", failing_erm)
+        parts = self._record_parts(monkeypatch)
+        # 5 * 180 rows at two private levels, in two lanes: replications
+        # 1-5 at n=60 and 1 at n=120, one batch each, then 2-5 at n=120
+        monkeypatch.setattr(evaluation, "_LANE_ELEMENTS", 256)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+        with pytest.raises(evaluation.ReplicationError) as failure:
+            sweep(small_config, (60, 120), R=5)
+        assert failure.value.rep_id == rep_id
+        assert isinstance(failure.value.__cause__, MaxIterExceeded)
+        assert {(60, range(1, 6)), (120, range(1, 2)), (120, range(2, 6))} <= set(parts)
+
     @pytest.mark.parametrize("mu_grid, made", [((0.9, 0.3), 0), ((None, 0.3), 6)])
     def test_only_the_erm_gets_a_dataset(self, small_config, monkeypatch, mu_grid, made):
         built = []
@@ -609,6 +753,50 @@ class TestLockstep:
         # one training set per (size, replication) for the ERM, none otherwise
         assert len(built) == made
         assert [d.n for d in built] == [60] * (made // 2) + [120] * (made // 2)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    @pytest.mark.parametrize("stack_rows", [1 << 15, 250, 130, 100])
+    def test_batches_pack_runs_in_order_under_the_limits(
+        self, small_config, monkeypatch, stack_rows, cpus
+    ):
+        lanes = self._record_lanes(monkeypatch)
+        batches = []  # (thread, runs): the lanes record theirs concurrently
+        fit_batch = evaluation._fit_batch
+
+        def recorded(cell, rep_ids, *args):
+            batches.append((threading.get_ident(), [(cell.n, r) for r in rep_ids]))
+            return fit_batch(cell, rep_ids, *args)
+
+        monkeypatch.setattr(evaluation, "_STACK_ROWS", stack_rows)
+        monkeypatch.setattr(evaluation, "_fit_batch", recorded)
+        # 5 * 180 rows at two private levels: 18 lanes' worth, one per CPU
+        monkeypatch.setattr(evaluation, "_LANE_ELEMENTS", 100)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: cpus)
+        R = 5
+        sweep(replace(small_config, eval_n=1_000), (60, 120), R=R)
+        order = [(n, r) for n in (60, 120) for r in range(1, R + 1)]
+        lanes.sort(key=lambda lane: order.index(lane[0]))
+        assert [run for lane in lanes for run in lane] == order
+        # every run is fitted once; each thread fits its lanes' batches in
+        # order, each batch a slice of one lane
+        assert sorted(run for _, batch in batches for run in batch) == sorted(order)
+        for thread in {thread for thread, _ in batches}:
+            runs = [order.index(run) for t, batch in batches if t == thread for run in batch]
+            assert runs == sorted(runs)
+        for _, batch in batches:
+            slices = (lane[i : i + len(batch)] for lane in lanes for i in range(len(lane)))
+            assert batch in slices
+            # the lanes share the limit; a replication over a lane's share
+            # is a batch of its own
+            assert sum(n for n, _ in batch) <= stack_rows // cpus or len(batch) == 1
+        assert len(lanes) == cpus
+        # every batch holds one size; under a roomy limit, all a lane has of it
+        sizes_per_lane = sum(len({n for n, _ in lane}) for lane in lanes)
+        assert all(len({n for n, _ in batch}) == 1 for _, batch in batches)
+        if stack_rows == 1 << 15:
+            assert len(batches) == sizes_per_lane
+        if stack_rows == 100:
+            assert len(batches) == len(order)
 
 
 def _one_whole_draw(spec):
@@ -645,6 +833,29 @@ class TestEvaluationDraw:
         assert list(stream) == data._chunk_stops(eval_n) == [*range(chunk, eval_n, chunk), eval_n]
         np.testing.assert_array_equal(drawn_z, z)
         np.testing.assert_array_equal(drawn_eps, eps)
+
+    @pytest.mark.parametrize("dist", ["normal", "t3", "mixture"])
+    def test_split_draw_equals_one_whole_draw(self, monkeypatch, dist):
+        # z's 40,004 values are drawn on two threads, and eps from the
+        # generator that the split hands on
+        monkeypatch.setattr(data, "_SPLIT_VALUES", 1_000)
+        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 2)
+        joins, join = [], data._join
+
+        def recorded(*args):
+            joins.append(join(*args))
+            return joins[-1]
+
+        monkeypatch.setattr(data, "_join", recorded)
+        for seed in range(3):
+            spec = default_spec(10_001, ErrorDist.from_name(dist), seed=seed)
+            z, eps = _one_whole_draw(spec)
+            drawn_z, drawn_eps = np.empty_like(z), np.empty_like(eps)
+            stream = data._synthetic_stream(spec, spec.seed, drawn_z, drawn_eps)
+            assert list(stream) == data._chunk_stops(spec.n)
+            assert drawn_z.tobytes() == z.tobytes()
+            assert drawn_eps.tobytes() == eps.tobytes()
+        assert len(joins) == 3 and None not in joins
 
     @staticmethod
     def _record_scorers(monkeypatch, before_block=lambda helper: None):
