@@ -55,6 +55,10 @@ class ExperimentConfig:
     cells: tuple[evaluation.ReplicationConfig, ...]
     reps: int = 300
 
+    def __post_init__(self):
+        if self.reps < 1:
+            raise ValueError(f"replication.reps must be >= 1, got {self.reps}")
+
 
 def _float_or_auto(raw: str) -> float | None:
     raw = raw.strip()
@@ -317,9 +321,11 @@ def cmd_privacy(args) -> int:
 def cmd_bench(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:  # a missing file exits 3 in main
         config = parse_config(fh.read())
-    # an output that cannot be written exits 3 in main before any replication runs
+    # an output that cannot be written exits 3 in main before any
+    # replication runs; appending nothing keeps an earlier output whole
+    # until the run has rows to write
     for path in (args.rows, args.aggregates):
-        open(path, "w", encoding="utf-8").close()
+        open(path, "a", encoding="utf-8").close()
     rows = []
     # the cells of one (dist, problem) differ only in n: one sweep draws
     # their evaluation set and replication streams once

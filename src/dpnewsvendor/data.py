@@ -6,10 +6,11 @@ caller allocates.  ``_synthetic_stream`` fills the standard normals
 ``_EPS_CHUNK`` rows, each chunk one step of a generator, so that a
 consumer can use the first rows while the rest are drawn.
 ``_fill_normals`` draws a ``z`` of at least ``_SPLIT_VALUES`` values on
-two threads when two CPUs are usable: the second half on the kernels'
-pool from a copy of the stream jumped ahead, joined to the first half at
-the stream's next value once generator states prove the join.  Drawn in
-chunks or whole, on one thread or two, the values are the same.  ``_synthetic_rows`` maps ``z`` to features
+two threads when two CPUs are usable: the second half on a worker of
+``kernels._fork_join`` from a copy of the stream jumped ahead, joined to
+the first half at the stream's next value once generator states prove
+the join.  Drawn in chunks or whole, on one thread or two, the values
+are the same.  ``_synthetic_rows`` maps ``z`` to features
 ``N(0, covariance)`` by the covariance's Cholesky factor with an
 intercept prepended, and draws ``eps`` straight into the demands, then
 adds ``x @ theta_star``.  The noise law is one of three families:
@@ -238,8 +239,8 @@ def _fill_normals(rng: np.random.Generator, out: np.ndarray) -> np.random.Genera
     values, and its parse of the raw draws soon falls into step with the
     stream's.  With at least ``_SPLIT_VALUES`` values, two usable CPUs
     and a PCG64 stream, this thread draws the first half from ``rng``
-    while the kernels' pool draws the second half from such a copy
-    (``kernels._fork_join``); ``_join`` finds and proves the ``j`` at
+    while a worker of ``kernels._fork_join`` draws the second half from
+    such a copy; ``_join`` finds and proves the ``j`` at
     which the copy's values become the stream's.  They move left by
     ``j`` in place (numpy moves an overlapping 1-d slice in place when
     both sides run the same way), and the copy draws the last ``j``

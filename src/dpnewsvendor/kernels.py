@@ -13,13 +13,13 @@ for every symmetric non-negative kernel the gap is between 0 and
 ``kappa_1 * bandwidth / 2`` uniformly in the residual.
 
 Every kernel evaluation is one call of its closed form on the calling
-thread, whatever its size.  The module also holds the package's one
-thread pool, which the first fork-join starts: ``_fork_join`` is the
-one way onto it, for whole units of work only, the lanes of a sweep
+thread, whatever its size.  The module also holds ``_fork_join``, which
+runs whole units of work side by side: the lanes of a sweep
 (``evaluation._fit_cells``) and the second half of a large
-standard-normal draw (``data._fill_normals``).  A fork-join inside a
-call of another one, such as a lane's large draw, runs its calls in
-turn on that call's thread.
+standard-normal draw (``data._fill_normals``).  A fork-join starts a
+worker for each call it hands off and joins them all before it returns,
+so no thread outlives it, and one inside a call of another, such as a
+lane's large draw, starts workers of its own.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +38,6 @@ from .errors import NonPositiveBandwidth
 KERNEL_NAMES = ("gaussian", "laplacian", "logistic", "uniform", "epanechnikov")
 
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-# True in the calls of a fork-join, whose nested fork-joins run in turn
-_forked = contextvars.ContextVar("dpnewsvendor_forked", default=False)
 
 
 @dataclass(frozen=True)
@@ -180,40 +174,20 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _executor() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            # the caller runs one call itself; one worker at least, so a
-            # fork-join forced on one CPU still runs
-            _pool = ThreadPoolExecutor(
-                max_workers=max(_usable_cpus() - 1, 1), thread_name_prefix="dpnv-kernels"
-            )
-        return _pool
-
-
 def _fork_join(here, *elsewhere) -> list:
-    """Call ``here()`` on this thread and each of ``elsewhere`` on the pool,
-    each in a copy of the caller's context (so ``np.errstate`` applies
-    there too).  Return their results in order once every call has ended;
-    then an exception in any of them reaches the caller, ``here``'s first.
-
-    A lone ``here`` runs as a plain call.  A fork-join inside one of the
-    calls runs its own calls in turn on its thread: the outer calls
-    already hold the pool, and a call on the pool's only worker that
-    waited for its own pool would never return.
+    """Call ``here()`` on this thread and each of ``elsewhere`` on a worker
+    of its own, each in a copy of the caller's context (so
+    ``np.errstate`` applies there too).  Return their results in order
+    once every call has ended and its worker is joined; then an
+    exception in any of them reaches the caller, ``here``'s first.  A
+    lone ``here`` runs as a plain call.
     """
-    if not elsewhere or _forked.get():
-        return [call() for call in (here, *elsewhere)]
-    contexts = [contextvars.copy_context() for _ in range(1 + len(elsewhere))]
-    for context in contexts:
-        context.run(_forked.set, True)
-    pool = _executor()
-    futures = [pool.submit(context.run, call) for context, call in zip(contexts[1:], elsewhere)]
-    try:
-        result = contexts[0].run(here)
-    finally:
-        wait(futures)
+    if not elsewhere:
+        return [here()]
+    # leaving the block joins the workers, also when here() raises
+    with ThreadPoolExecutor(len(elsewhere), thread_name_prefix="dpnv-kernels") as workers:
+        futures = [workers.submit(contextvars.copy_context().run, call) for call in elsewhere]
+        result = contextvars.copy_context().run(here)
     return [result, *(future.result() for future in futures)]
 
 

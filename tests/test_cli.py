@@ -18,6 +18,7 @@ from dpnewsvendor.cli import (
     main,
     parse_config,
 )
+from dpnewsvendor.errors import MaxIterExceeded
 from dpnewsvendor.model import Problem
 
 SMOKE_CONFIG = """\
@@ -473,6 +474,40 @@ class TestBench:
         outputs[output] = str(tmp_path / "nodir" / "out.csv")
         argv = ["bench", "--config", str(cfg), *(arg for pair in outputs.items() for arg in pair)]
         assert main(argv) == EXIT_IO
+
+    EARLIER = [b"earlier,0\r\n", b"earlier,1\r\n"]
+
+    @classmethod
+    def _earlier_outputs(cls, tmp_path) -> dict:
+        outputs = {"--rows": tmp_path / "rows.csv", "--aggregates": tmp_path / "agg.csv"}
+        for path, content in zip(outputs.values(), cls.EARLIER):
+            path.write_bytes(content)
+        return outputs
+
+    @staticmethod
+    def _argv(cfg, outputs) -> list:
+        return ["bench", "--config", str(cfg), *(str(a) for pair in outputs.items() for a in pair)]
+
+    @pytest.mark.parametrize("reps", [0, -2])
+    def test_bad_reps_exits_2_and_keeps_earlier_outputs(self, tmp_path, capsys, reps):
+        outputs = self._earlier_outputs(tmp_path)
+        cfg = tmp_path / "bench.ini"
+        cfg.write_text(SMOKE_CONFIG.replace("reps = 1", f"reps = {reps}"))
+        assert main(self._argv(cfg, outputs)) == EXIT_USAGE
+        assert f"replication.reps must be >= 1, got {reps}" in capsys.readouterr().err
+        assert [path.read_bytes() for path in outputs.values()] == self.EARLIER
+
+    def test_a_run_that_fails_keeps_earlier_outputs(self, tmp_path, capsys, monkeypatch):
+        def stuck(*args, **kwargs):
+            raise MaxIterExceeded("stuck")
+
+        monkeypatch.setattr(optimizer, "smoothed_erm", stuck)
+        outputs = self._earlier_outputs(tmp_path)
+        cfg = tmp_path / "bench.ini"
+        cfg.write_text(SMOKE_CONFIG)
+        assert main(self._argv(cfg, outputs)) == EXIT_USAGE
+        assert "replication 1 failed" in capsys.readouterr().err
+        assert [path.read_bytes() for path in outputs.values()] == self.EARLIER
 
     def test_jobs_key_exits_2(self, tmp_path, capsys):
         # the run's size alone sets its lanes, so no key does

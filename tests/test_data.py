@@ -1,5 +1,6 @@
 """Synthetic generation, noise quantiles, CSV ingestion, whitening, splits."""
 
+import copy
 import os
 import subprocess
 import sys
@@ -471,11 +472,11 @@ class TestSplitNormals:
         return found
 
     @staticmethod
-    def _refuse_pool(monkeypatch):
-        def refuse():
-            raise AssertionError("the pool was used")
+    def _refuse_fork_join(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a fork-join ran")
 
-        monkeypatch.setattr(kernels, "_executor", refuse)
+        monkeypatch.setattr(kernels, "_fork_join", refuse)
 
     @staticmethod
     def _assert_one_call(seed, shape, fill):
@@ -509,15 +510,46 @@ class TestSplitNormals:
         self._assert_one_call(88625, 130, datamod._fill_normals)
         assert joins == [None]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_planted_match_before_the_join_is_no_join(self, seed):
+        # the stream's next value planted at index 0 of a copy's half: it
+        # matches there, but the generator states differ, so the join
+        # found is the true one further in
+        k, m = 500, 500
+        whole = np.random.default_rng(seed).standard_normal(k + m)
+        rng = np.random.default_rng(seed)
+        rng.standard_normal(k)
+        start = np.random.PCG64(seed)
+        start.advance(k - datamod._COPY_LEAD)
+        half = np.random.Generator(copy.deepcopy(start)).standard_normal(m)
+        true = next(j for j in range(m) if half[j:].tobytes() == whole[k : k + m - j].tobytes())
+        assert true > 0
+        half[0] = whole[k]
+        assert datamod._join(rng, start, half) == true
+        # the stream itself is not moved
+        assert rng.standard_normal(m).tobytes() == whole[k:].tobytes()
+
+    def test_a_planted_match_before_the_join_still_gives_one_call(self, joins, monkeypatch):
+        recorded = datamod._join
+
+        def planted(rng, start, half):
+            half[0] = copy.deepcopy(rng).standard_normal()
+            return recorded(rng, start, half)
+
+        monkeypatch.setattr(datamod, "_join", planted)
+        for seed in range(4):
+            self._assert_one_call(seed, 1_001, datamod._fill_normals)
+        assert len(joins) == 4 and all(j > 0 for j in joins)
+
     def test_one_usable_cpu_draws_serially(self, joins, monkeypatch):
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: 1)
-        self._refuse_pool(monkeypatch)
+        self._refuse_fork_join(monkeypatch)
         for seed in range(3):
             self._assert_one_call(seed, 1_001, datamod._fill_normals)
         assert joins == []
 
     def test_other_bit_generators_draw_serially(self, joins, monkeypatch):
-        self._refuse_pool(monkeypatch)
+        self._refuse_fork_join(monkeypatch)
         for seed in range(3):
             ref = np.random.Generator(np.random.Philox(seed))
             want, then = ref.standard_normal(1_001), ref.standard_normal(9)
@@ -550,7 +582,7 @@ class TestSplitNormals:
         assert peak < out.nbytes // 2 // 16
 
     def test_below_the_threshold_the_pool_is_never_touched(self, monkeypatch):
-        self._refuse_pool(monkeypatch)
+        self._refuse_fork_join(monkeypatch)
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: 64)
         self._assert_one_call(3, datamod._SPLIT_VALUES - 1, datamod._fill_normals)
         # a spec whose z holds just under the threshold

@@ -262,7 +262,7 @@ def test_only_the_named_threads_start_and_the_lanes_follow_the_sweep(
         steps, started = _record_steps(mp)
         _patch(mp, lane_elements=lane_elements, cpus=cpus)
         sweep(config, ns, R, jobs=jobs)
-        # only the evaluation helper and the kernels' pool run beside the fits
+        # only the evaluation helper and fork-join workers run beside the fits
         assert any(name.startswith("dpnv-evaluation") for name in started)
         assert all(name.startswith(("dpnv-evaluation", "dpnv-kernels")) for name in started)
         fitters = {thread for thread, _, _ in steps}
@@ -288,20 +288,21 @@ def test_only_the_named_threads_start_and_the_lanes_follow_the_sweep(
 
 
 @_settings(10)
-# the pool's half of z ends long after the helper's half has failed
+# the worker's half of z ends long after the helper's half has failed
 @example(case=(replace(_SMALL, eval_n=2_000), (50,), 2), where="helper", call=0,
-         lane_elements=3000, cpus=2, slow_pool=True)
+         lane_elements=3000, cpus=2, slow_worker=True)
 @given(
-    case=sweeps(private=(1, 3)), where=st.sampled_from(("helper", "pool")), call=st.integers(0, 3),
-    lane_elements=st.integers(1, 3000), cpus=st.integers(2, 4), slow_pool=st.just(False),
+    case=sweeps(private=(1, 3)), where=st.sampled_from(("helper", "worker")),
+    call=st.integers(0, 3), lane_elements=st.integers(1, 3000), cpus=st.integers(2, 4),
+    slow_worker=st.just(False),
 )
 def test_an_error_on_the_pool_or_the_helper_reaches_the_caller(
-    case, where, call, lane_elements, cpus, slow_pool
+    case, where, call, lane_elements, cpus, slow_worker
 ):
-    # the evaluation set's z is split between the helper and the pool, and
-    # its noise drawn in chunks of 500 rows; the helper's ``call``-th draw
-    # fails, or the pool's half of z.  A fit that fails in a lane on the
-    # pool is the failing replication's test
+    # the evaluation set's z is split between the helper and a fork-join
+    # worker, and its noise drawn in chunks of 500 rows; the helper's
+    # ``call``-th draw fails, or the worker's half of z.  A fit that fails
+    # in a lane on a worker is the failing replication's test
     config, ns, R = case
     config = replace(config, error_dist=ErrorDist.normal(), eval_n=max(config.eval_n, 2_000))
     z_size = config.eval_n * (len(config.theta_star) - 1)
@@ -311,26 +312,26 @@ def test_an_error_on_the_pool_or_the_helper_reaches_the_caller(
         def standard_normal(self, *args, out=None, **kwargs):
             thread = threading.current_thread().name
             # only the evaluation set is drawn on the helper, and no lane's
-            # draw has the size of the pool's half of z
+            # draw has the size of the worker's half of z
             on_helper = thread.startswith("dpnv-evaluation") and out is not None
-            pool_half = thread.startswith("dpnv-kernels") and getattr(out, "size", 0) == (
+            worker_half = thread.startswith("dpnv-kernels") and getattr(out, "size", 0) == (
                 z_size - z_size // 2
             )
             if on_helper:
                 helper_calls.append(out.size)
             if where == "helper" and on_helper and len(helper_calls) > call or (
-                where == "pool" and pool_half
+                where == "worker" and worker_half
             ):
                 raise DrawFailed
             running.append(self)
             try:
-                if pool_half and slow_pool:
+                if worker_half and slow_worker:
                     time.sleep(0.05)
                 return super().standard_normal(*args, out=out, **kwargs)
             finally:
                 running.remove(self)
 
-    before = {t for t in threading.enumerate() if not t.name.startswith("dpnv-kernels")}
+    before = set(threading.enumerate())
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.random, "default_rng", lambda seed: Failing(np.random.PCG64(seed)))
         mp.setattr(np.random, "Generator", Failing)  # the split draw's copy of the stream
@@ -339,9 +340,49 @@ def test_an_error_on_the_pool_or_the_helper_reaches_the_caller(
         with pytest.raises(DrawFailed):
             sweep(config, ns, R)
     # no draw writes into the sweep's arrays once it has failed, and the
-    # helper is joined: only the kernels' pool outlives a sweep
+    # helper and the workers are joined
     assert running == []
-    assert {t for t in threading.enumerate() if not t.name.startswith("dpnv-kernels")} == before
+    assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["succeeds", "fails"])
+@pytest.mark.parametrize(
+    "case, lane_elements, split_values, error",
+    [
+        # two lanes of two replications, the second on a worker, where
+        # replication 3's training draw fails
+        ((_SMALL, (50,), 4), 1, None, evaluation.ReplicationError),
+        # one lane; the helper's z of 2,000 * 4 values, the one draw at the
+        # threshold, is split with a worker, whose half fails
+        ((replace(_SMALL, eval_n=2_000), (50,), 2), 3000, 8_000, DrawFailed),
+    ],
+    ids=["two-lanes", "split-draw"],
+)
+def test_no_worker_outlives_a_sweep(case, lane_elements, split_values, error, fails):
+    config, ns, R = case
+    workers = set()
+
+    class FailingOnAWorker(np.random.Generator):
+        def standard_normal(self, *args, **kwargs):
+            thread = threading.current_thread()
+            if thread.name.startswith("dpnv-kernels"):
+                workers.add(thread)
+                if fails:
+                    raise DrawFailed
+            return super().standard_normal(*args, **kwargs)
+
+    before = set(threading.enumerate())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "default_rng", lambda seed: FailingOnAWorker(np.random.PCG64(seed)))
+        mp.setattr(np.random, "Generator", FailingOnAWorker)  # the split draw's copy
+        _patch(mp, lane_elements=lane_elements, split_values=split_values, cpus=2)
+        if fails:
+            with pytest.raises(error):
+                sweep(config, ns, R)
+        else:
+            sweep(config, ns, R)
+    assert workers and not any(worker.is_alive() for worker in workers)
+    assert set(threading.enumerate()) == before
 
 
 @_settings(12)

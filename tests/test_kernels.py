@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -271,10 +270,6 @@ def _large_inputs():
     }
 
 
-def _bytes(values):
-    return np.asarray(values).tobytes()
-
-
 LARGE_INPUTS = _large_inputs()
 EVALUATIONS = {
     "density": lambda kind, u: scaled_density(kind, u, 0.3),
@@ -291,9 +286,8 @@ class TestPool:
         self, kind, evaluation, monkeypatch
     ):
         def refuse(*args):
-            raise AssertionError("the pool was used")
+            raise AssertionError("a fork-join ran")
 
-        monkeypatch.setattr(kernels, "_executor", refuse)
         monkeypatch.setattr(kernels, "_fork_join", refuse)
         monkeypatch.setattr(kernels, "_usable_cpus", lambda: 64)
         evaluate = EVALUATIONS[evaluation]
@@ -309,7 +303,7 @@ class TestPool:
             threads.add(threading.get_ident())
             return v * v
 
-        # only the call on the pool overflows
+        # only the call on the worker overflows
         calls = (partial(square, np.zeros(1)), partial(square, np.array([1e300])))
         with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
             kernels._fork_join(*calls)
@@ -333,72 +327,30 @@ class TestPool:
         with pytest.raises(ZeroDivisionError, match="here"):
             kernels._fork_join(partial(refuse_nan, bad, "here"), partial(refuse_nan, bad, "pool"))
 
-    def test_fork_join_inside_a_call_runs_in_turn_on_its_thread(self, monkeypatch):
-        # a call on the pool's only worker that forked onto the pool again
-        # would wait for ever for its own busy worker
-        pool = ThreadPoolExecutor(max_workers=1)
-        monkeypatch.setattr(kernels, "_pool", pool)
+    def test_fork_join_inside_a_call_starts_workers_of_its_own(self):
+        # as a lane's large draw forks inside the lanes' fork-join: every
+        # call handed off runs on a new worker, so none waits for a busy one
         threads = {}
 
         def record(name):
-            threads[name] = threading.get_ident()
+            threads[name] = threading.current_thread()
 
         def outer(name):
             record(name)
             kernels._fork_join(partial(record, f"{name}.0"), partial(record, f"{name}.1"))
 
         runner = threading.Thread(
-            target=kernels._fork_join, args=(partial(outer, "here"), partial(outer, "pool")),
+            target=kernels._fork_join, args=(partial(outer, "here"), partial(outer, "worker")),
             daemon=True,
         )
         runner.start()
         runner.join(timeout=60)
         assert not runner.is_alive()
-        assert threads["here"] == threads["here.0"] == threads["here.1"] == runner.ident
-        assert threads["pool"] == threads["pool.0"] == threads["pool.1"] != runner.ident
-        # the rule holds inside the calls only: the caller forks again
-        kernels._fork_join(partial(record, "after"), partial(record, "after.pool"))
-        assert threads["after"] == threading.get_ident() != threads["after.pool"]
-        pool.shutdown()
-
-    def test_concurrent_callers_share_one_pool(self, monkeypatch):
-        # as the lanes of sweeps run side by side would: several callers
-        # fork at once while the pool is first started
-        u = np.linspace(-3.0, 3.0, 4096)
-        want = _bytes(smoothed_check_loss("gaussian", u, 0.7, 0.3))
-        halves = [partial(smoothed_check_loss, "gaussian", h, 0.7, 0.3) for h in np.split(u, 2)]
-        monkeypatch.setattr(kernels, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(kernels, "_pool", None)
-        real_executor, pools, results = kernels._executor, [], []
-
-        def recording_executor():
-            pool = real_executor()
-            pools.append(pool)
-            return pool
-
-        start = threading.Barrier(4)
-
-        def caller():
-            start.wait(timeout=60)
-            for _ in range(4):
-                results.append(_bytes(np.concatenate(kernels._fork_join(*halves))))
-
-        monkeypatch.setattr(kernels, "_executor", recording_executor)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=caller) for _ in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-            assert not any(thread.is_alive() for thread in threads)
-        finally:
-            sys.setswitchinterval(interval)
-            if kernels._pool is not None:
-                kernels._pool.shutdown()
-        assert results == [want] * 16
-        assert len(pools) == 16 and all(pool is pools[0] for pool in pools)
+        assert threads["here"] is threads["here.0"] is runner
+        assert threads["worker"] is threads["worker.0"] is not runner
+        workers = {threads[name] for name in ("worker", "here.1", "worker.1")}
+        assert len(workers) == 3 and runner not in workers
+        assert all(t.name.startswith("dpnv-kernels") and not t.is_alive() for t in workers)
 
 
 def test_cli_import_starts_no_thread():
@@ -407,9 +359,8 @@ def test_cli_import_starts_no_thread():
     env = {**os.environ, "PYTHONPATH": path}
     code = (
         "import threading, dpnewsvendor.cli\n"
-        "from dpnewsvendor import kernels\n"
-        "print(threading.active_count(), kernels._pool)"
+        "print(threading.active_count())"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.split() == ["1", "None"]
+    assert out.split() == ["1"]
