@@ -167,9 +167,7 @@ def error_quantile(dist: ErrorDist, tau: float) -> float:
     by bisecting the CDF over [-1e3, 1e3] to 1e-10, step for step as
     ``scipy.optimize.bisect`` does, so the values are its values.
     """
-    tau = float(tau)
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must be in (0, 1), got {tau}")
+    tau = kernels.check_tau(tau)
     if dist.kind == "normal":
         return float(ndtri(tau))
     lo, step = -_QUANTILE_BRACKET, 2 * _QUANTILE_BRACKET

@@ -12,6 +12,16 @@ The smoothed loss is a convex upper approximation of the check loss:
 for every symmetric non-negative kernel the gap is between 0 and
 ``kappa_1 * bandwidth / 2`` uniformly in the residual.
 
+Far from the kink the gaussian closed form rounds to the check loss, and
+is computed as such.  At ``|t| >= 9`` (``t = u / bandwidth``),
+``Phi(t) - 1/2`` is exactly ``+-1/2``, since ``Phi(t)`` is 1.0 from
+``t = 8.2924`` up and below ``2**-55`` from ``t = -9`` down; and
+``bandwidth * phi(t) <= 1.03e-18 * bandwidth`` is below a quarter ulp of
+``|u| / 2 >= 4.5 * bandwidth``, so adding it changes nothing (it
+underflows to 0 for a subnormal bandwidth).  There the loss is
+``|u| / 2 + (tau - 1/2) * u``, bit for bit the closed form; only the
+elements nearer the kink, and NaN, evaluate ``exp`` and ``Phi``.
+
 Every kernel evaluation is one call of its closed form on the calling
 thread, whatever its size.  The module also holds ``_fork_join``, which
 runs whole units of work side by side: the lanes of a sweep
@@ -38,6 +48,9 @@ from .errors import NonPositiveBandwidth
 KERNEL_NAMES = ("gaussian", "laplacian", "logistic", "uniform", "epanechnikov")
 
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# |t| from which the gaussian smoothed loss rounds to the check loss
+_TAIL = 9.0
 
 
 @dataclass(frozen=True)
@@ -217,8 +230,17 @@ def constants(kernel: str) -> KernelConstants:
     return _CONSTANTS[check_kernel(kernel)]
 
 
+def check_tau(tau: float) -> float:
+    """Return ``tau`` as a float if it lies in (0, 1), else raise ValueError."""
+    tau = float(tau)
+    if not 0.0 < tau < 1.0:
+        raise ValueError(f"tau must be in (0, 1), got {tau}")
+    return tau
+
+
 def check_loss(tau: float, u):
     """Check (pinball) loss u * (tau - 1{u < 0})."""
+    tau = check_tau(tau)
     u = np.asarray(u, dtype=float)
     return _maybe_scalar(_check_loss(tau, u), u)
 
@@ -245,13 +267,15 @@ def smoothed_check_loss(kernel: str, u, tau: float, bandwidth: float):
       inside the support, plain check loss outside
 
     The result always dominates the check loss and exceeds it by at most
-    ``kappa_1 * bandwidth / 2``.
+    ``kappa_1 * bandwidth / 2``.  Beyond 9 bandwidths from the kink
+    (``|t| >= 9``) the gaussian form is the check loss as the closed form
+    rounds it, ``|u| / 2 + (tau - 1/2) * u``: ``Phi(t) - 1/2`` is exactly
+    ``+-1/2`` there, and ``bw * phi(t) <= 1.03e-18 * bw`` is below a
+    quarter ulp of ``|u| / 2``.
     """
     bandwidth = check_bandwidth(bandwidth)
     kernel = check_kernel(kernel)
-    tau = float(tau)
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must be in (0, 1), got {tau}")
+    tau = check_tau(tau)
     u = np.asarray(u, dtype=float)
     return _maybe_scalar(_smoothed_loss(kernel, u, tau, bandwidth), u)
 
@@ -259,7 +283,14 @@ def smoothed_check_loss(kernel: str, u, tau: float, bandwidth: float):
 def _smoothed_loss(kernel, u, tau, bandwidth):
     t = u / bandwidth
     if kernel == "gaussian":
-        return bandwidth * _gaussian_pdf(t) + u * (ndtr(t) - 0.5) + (tau - 0.5) * u
+        # the check loss, then the closed form at the elements within _TAIL
+        # bandwidths of the kink, or NaN, gathered by flat index (a new
+        # array even for a 0-d u, so that the put writes into the result)
+        loss = np.asarray(0.5 * np.abs(u) + (tau - 0.5) * u)
+        near = np.flatnonzero(~(np.abs(t) >= _TAIL))
+        t, u = t.take(near), u.take(near)
+        np.put(loss, near, bandwidth * _gaussian_pdf(t) + u * (ndtr(t) - 0.5) + (tau - 0.5) * u)
+        return loss
     if kernel == "laplacian":
         return _check_loss(tau, u) + 0.5 * bandwidth * np.exp(-np.abs(t))
     if kernel == "logistic":

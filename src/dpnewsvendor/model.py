@@ -59,9 +59,7 @@ class Problem:
 
     @classmethod
     def from_quantile(cls, tau: float) -> "Problem":
-        tau = float(tau)
-        if not 0.0 < tau < 1.0:
-            raise ValueError(f"tau must be in (0, 1), got {tau}")
+        tau = kernels.check_tau(tau)
         return cls(b=tau, h=1.0 - tau)
 
     @property

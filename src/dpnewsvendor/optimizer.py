@@ -88,8 +88,7 @@ def default_bandwidth(tau: float, n: int, p: int) -> float:
     ``sqrt(tau * (1 - tau)) * ((p + log n) / n) ** (2/5)`` with the
     natural logarithm.
     """
-    if not 0.0 < tau < 1.0:
-        raise ValueError(f"tau must be in (0, 1), got {tau}")
+    tau = kernels.check_tau(tau)
     if not n >= 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if not p >= 1:

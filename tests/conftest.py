@@ -12,6 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import ndtr
 
 from dpnewsvendor.data import DEFAULT_THETA_STAR, ErrorDist, SyntheticSpec, ar1_covariance
 
@@ -61,6 +62,15 @@ def smoothed_loss_oracle(kind: str, u: float, tau: float, bandwidth: float) -> f
         )
         total += val
     return total
+
+
+def gaussian_loss_closed_form(u, tau: float, bandwidth: float):
+    """The gaussian smoothed loss's closed form, evaluated at every element
+    of ``u`` with no tail rule: ``smoothed_check_loss`` must match it bit
+    for bit."""
+    t = u / bandwidth
+    density = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * t * t)
+    return bandwidth * density + u * (ndtr(t) - 0.5) + (tau - 0.5) * u
 
 
 def kernel_moment_oracle(kind: str, power: int) -> float:

@@ -10,6 +10,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 from scipy import integrate
 
 from dpnewsvendor import kernels
@@ -24,7 +27,13 @@ from dpnewsvendor.kernels import (
 )
 from dpnewsvendor.optimizer import HyperParams
 
-from conftest import ORACLE_PDFS, ORACLE_SUPPORT, kernel_moment_oracle, smoothed_loss_oracle
+from conftest import (
+    ORACLE_PDFS,
+    ORACLE_SUPPORT,
+    gaussian_loss_closed_form,
+    kernel_moment_oracle,
+    smoothed_loss_oracle,
+)
 
 GRID = np.linspace(-10, 10, 801)
 
@@ -173,6 +182,38 @@ class TestConstants:
                 assert c.kappa_l > 0
 
 
+# t = u / bandwidth at the tail rule's edge, at the kink and beyond finite
+# values, with either sign bit (a NaN too: it must take the closed form)
+_T_EDGES = [
+    math.copysign(t, sign)
+    for sign in (1.0, -1.0)
+    for t in (math.nextafter(9.0, 0.0), 9.0, math.inf, math.nan, 0.0)
+]
+
+
+@st.composite
+def _gaussian_loss_cases(draw):
+    """``(u, tau, bandwidth)``: u is 0-d, 1-d of up to 67 elements (past
+    every SIMD width, so that remainder lanes run) or 3-d, drawn as t times
+    a bandwidth that is any float from the least subnormal to 1e300 or a
+    power of two, at which t's edges survive the round trip.  t is often
+    within 8 <= |t| <= 9, where the closed form still departs from the
+    check loss."""
+    bandwidth = draw(st.one_of(
+        st.floats(5e-324, 1e300), st.integers(-1074, 996).map(lambda e: math.ldexp(1.0, e))
+    ))
+    shape = draw(st.one_of(
+        st.just(()), st.tuples(st.integers(1, 67)), array_shapes(min_dims=3, max_dims=3, max_side=4)
+    ))
+    t = draw(arrays(np.float64, shape, elements=st.one_of(
+        st.sampled_from(_T_EDGES), st.floats(8.0, 9.0), st.floats(-9.0, -8.0),
+        st.floats(-12.0, 12.0), st.floats(),
+    )))
+    with np.errstate(all="ignore"):
+        u = t * bandwidth
+    return u, draw(st.floats(1e-300, 1.0 - 2.0**-53)), bandwidth
+
+
 class TestSmoothedCheckLoss:
     def test_gaussian_at_origin(self):
         # oracle value: convolution at u=0 equals bandwidth * peak density
@@ -248,6 +289,27 @@ class TestSmoothedCheckLoss:
     def test_invalid_tau_rejected(self):
         with pytest.raises(ValueError, match="tau"):
             smoothed_check_loss("gaussian", 0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("tau", [0.0, 1.0, 1.5, math.nan])
+    def test_check_loss_refuses_the_tau_the_smoothed_loss_refuses(self, tau):
+        message = rf"tau must be in \(0, 1\), got {tau}"
+        with pytest.raises(ValueError, match=message):
+            check_loss(tau, 1.0)
+        with pytest.raises(ValueError, match=message):
+            smoothed_check_loss("gaussian", 1.0, tau, 1.0)
+
+    @settings(deadline=None, max_examples=200)
+    @given(case=_gaussian_loss_cases())
+    def test_gaussian_far_tails_are_the_closed_form_bit_for_bit(self, case):
+        u, tau, bandwidth = case
+        with np.errstate(all="ignore"):
+            got = smoothed_check_loss("gaussian", u, tau, bandwidth)
+            want = gaussian_loss_closed_form(u, tau, bandwidth)
+        assert np.shape(got) == u.shape
+        if u.ndim == 0:
+            assert type(got) is float
+        assert np.array_equal(got, want, equal_nan=True), (got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want)), (got, want)
 
 
 def _large_inputs():

@@ -36,6 +36,8 @@ from dpnewsvendor.optimizer import (
 )
 from dpnewsvendor.privacy import calibrate_sigma, one_step_sensitivity
 
+from conftest import gaussian_loss_closed_form
+
 
 def _sigma_norm(delta, sigma_matrix):
     return float(np.sqrt(delta @ sigma_matrix @ delta))
@@ -865,3 +867,38 @@ class TestSmoothedErm:
         tol = 1e-8
         beta = smoothed_erm(data, problem, "logistic", 0.005, tol=tol)
         assert np.linalg.norm(smoothed_gradient(problem, data, beta, "logistic", 0.005)) <= tol
+
+
+def test_the_gaussian_tail_rule_moves_no_fit_or_erm_bit(monkeypatch):
+    # a `dpnv fit` session's design: 100k raw rows, t3 noise, b = 50 and
+    # h = 30 (tau = 0.625), the CLI's defaults with mu = 0.5; the line
+    # search and the ERM score their trials through the smoothed loss
+    data = generate_synthetic(default_spec(100_000, "t3", seed=5))
+    problem = Problem(b=50.0, h=30.0)
+    hp = HyperParams(
+        bandwidth=default_bandwidth(problem.tau, data.n, data.p), n_steps=10, clip_radius=2.0,
+        mu=0.5, sigma=16.0, mode="raw_covariates",
+    )
+
+    def fits(loss):
+        scored = []
+
+        def recorded(kernel, u, tau, bandwidth):
+            assert kernel == "gaussian"
+            scored.append(loss(kernel, u, tau, bandwidth))
+            return scored[-1]
+
+        with monkeypatch.context() as mp:
+            mp.setattr(kernels, "_smoothed_loss", recorded)
+            path = fit(data, problem, hp).trajectory
+            beta = smoothed_erm(data, problem, hp.kernel, hp.bandwidth)
+        return [path, beta, *scored]
+
+    shipped = fits(kernels._smoothed_loss)
+    residuals = data.demands - data.features @ shipped[1]
+    assert np.mean(np.abs(residuals) >= 9 * hp.bandwidth) > 0.8
+    plain = fits(lambda kernel, u, tau, bandwidth: gaussian_loss_closed_form(u, tau, bandwidth))
+    # the path, the ERM's coefficients and every loss the searches scored
+    assert len(shipped) == len(plain) > 2
+    for got, want in zip(shipped, plain):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
